@@ -35,10 +35,17 @@ import numpy as np
 
 from .errors import SchemaError
 from .filtration import FiltrationTree, resolve_tree_field
-from .norms import NormResult, _layer_cake_arrays, lp_norm, weak_lq_norm
+from .norms import (
+    NormResult,
+    _ArgMax,
+    _layer_cake_arrays,
+    _stops_witness,
+    lp_norm,
+    weak_lq_norm,
+)
 from .operators import maximal
 from .process import AdaptedProcess, Martingale, _modulus, differences
-from .stopping import StoppingTime, enumerate_stopping_times, indicator_process
+from .stopping import StoppingTime, chunks, prob_finite, stopping_time_table
 
 __all__ = [
     "CarlesonMeasure",
@@ -89,10 +96,15 @@ class CarlesonMeasure:
         side takes for an indicator process, so the converse identity
         holds bitwise, not just within tolerance.
         """
-        t = tau.tau_values()
-        total = 0.0
+        return float(self.tent_masses(tau.tau_values()[None])[0])
+
+    def tent_masses(self, taus: np.ndarray) -> np.ndarray:
+        """`tent_mass` of every row of a stopping-time table, in one pass
+        per level; each row sums its masked leaf cells exactly as
+        `tent_mass` does for that stopping time alone."""
+        total = np.zeros(len(taus))
         for k in range(self.tree.depth + 1):
-            total += float(np.sum(np.where(t <= k, self.weighted[k], 0.0)))
+            total += np.sum(np.where(taus <= k, self.weighted[k], 0.0), axis=1)
         return total
 
     def to_dict(self, *, inline_tree: bool = True) -> dict:
@@ -175,8 +187,6 @@ def carleson_alpha_norm(
     alpha = _check_alpha_carleson(alpha)
     tree = mu.tree
     expo = -(1.0 + 2.0 * alpha)
-    from .norms import _ArgMax
-
     best = _ArgMax()
 
     if mode == "node-fast":
@@ -187,18 +197,24 @@ def carleson_alpha_norm(
             i = int(np.argmax(vals))
             best.offer(float(vals[i]), {"kind": "stopping-time", "stops": [[n, i]]})
     elif mode == "stopping-bruteforce":
-        for tau in enumerate_stopping_times(tree, max_enum):
-            if tau.is_never():
-                continue
-            val = mu.tent_mass(tau) * tau.prob_finite**expo
-            best.offer(
-                float(val),
-                {"kind": "stopping-time", "stops": [[s.level, s.index] for s in tau.stops]},
-            )
+        taus = stopping_time_table(tree, max_enum)
+        for rows in chunks(len(taus) - 1):  # the last row never stops
+            t = taus[rows]
+            vals = _tent_ratios(tree, mu.tent_masses(t), t, expo)
+            best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
     else:
         raise ValueError(f"unknown mode {mode!r}; choose one of {CARLESON_MODES}")
 
     return NormResult(best.value, best.witness, mode)
+
+
+def _tent_ratios(
+    tree: FiltrationTree, tents: np.ndarray, taus: np.ndarray, expo: float
+) -> np.ndarray:
+    """tent * P(tau finite) ** expo per table row, powers taken one Python
+    float at a time as the single-stopping-time formula does."""
+    probs = prob_finite(tree, taus).tolist()
+    return np.array([t * q**expo for t, q in zip(tents.tolist(), probs)])
 
 
 def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
@@ -277,6 +293,29 @@ def carleson_inequality_check(
     )
 
 
+def _indicator_lhs(
+    taus: np.ndarray, mu: CarlesonMeasure, p: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per table row: the inequality's left side for the indicator process
+    of {tau <= k}, and the final running maximum of that indicator.
+
+    The left side runs `_product_space_lhs` on each row at once: levels
+    ascending, |indicator| ** p * mu.weighted[k] summed over C-contiguous
+    (rows, leaves) arrays, so every row adds the same floats in the same
+    order as the single-process call.
+    """
+    tree = mu.tree
+    lhs = np.zeros(len(taus))
+    running = None
+    for k in range(tree.depth + 1):
+        ind = np.where(taus[:, tree.leaf_starts(k)] <= k, 1.0, 0.0)  # level-k atoms
+        mod = np.abs(ind)
+        running = mod if k == 0 else np.maximum(running[:, tree.parents(k)], mod)
+        leaf_mod = np.ascontiguousarray(mod[:, tree.leaf_ancestors(k)])
+        lhs += np.sum(leaf_mod**p * mu.weighted[k], axis=1)
+    return lhs, running
+
+
 def converse_extraction(
     mu: CarlesonMeasure, alpha: float, c_p: float, p: float,
     max_enum: int | None = None,
@@ -297,40 +336,36 @@ def converse_extraction(
     expo = -(1.0 + 2.0 * alpha)
     slack = 1e-12 * max(1.0, float(c_p))
 
-    best_ratio = -np.inf
-    best_witness: list | None = None
+    tree = mu.tree
+    taus = stopping_time_table(tree, max_enum)
+    best = _ArgMax()
     first_violation: dict | None = None
     identity_exact = True
     maximal_identity = True
-    checked = 0
-
-    for tau in enumerate_stopping_times(mu.tree, max_enum):
-        if tau.is_never():
-            continue
-        checked += 1
-        ind = indicator_process(tau)
-        lhs = _product_space_lhs(ind, mu, p)
-        tent = mu.tent_mass(tau)
-        if lhs != tent:
-            identity_exact = False
-        chi = np.where(tau.finite_mask(), 1.0, 0.0)
-        if not np.array_equal(maximal(ind).values, chi):
-            maximal_identity = False
-        ratio = tent * tau.prob_finite**expo
-        stops = [[s.level, s.index] for s in tau.stops]
-        if ratio > best_ratio or best_witness is None:
-            best_ratio = ratio
-            best_witness = stops
-        if ratio > c_p + slack and first_violation is None:
-            first_violation = {"ratio": float(ratio), "stops": stops}
+    for rows in chunks(len(taus) - 1):  # the last row never stops
+        t = taus[rows]
+        lhs, running = _indicator_lhs(t, mu, p)
+        tent = mu.tent_masses(t)
+        identity_exact = identity_exact and np.array_equal(lhs, tent)
+        chi = np.where(t <= tree.depth, 1.0, 0.0)
+        maximal_identity = maximal_identity and np.array_equal(running, chi)
+        ratios = _tent_ratios(tree, tent, t, expo)
+        best.offer_all(ratios, lambda j: _stops_witness(tree, t[j]))
+        over = np.flatnonzero(ratios > c_p + slack)
+        if first_violation is None and over.size:
+            j = int(over[0])
+            first_violation = {
+                "ratio": float(ratios[j]),
+                "stops": _stops_witness(tree, t[j])["stops"],
+            }
 
     return {
         "norm_bound_satisfied": first_violation is None,
         "c_p": float(c_p),
-        "max_ratio": float(best_ratio),
-        "witness": {"kind": "stopping-time", "stops": best_witness},
+        "max_ratio": best.value,
+        "witness": best.witness,
         "first_violation": first_violation,
         "identity_exact": identity_exact,
         "maximal_identity": maximal_identity,
-        "stopping_times_checked": checked,
+        "stopping_times_checked": len(taus) - 1,
     }

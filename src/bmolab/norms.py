@@ -39,7 +39,15 @@ from .process import (
     _modulus,
     conditional_expectation,
 )
-from .stopping import enumerate_stopping_times, resolve_max_enum, stopped_before
+from .stopping import (
+    _before_table,
+    chunks,
+    prob_finite,
+    resolve_max_enum,
+    row_stops,
+    stopped_before,
+    stopping_time_table,
+)
 
 __all__ = [
     "NormResult",
@@ -196,6 +204,71 @@ class _ArgMax:
             self.value = float(value)
             self.witness = witness
 
+    def offer_all(self, values: np.ndarray, witness_of) -> None:
+        """Offer ``values`` in order, as one ``offer`` each would; the
+        witness is built only for the winner, as ``witness_of(position)``."""
+        start = 0
+        if self.witness is None:
+            self.offer(values[0], witness_of(0))
+            start = 1
+        rest = values[start:]
+        if rest.size:
+            # argmax returns the first maximum; a NaN never wins after the
+            # first candidate, so rank it below everything.
+            i = int(np.argmax(np.where(np.isnan(rest), -np.inf, rest)))
+            if rest[i] > self.value:
+                self.offer(rest[i], witness_of(start + i))
+
+
+def _mask_atoms(mask: int, k: int) -> list[int]:
+    return [i for i in range(k) if mask >> i & 1]
+
+
+def _union_ratios(
+    r: np.ndarray, m: np.ndarray, masks: np.ndarray, e_int: float, e_mass: float
+) -> np.ndarray:
+    """(sum of r over the union) ** e_int * (sum of m over it) ** e_mass per mask.
+
+    Masks are grouped by popcount so each group sums a compact
+    C-contiguous (unions, atoms) matrix: every row then adds exactly the
+    elements, in exactly the order, of ``np.sum(r[atoms])``.  Powers are
+    taken one float64 scalar at a time, as the per-union formula does.
+    """
+    bits = (masks[:, None] & (1 << np.arange(len(r)))) != 0
+    counts = bits.sum(axis=1)
+    r_sum = np.empty(len(masks))
+    m_sum = np.empty(len(masks))
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        sel = np.flatnonzero(counts == c)
+        atoms = np.nonzero(bits[sel])[1].reshape(len(sel), c)
+        r_sum[sel] = r[atoms].sum(axis=1)
+        m_sum[sel] = m[atoms].sum(axis=1)
+    return np.array([a**e_int * b**e_mass for a, b in zip(r_sum, m_sum)])
+
+
+def _stopping_ratios(
+    f: AdaptedProcess, taus: np.ndarray, e_int: float, e_mass: float
+) -> np.ndarray:
+    """(integral of |f_N - f_(tau-1)|^2) ** e_int * P(tau finite) ** e_mass
+    per table row.
+
+    Each row's integral sums a C-contiguous (rows, leaves) array, the same
+    additions in the same order as for one stopping time; the integral's
+    power is a float64 scalar power and the probability's a Python float
+    power, as in the one-stopping-time formula.
+    """
+    tree = f.tree
+    final = f.level(f.depth)
+    resid = final - _before_table(f)[taus, np.arange(tree.num_leaves)]
+    mod = np.abs(resid) if final.ndim == 1 else np.sqrt(np.sum(resid * resid, axis=-1))
+    integrals = np.sum(mod**2 * tree.leaf_masses, axis=1)
+    probs = prob_finite(tree, taus).tolist()
+    return np.array([i**e_int * q**e_mass for i, q in zip(integrals, probs)])
+
+
+def _stops_witness(tree: FiltrationTree, row: np.ndarray) -> dict:
+    return {"kind": "stopping-time", "stops": [[s.level, s.index] for s in row_stops(tree, row)]}
+
 
 def _bmo_sup(
     f: AdaptedProcess,
@@ -233,26 +306,23 @@ def _bmo_sup(
             r = _residual_integrals(f, n, p, previous)
             m = tree.masses(n)
             k = tree.atom_count(n)
-            for mask in range(1, 1 << k):
-                idx = [i for i in range(k) if mask >> i & 1]
-                val = np.sum(r[idx]) ** e_int * np.sum(m[idx]) ** e_mass
-                best.offer(float(val), {"kind": "level-set", "level": n, "atoms": idx})
+            for rows in chunks((1 << k) - 1):
+                masks = np.arange(rows.start + 1, rows.stop + 1)
+                vals = _union_ratios(r, m, masks, e_int, e_mass)
+                best.offer_all(
+                    vals,
+                    lambda j: {"kind": "level-set", "level": n,
+                               "atoms": _mask_atoms(int(masks[j]), k)},
+                )
 
     elif mode == "stopping-bruteforce":
         if p != 2.0:
             raise ValueError("the stopping-time form is defined for the p = 2 norm only")
-        final = f.level(f.depth)
-        w = tree.leaf_masses
-        for tau in enumerate_stopping_times(tree, max_enum):
-            if tau.is_never():
-                continue
-            resid = final - stopped_before(f, tau).values
-            integral = np.sum(_modulus(resid) ** 2 * w)
-            val = integral**e_int * tau.prob_finite**e_mass
-            best.offer(
-                float(val),
-                {"kind": "stopping-time", "stops": [[s.level, s.index] for s in tau.stops]},
-            )
+        taus = stopping_time_table(tree, max_enum)
+        for rows in chunks(len(taus) - 1):  # the last row never stops
+            t = taus[rows]
+            vals = _stopping_ratios(f, t, e_int, e_mass)
+            best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
 
     else:
         raise ValueError(f"unknown mode {mode!r}; choose one of {BMO_MODES}")

@@ -261,9 +261,6 @@ class DifferenceSequence:
     def leaf_term(self, k: int) -> np.ndarray:
         return self.terms[k][self.tree.leaf_ancestors(k)]
 
-    def modulus_term(self, k: int) -> np.ndarray:
-        return _modulus(self.terms[k])
-
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -13,7 +13,10 @@ boolean (levels x leaves) array.
 Exhaustive enumeration of all stopping times of a tree is the oracle
 behind every "supremum over stopping times" in the package.  The count
 obeys T(leaf) = 2 and T(internal) = 1 + prod(children T), so it explodes
-quickly; enumeration streams lazily and refuses trees over a cap.
+quickly.  `stopping_time_table` holds all of them as one small-int
+array (a row of per-leaf tau values per stopping time), which the
+oracles score in chunks of CHUNK_ROWS rows; it refuses trees over a cap
+before building anything.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ __all__ = [
     "first_passage",
     "count_stopping_times",
     "enumerate_stopping_times",
+    "stopping_time_table",
+    "prob_finite",
+    "row_stops",
     "indicator_process",
     "stopped_before",
     "resolve_max_enum",
@@ -41,6 +47,9 @@ __all__ = [
 ]
 
 DEFAULT_MAX_ENUM = 10**6
+# Rows of a stopping-time table (or union masks) scored at once by the
+# brute-force oracles; bounds their float temporaries.
+CHUNK_ROWS = 1024
 
 
 def resolve_max_enum(max_enum: int | None) -> int:
@@ -48,7 +57,15 @@ def resolve_max_enum(max_enum: int | None) -> int:
     if max_enum is not None:
         return int(max_enum)
     env = os.environ.get("BMO_LAB_MAX_ENUM")
-    return int(env) if env else DEFAULT_MAX_ENUM
+    if not env:
+        return DEFAULT_MAX_ENUM
+    try:
+        cap = int(env)
+        if cap <= 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError(f"BMO_LAB_MAX_ENUM must be a positive integer, got {env!r}") from None
+    return cap
 
 
 class StoppingTime:
@@ -196,15 +213,16 @@ def count_stopping_times(tree: FiltrationTree) -> int:
     return counts[0]
 
 
-def enumerate_stopping_times(
-    tree: FiltrationTree, max_enum: int | None = None
-) -> Iterator[StoppingTime]:
-    """Stream every stopping time of the tree, depth-first, stop-before-defer.
+def stopping_time_table(tree: FiltrationTree, max_enum: int | None = None) -> np.ndarray:
+    """Every stopping time of the tree as one row of per-leaf tau values.
 
-    At each atom the "stop here" choice comes before any combination in
-    which the decision is deferred to the children; among deferred
-    combinations the leftmost child's options vary slowest.  The last
-    stopping time yielded is the never-stopping one (empty stop set).
+    Row order is the enumeration order: at each atom the "stop here" row
+    comes before every combination in which the decision is deferred to
+    the children, and among deferred combinations the leftmost child's
+    options vary slowest.  The last row is the never-stopping time
+    (``depth + 1`` everywhere).  The table is built level by level from
+    the leaves up; the cap is checked against the exact count before
+    anything is allocated.
     """
     cap = resolve_max_enum(max_enum)
     total = count_stopping_times(tree)
@@ -213,26 +231,73 @@ def enumerate_stopping_times(
             f"tree has {total} stopping times, over the cap {cap}; "
             f"use a fast mode (atom-fast / node-fast) or raise BMO_LAB_MAX_ENUM"
         )
+    depth = tree.depth
+    dtype = np.int8 if depth < np.iinfo(np.int8).max else np.int16
+    tables = [np.array([[depth], [depth + 1]], dtype=dtype)] * tree.atom_count(depth)
+    for n in reversed(range(depth)):
+        lo, hi = tree.child_starts(n), tree.child_stops(n)
+        parents = []
+        for i in range(tree.atom_count(n)):
+            kids = tables[lo[i] : hi[i]]
+            sizes = [len(t) for t in kids]
+            combos = math.prod(sizes)
+            width = sum(t.shape[1] for t in kids)
+            out = np.empty((1 + combos, width), dtype=dtype)
+            out[0] = n
+            # Child j's options repeat over the combos of the children to its
+            # right and tile over those to its left: leftmost slowest.
+            left, col = 1, 0
+            for t, size in zip(kids, sizes):
+                right = combos // (left * size)
+                block = out[1:].reshape(left, size, right, width)
+                block[..., col : col + t.shape[1]] = t[None, :, None, :]
+                left *= size
+                col += t.shape[1]
+            parents.append(out)
+        tables = parents
+    return tables[0]
 
-    def behaviors(ref: AtomRef) -> Iterator[tuple[AtomRef, ...]]:
-        yield (ref,)
-        children = tree.children_of(ref)
-        if not children:
-            yield ()
-            return
 
-        def combos(j: int) -> Iterator[tuple[AtomRef, ...]]:
-            if j == len(children):
-                yield ()
-                return
-            for head in behaviors(children[j]):
-                for rest in combos(j + 1):
-                    yield head + rest
+def chunks(rows: int) -> Iterator[slice]:
+    """Consecutive row slices of at most CHUNK_ROWS, covering ``range(rows)``."""
+    for lo in range(0, rows, CHUNK_ROWS):
+        yield slice(lo, min(lo + CHUNK_ROWS, rows))
 
-        yield from combos(0)
 
-    for stops in behaviors(AtomRef(0, 0)):
-        yield StoppingTime(tree, stops)
+def prob_finite(tree: FiltrationTree, taus: np.ndarray) -> np.ndarray:
+    """P(tau finite) per table row.
+
+    Stop-atom masses are added one atom at a time in (level, index) order,
+    the order ``StoppingTime.prob_finite`` sums them in, so both agree
+    bitwise.
+    """
+    total = np.zeros(len(taus))
+    for n in range(tree.depth + 1):
+        starts = tree.leaf_starts(n)
+        for i, m in enumerate(tree.masses(n).tolist()):
+            total += np.where(taus[:, starts[i]] == n, m, 0.0)
+    return total
+
+
+def row_stops(tree: FiltrationTree, row: np.ndarray) -> list[AtomRef]:
+    """The stop set of one table row, in (level, index) order."""
+    return [
+        AtomRef(n, int(i))
+        for n in range(tree.depth + 1)
+        for i in np.flatnonzero(row[tree.leaf_starts(n)] == n)
+    ]
+
+
+def enumerate_stopping_times(
+    tree: FiltrationTree, max_enum: int | None = None
+) -> Iterator[StoppingTime]:
+    """Stream every stopping time of the tree in `stopping_time_table` order.
+
+    The last stopping time yielded is the never-stopping one (empty stop
+    set).
+    """
+    for row in stopping_time_table(tree, max_enum):
+        yield StoppingTime(tree, row_stops(tree, row))
 
 
 def indicator_process(tau: StoppingTime) -> AdaptedProcess:
@@ -249,6 +314,14 @@ def indicator_process(tau: StoppingTime) -> AdaptedProcess:
     return AdaptedProcess(tree, levels)
 
 
+def _before_table(f: AdaptedProcess) -> np.ndarray:
+    """Leaf values indexed by stopping level: row 0 is zero (the value
+    before time zero), row k + 1 is ``f`` at level k, so row tau holds the
+    value one step before stopping and the sentinel row the final value."""
+    stack = np.stack([f.leaf_view(n) for n in range(f.tree.depth + 1)])
+    return np.concatenate([np.zeros_like(stack[:1]), stack], axis=0)
+
+
 def stopped_before(f: AdaptedProcess, tau: StoppingTime) -> RandomVariable:
     """The process value one step before stopping, pointwise.
 
@@ -256,10 +329,5 @@ def stopped_before(f: AdaptedProcess, tau: StoppingTime) -> RandomVariable:
     is infinite it is the final value, so subtracting from the final value
     vanishes off {tau finite}.
     """
-    tree = f.tree
-    depth = tree.depth
-    stack = np.stack([f.leaf_view(n) for n in range(depth + 1)])
-    zeros = np.zeros_like(stack[:1])
-    table = np.concatenate([zeros, stack], axis=0)
-    idx = tau.tau_values()
-    return RandomVariable(tree, table[idx, np.arange(tree.num_leaves)])
+    leaves = np.arange(f.tree.num_leaves)
+    return RandomVariable(f.tree, _before_table(f)[tau.tau_values(), leaves])

@@ -67,11 +67,6 @@ def _trial_seeds(seed: int, trials: int) -> list[int]:
     return [int(s) for s in state]
 
 
-def _split(seed: int, n: int) -> list[int]:
-    state = np.random.SeedSequence(seed).generate_state(n, dtype=np.uint64)
-    return [int(s) for s in state]
-
-
 def _rel(a: float, b: float) -> float:
     scale = max(abs(a), abs(b))
     return abs(a - b) / scale if scale > 0 else 0.0
@@ -170,7 +165,7 @@ def check_characterization(
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
-        sub = _split(ts, 2 + len(dims))
+        sub = _trial_seeds(ts, 2 + len(dims))
         pick = np.random.default_rng(sub[0])
         depth = int(pick.integers(depth_range[0], depth_range[1] + 1))
         tree = build_random(sub[1], depth, max_branch)
@@ -260,7 +255,7 @@ def check_lemma_stopping_form(
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
-        sub = _split(ts, 3)
+        sub = _trial_seeds(ts, 3)
         tree, tseed, depth = _small_tree(sub[0], max_count)
         n_tau = count_stopping_times(tree)
         f = random_martingale(tree, sub[1], 1)
@@ -349,7 +344,7 @@ def check_carleson_inequality(
     cases = []
     tree = build_dyadic(depth)
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
-        sub = _split(ts, 2)
+        sub = _trial_seeds(ts, 2)
         g = random_adapted_process(tree, sub[0], 1)
         mu = random_measure(tree, sub[1])
         for p in ps:
@@ -377,7 +372,7 @@ def check_carleson_inequality(
                 )
     grid = [(p, alpha) for p in ps for alpha in alphas]
     for j, ts in enumerate(_trial_seeds(seed + 1, converse_trials)):
-        sub = _split(ts, 2)
+        sub = _trial_seeds(ts, 2)
         if j % 2 == 0:
             ctree, tseed, cdepth = build_dyadic(2), -1, 2
         else:
@@ -472,7 +467,7 @@ def check_operators(
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
-        sub = _split(ts, 5)
+        sub = _trial_seeds(ts, 5)
         pick = np.random.default_rng(sub[0])
         depth = int(pick.integers(depth_range[0], depth_range[1] + 1))
         tree = build_random(sub[1], depth, max_branch)
@@ -587,7 +582,7 @@ def campaign(
     cases = []
     for depth in depths:
         for trial, ts in enumerate(_trial_seeds(seed + depth, trials)):
-            sub = _split(ts, 2)
+            sub = _trial_seeds(ts, 2)
             tree = build_dyadic(depth) if ps else build_random(sub[0], depth, max_branch)
             if ps:
                 g = random_adapted_process(tree, sub[0], 1)

@@ -140,13 +140,8 @@ def bmo_sup(root, leaves, alpha, p=2.0, subsets=False):
 # == stopping rules and measure norm =========================================
 
 
-def antichains(root):
-    """Every antichain of nodes, as lists of (level, index) pairs.
-
-    Per node the rule either stops there or defers to all children;
-    deferring at a leaf drops that branch (never stops on it).  The empty
-    list (never stop anywhere) is included.
-    """
+def _labelled(root):
+    """Copy of the tree with each node's (level, index) position."""
     counts = {}
 
     def label(node, level):
@@ -158,7 +153,16 @@ def antichains(root):
             "children": [label(c, level + 1) for c in (node.get("children") or [])],
         }
 
-    lab = label(root, 0)
+    return label(root, 0)
+
+
+def antichains(root):
+    """Every antichain of nodes, as lists of (level, index) pairs.
+
+    Per node the rule either stops there or defers to all children;
+    deferring at a leaf drops that branch (never stops on it).  The empty
+    list (never stop anywhere) is included.
+    """
 
     def rec(node):
         yield [(node["level"], node["index"])]
@@ -168,7 +172,34 @@ def antichains(root):
         else:
             yield []
 
-    yield from rec(lab)
+    yield from rec(_labelled(root))
+
+
+def behaviors(root):
+    """Stop sets in the package's enumeration order, one recursive
+    generator step at a time: "stop here" before every deferred
+    combination, the leftmost child's options varying slowest, the
+    never-stopping (empty) set last.  Yields tuples of (level, index).
+    """
+
+    def rec(node):
+        yield ((node["level"], node["index"]),)
+        children = node["children"]
+        if not children:
+            yield ()
+            return
+
+        def combos(j):
+            if j == len(children):
+                yield ()
+                return
+            for head in rec(children[j]):
+                for rest in combos(j + 1):
+                    yield head + rest
+
+        yield from combos(0)
+
+    yield from rec(_labelled(root))
 
 
 def tent_mass(root, densities, stops):

@@ -5,6 +5,7 @@ criteria that inspect them.  Every assertion works off the recorded
 cases, so a failure names the first offending case.
 """
 
+import hashlib
 import json
 import time
 
@@ -291,3 +292,25 @@ def test_criterion_09_determinism_and_round_trips(tmp_path):
         "same-seed comparison reports byte-identical; tree, process, measure, "
         "and stop-set documents round trip bit-exact",
     )
+
+
+# == comparison-mode bytes ===================================================
+
+
+def test_comparison_reports_keep_their_bytes(
+    characterization_run, lemma_run, inequality_run, operators_run
+):
+    """sha256 prefixes of the four comparison-mode reports at default
+    arguments.  Any change to a computed number, a witness or the
+    enumeration order shows up here."""
+    reports = (characterization_run[0], lemma_run, inequality_run, operators_run)
+    got = {
+        r.suite: hashlib.sha256(r.to_json(comparison=True).encode()).hexdigest()[:16]
+        for r in reports
+    }
+    assert got == {
+        "characterization": "7661c5f2d30d14bb",
+        "lemma-stopping-form": "c8a935a82b29be0b",
+        "carleson-inequality": "70601887d487fa1e",
+        "operators": "bccf0fc2031001de",
+    }

@@ -198,6 +198,16 @@ def test_size_cap_exits_2(tmp_path, capsys):
     assert "size cap" in capsys.readouterr().err
 
 
+def test_bad_max_enum_env_var_exits_2(tmp_path, capsys, monkeypatch):
+    fpath = tmp_path / "f.json"
+    random_martingale(build_dyadic(2), 1, 1).save(str(fpath))
+    monkeypatch.setenv("BMO_LAB_MAX_ENUM", "ten")
+    code = run("norm", str(fpath), "--alpha", "0.5", "--mode", "stopping-bruteforce")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "BMO_LAB_MAX_ENUM" in err and "'ten'" in err
+
+
 def test_bad_alpha_exits_2(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     random_martingale(build_dyadic(1), 1, 1).save(str(fpath))

@@ -17,6 +17,8 @@ from bmolab import (
     stopped_before,
 )
 
+from bmolab.stopping import resolve_max_enum
+
 import oracles
 
 
@@ -136,6 +138,15 @@ def test_enumeration_cap_env_var(monkeypatch):
         list(enumerate_stopping_times(tree))
     # an explicit argument wins over the environment
     assert len(list(enumerate_stopping_times(tree, max_enum=26))) == 26
+
+
+@pytest.mark.parametrize("value", ["lots", "1e6", "0", "-5"])
+def test_bad_max_enum_env_var_names_itself(monkeypatch, value):
+    monkeypatch.setenv("BMO_LAB_MAX_ENUM", value)
+    with pytest.raises(ValueError, match=f"BMO_LAB_MAX_ENUM.*{value!r}"):
+        resolve_max_enum(None)
+    # an explicit argument never reads the variable
+    assert resolve_max_enum(26) == 26
 
 
 # == first passage ===========================================================
