@@ -29,12 +29,11 @@ so any constant the inequality holds with must dominate the norm.
 
 from __future__ import annotations
 
-import json
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import SchemaError
-from .filtration import FiltrationTree, resolve_tree_field
+from .filtration import FiltrationTree, TreeDocument
 from .norms import (
     NormResult,
     _ArgMax,
@@ -61,8 +60,11 @@ __all__ = [
 CARLESON_MODES = ("node-fast", "stopping-bruteforce")
 
 
-class CarlesonMeasure:
+class CarlesonMeasure(TreeDocument):
     """Nonnegative leaf densities, one row per level."""
+
+    SCHEMA = "measure/v1"
+    FIELD = "densities"
 
     def __init__(self, tree: FiltrationTree, densities):
         d = np.array(densities, dtype=float)
@@ -107,43 +109,8 @@ class CarlesonMeasure:
             total += np.sum(np.where(taus <= k, self.weighted[k], 0.0), axis=1)
         return total
 
-    def to_dict(self, *, inline_tree: bool = True) -> dict:
-        doc: dict = {"schema": "measure/v1", "densities": self.densities.tolist()}
-        if inline_tree:
-            doc["tree"] = self.tree.to_dict()
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, doc: dict, *, tree: FiltrationTree | None = None,
-                  base_dir: str | None = None) -> "CarlesonMeasure":
-        if not isinstance(doc, dict) or doc.get("schema") != "measure/v1":
-            raise SchemaError("expected a measure/v1 document", "$")
-        if tree is None:
-            if "tree" not in doc:
-                raise SchemaError("missing 'tree'", "$")
-            tree = resolve_tree_field(doc["tree"], base_dir)
-        if "densities" not in doc:
-            raise SchemaError("missing 'densities'", "$")
-        try:
-            return cls(tree, doc["densities"])
-        except ValueError as exc:
-            raise SchemaError(str(exc), "densities") from exc
-
-    @classmethod
-    def load(cls, path: str) -> "CarlesonMeasure":
-        import os
-
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    def _payload(self) -> dict:
+        return {"densities": self.densities.tolist()}
 
     def __repr__(self) -> str:
         return f"CarlesonMeasure(levels={self.densities.shape[0]}, leaves={self.densities.shape[1]})"
@@ -238,20 +205,26 @@ def _product_space_lhs(g: AdaptedProcess, mu: CarlesonMeasure, p: float) -> floa
     return total
 
 
+@dataclass(frozen=True)
 class CarlesonInequalityResult:
     """Everything the inequality check computed, plus the verdict."""
 
-    def __init__(self, **fields):
-        self.__dict__.update(fields)
+    lhs: float
+    lhs_layer_cake: float
+    rhs: float
+    holds: bool
+    p: float
+    alpha: float
+    constant: float
+    carleson_norm: NormResult
+    maximal_strong_norm: float
+    maximal_tail_term: float
+    maximal_weak_norm: float
 
     def as_dict(self) -> dict:
-        out = {}
-        for k, v in self.__dict__.items():
-            out[k] = v.as_dict() if isinstance(v, NormResult) else v
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["carleson_norm"] = self.carleson_norm.as_dict()
         return out
-
-    def __repr__(self) -> str:
-        return f"CarlesonInequalityResult(lhs={self.lhs!r}, rhs={self.rhs!r}, holds={self.holds!r})"
 
 
 def carleson_inequality_check(

@@ -16,7 +16,7 @@ import sys
 
 from .carleson import CARLESON_MODES, CarlesonMeasure, carleson_alpha_norm
 from .errors import SchemaError, SizeCapError
-from .filtration import FiltrationTree, build_dyadic, build_random
+from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
 from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_p_norm
 from .process import Martingale, random_martingale
 from .verify import SUITES, bench, campaign
@@ -30,16 +30,6 @@ def _floats(text: str) -> list[float]:
 
 def _ints(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x.strip()]
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -114,37 +104,32 @@ def _cmd_gen_tree(args) -> int:
         tree = build_random(args.seed, args.depth, args.max_branch)
     else:
         tree = build_dyadic(args.depth)
-    _emit(tree.to_json(), args.out)
+    write_text(args.out, tree.to_json())
     return 0
 
 
 def _cmd_gen_martingale(args) -> int:
     tree = FiltrationTree.load(args.tree)
     f = random_martingale(tree, args.seed, args.dim)
-    _emit(f.to_json(), args.out)
+    write_text(args.out, f.to_json())
     return 0
 
 
 def _cmd_norm(args) -> int:
     f = Martingale.load(args.input)
     if args.p == 2.0:
-        result = bmo_alpha_norm(f, args.alpha, args.mode, args.max_enum)
-        _emit(json.dumps(result.as_dict(), indent=2, sort_keys=True), args.out)
+        doc = bmo_alpha_norm(f, args.alpha, args.mode, args.max_enum).as_dict()
     else:
         value = bmo_alpha_p_norm(f, args.alpha, args.p, args.mode, args.max_enum)
-        _emit(
-            json.dumps(
-                {"value": value, "mode": args.mode, "p": args.p}, indent=2, sort_keys=True
-            ),
-            args.out,
-        )
+        doc = {"value": value, "mode": args.mode, "p": args.p}
+    write_text(args.out, dump_json(doc))
     return 0
 
 
 def _cmd_carleson_norm(args) -> int:
     mu = CarlesonMeasure.load(args.input)
     result = carleson_alpha_norm(mu, args.alpha, args.mode, args.max_enum)
-    _emit(json.dumps(result.as_dict(), indent=2, sort_keys=True), args.out)
+    write_text(args.out, dump_json(result.as_dict()))
     return 0
 
 
@@ -176,23 +161,7 @@ def _cmd_campaign(args) -> int:
     report = campaign(args.alphas, args.depths, args.trials, args.seed, args.ps)
     if args.out:
         report.save(args.out)
-    if args.csv:
-        report.write_csv(args.csv)
-    else:
-        import csv as _csv
-        from .verify import CSV_COLUMNS
-
-        w = _csv.writer(sys.stdout)
-        w.writerow(CSV_COLUMNS)
-        for case in report.cases:
-            w.writerow(
-                [
-                    case.get(c, report.suite if c == "suite" else "")
-                    if case.get(c, report.suite if c == "suite" else "") is not None
-                    else ""
-                    for c in CSV_COLUMNS
-                ]
-            )
+    report.write_csv(args.csv)
     print(
         f"campaign: {report.verdict} ({len(report.cases)} cases)",
         file=sys.stderr,
@@ -230,7 +199,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except SchemaError as exc:
+    except (SchemaError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except SizeCapError as exc:
@@ -239,8 +208,11 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"input error: malformed JSON ({exc})", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
+    except RecursionError:
+        print(
+            "input error: tree too deep (tree/v1 documents hold about 490 levels)",
+            file=sys.stderr,
+        )
         return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,6 +26,10 @@ from .errors import SchemaError, SizeCapError
 __all__ = [
     "AtomRef",
     "FiltrationTree",
+    "TreeDocument",
+    "dump_json",
+    "read_json",
+    "write_text",
     "build_dyadic",
     "build_random",
     "omega_weight",
@@ -36,6 +40,26 @@ __all__ = [
 MASS_TOL = 1e-12
 MAX_DYADIC_DEPTH = 20
 MAX_RANDOM_ATOMS = 1_000_000
+
+
+def dump_json(doc: object) -> str:
+    """The one document encoder: two-space indent, sorted keys, no final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+def write_text(path: str | None, text: str) -> None:
+    """Write ``text`` and a final newline to ``path``; print it when no path is given."""
+    if not path:
+        print(text)
+        return
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def read_json(path: str) -> object:
+    """Parse the JSON document at ``path``."""
+    with open(path) as fh:
+        return json.load(fh)
 
 
 class AtomRef(NamedTuple):
@@ -280,12 +304,10 @@ class FiltrationTree:
         return {"schema": "tree/v1", "depth": self._depth, "root": build(AtomRef(0, 0))}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return dump_json(self.to_dict())
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
+        write_text(path, self.to_json())
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FiltrationTree":
@@ -300,8 +322,7 @@ class FiltrationTree:
 
     @classmethod
     def load(cls, path: str) -> "FiltrationTree":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiltrationTree):
@@ -326,6 +347,55 @@ def resolve_tree_field(value: object, base_dir: str | None = None) -> Filtration
         path = value if base_dir is None else os.path.join(base_dir, value)
         return FiltrationTree.load(path)
     raise SchemaError("'tree' must be an inline tree/v1 object or a path string", "tree")
+
+
+class TreeDocument:
+    """Values on a filtration tree, stored as a JSON document.
+
+    The document holds ``schema`` (``SCHEMA``), the ``_payload()`` fields
+    and ``tree``: an inline tree/v1 object or a path relative to the
+    document.  ``cls(tree, doc[FIELD])`` validates the payload; its
+    ``ValueError`` becomes a ``SchemaError`` at ``FIELD``.
+    """
+
+    SCHEMA: str
+    FIELD: str
+    tree: FiltrationTree
+
+    def _payload(self) -> dict:
+        raise NotImplementedError
+
+    def to_dict(self, *, inline_tree: bool = True) -> dict:
+        doc = {"schema": self.SCHEMA, **self._payload()}
+        if inline_tree:
+            doc["tree"] = self.tree.to_dict()
+        return doc
+
+    def to_json(self) -> str:
+        return dump_json(self.to_dict())
+
+    def save(self, path: str) -> None:
+        write_text(path, self.to_json())
+
+    @classmethod
+    def from_dict(cls, doc: dict, *, tree: FiltrationTree | None = None,
+                  base_dir: str | None = None):
+        if not isinstance(doc, dict) or doc.get("schema") != cls.SCHEMA:
+            raise SchemaError(f"expected a {cls.SCHEMA} document", "$")
+        if tree is None:
+            if "tree" not in doc:
+                raise SchemaError("missing 'tree'", "$")
+            tree = resolve_tree_field(doc["tree"], base_dir)
+        if not isinstance(doc.get(cls.FIELD), list):
+            raise SchemaError(f"missing '{cls.FIELD}' list", "$")
+        try:
+            return cls(tree, doc[cls.FIELD])
+        except ValueError as exc:
+            raise SchemaError(str(exc), cls.FIELD) from exc
+
+    @classmethod
+    def load(cls, path: str):
+        return cls.from_dict(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def build_dyadic(depth: int, *, max_depth: int = MAX_DYADIC_DEPTH) -> FiltrationTree:

@@ -12,12 +12,9 @@ there is no quadrature anywhere in the package.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .errors import SchemaError
-from .filtration import FiltrationTree, resolve_tree_field
+from .filtration import FiltrationTree, TreeDocument
 
 __all__ = [
     "RandomVariable",
@@ -49,8 +46,11 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(values * values, axis=-1))
 
 
-class RandomVariable:
+class RandomVariable(TreeDocument):
     """Function on the leaf atoms, scalar or R^d-valued."""
+
+    SCHEMA = "rv/v1"
+    FIELD = "leaves"
 
     def __init__(self, tree: FiltrationTree, values):
         values = _freeze(values)
@@ -75,42 +75,23 @@ class RandomVariable:
             return float(np.sum(self.values * w))
         return np.sum(self.values * w[:, None], axis=0)
 
-    def to_dict(self, *, inline_tree: bool = True) -> dict:
-        doc: dict = {"schema": "rv/v1", "dim": self.dim, "leaves": self.values.tolist()}
-        if inline_tree:
-            doc["tree"] = self.tree.to_dict()
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, doc: dict, *, tree: FiltrationTree | None = None,
-                  base_dir: str | None = None) -> "RandomVariable":
-        if not isinstance(doc, dict) or doc.get("schema") != "rv/v1":
-            raise SchemaError("expected an rv/v1 document", "$")
-        if tree is None:
-            if "tree" not in doc:
-                raise SchemaError("missing 'tree'", "$")
-            tree = resolve_tree_field(doc["tree"], base_dir)
-        if "leaves" not in doc:
-            raise SchemaError("missing 'leaves'", "$")
-        try:
-            return cls(tree, doc["leaves"])
-        except ValueError as exc:
-            raise SchemaError(str(exc), "leaves") from exc
+    def _payload(self) -> dict:
+        return {"dim": self.dim, "leaves": self.values.tolist()}
 
     def __repr__(self) -> str:
         return f"RandomVariable(dim={self.dim}, leaves={self.values.shape[0]})"
 
 
-class AdaptedProcess:
+class AdaptedProcess(TreeDocument):
     """Level-indexed values, one per atom of the corresponding sigma-field.
 
     ``level(n)`` has shape ``(atoms at n,)`` for scalar processes and
     ``(atoms at n, dim)`` otherwise.  ``leaf_view(n)`` spreads those values
     onto the leaves, which is the form every norm computation consumes.
     """
+
+    SCHEMA = "process/v1"
+    FIELD = "levels"
 
     def __init__(self, tree: FiltrationTree, levels):
         if len(levels) != tree.depth + 1:
@@ -153,47 +134,8 @@ class AdaptedProcess:
     def modulus_level(self, n: int) -> np.ndarray:
         return _modulus(self.levels[n])
 
-    def to_dict(self, *, inline_tree: bool = True) -> dict:
-        doc: dict = {
-            "schema": "process/v1",
-            "dim": self.dim,
-            "levels": [lvl.tolist() for lvl in self.levels],
-        }
-        if inline_tree:
-            doc["tree"] = self.tree.to_dict()
-        return doc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json())
-            fh.write("\n")
-
-    @classmethod
-    def from_dict(cls, doc: dict, *, tree: FiltrationTree | None = None,
-                  base_dir: str | None = None):
-        if not isinstance(doc, dict) or doc.get("schema") != "process/v1":
-            raise SchemaError("expected a process/v1 document", "$")
-        if tree is None:
-            if "tree" not in doc:
-                raise SchemaError("missing 'tree'", "$")
-            tree = resolve_tree_field(doc["tree"], base_dir)
-        if "levels" not in doc or not isinstance(doc["levels"], list):
-            raise SchemaError("missing 'levels' list", "$")
-        try:
-            return cls(tree, doc["levels"])
-        except ValueError as exc:
-            raise SchemaError(str(exc), "levels") from exc
-
-    @classmethod
-    def load(cls, path: str):
-        import os
-
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls.from_dict(doc, base_dir=os.path.dirname(os.path.abspath(path)))
+    def _payload(self) -> dict:
+        return {"dim": self.dim, "levels": [lvl.tolist() for lvl in self.levels]}
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(depth={self.depth}, dim={self.dim})"

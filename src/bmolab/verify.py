@@ -13,8 +13,9 @@ byte-identical comparison-mode JSON.
 from __future__ import annotations
 
 import csv
-import json
+import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +27,7 @@ from .carleson import (
     from_martingale,
     random_measure,
 )
-from .filtration import FiltrationTree, build_dyadic, build_random
+from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
 from .norms import (
     bmo_alpha_norm,
     process_bmo_alpha_norm,
@@ -113,28 +114,19 @@ class VerificationReport:
         return doc
 
     def to_json(self, *, comparison: bool = False) -> str:
-        return json.dumps(self.to_dict(comparison=comparison), indent=2, sort_keys=True)
+        return dump_json(self.to_dict(comparison=comparison))
 
     def save(self, path: str, *, comparison: bool = False) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_json(comparison=comparison))
-            fh.write("\n")
+        write_text(path, self.to_json(comparison=comparison))
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
+    def write_csv(self, path: str | None = None) -> None:
+        """Write one row per case to ``path``, or to stdout when no path is given."""
+        with open(path, "w", newline="") if path else nullcontext(sys.stdout) as fh:
+            w = csv.writer(fh)  # writes None as an empty cell, anything else as str()
             w.writerow(CSV_COLUMNS)
             for case in self.cases:
-                row = []
-                for col in CSV_COLUMNS:
-                    v = case.get(col, self.suite if col == "suite" else None)
-                    if v is None:
-                        row.append("")
-                    elif isinstance(v, float):
-                        row.append(repr(v))
-                    else:
-                        row.append(str(v))
-                w.writerow(row)
+                w.writerow([case.get(col, self.suite if col == "suite" else None)
+                            for col in CSV_COLUMNS])
 
 
 def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationReport:

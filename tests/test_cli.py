@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -14,11 +17,21 @@ from bmolab import (
     from_martingale,
     random_martingale,
 )
+import bmolab
 from bmolab.cli import main
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def run_process(*argv):
+    """The command line as its own process, so stderr holds any traceback."""
+    src = os.path.dirname(os.path.dirname(bmolab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "bmolab.cli", *argv], capture_output=True, text=True, env=env
+    )
 
 
 # == generators ==============================================================
@@ -147,6 +160,16 @@ def test_campaign_csv_file(tmp_path):
     assert len(lines) == 1 + 1 * 1 * 2 * 2
 
 
+@pytest.mark.parametrize("ps", [[], ["--ps", "1.5,2.0"]])
+def test_campaign_stdout_matches_csv_file(tmp_path, capsys, ps):
+    args = ["campaign", "--alphas", "0.25,0.5", "--depths", "1,2", "--trials", "2", *ps]
+    assert run(*args) == 0
+    stdout = capsys.readouterr().out
+    csvp = tmp_path / "c.csv"
+    assert run(*args, "--csv", str(csvp)) == 0
+    assert stdout.encode() == csvp.read_bytes()
+
+
 # == bench ===================================================================
 
 
@@ -218,3 +241,24 @@ def test_bad_alpha_exits_2(tmp_path, capsys):
 def test_usage_error_exits_2():
     assert run("gen-tree") == 2
     assert run("no-such-command") == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "operators", "--trials", "1", "--out"],
+    ["gen-tree", "--depth", "2", "--out"],
+])
+def test_output_path_that_is_a_directory_exits_2(tmp_path, argv):
+    proc = run_process(*argv, str(tmp_path))
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: ")
+
+
+def test_tree_too_deep_exits_2():
+    proc = run_process("gen-tree", "--depth", "600", "--random", "--max-branch", "1")
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("input error: ")
+    assert proc.stdout == ""
