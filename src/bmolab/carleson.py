@@ -13,8 +13,9 @@ tree nodes (a stop set's tents are disjoint, so mu(tent) adds while the
 denominator super-adds), giving the `node-fast` scan checked against the
 `stopping-bruteforce` oracle.
 
-The bound verified by `carleson_inequality_check` for adapted g,
-exponents 1 < p and 0 < alpha < 1:
+The bound verified by `carleson_inequality_grid` (and its one-point form
+`carleson_inequality_check`) for adapted g, exponents 1 < p and
+0 < alpha < 1:
 
     integral of |g_k|^p dmu
         <= p/(p-1) * norm(mu) * ||Mg||_{L^{1/(2 alpha)}} * ||Mg||_{L^{p-1}}^{p-1}
@@ -53,6 +54,7 @@ __all__ = [
     "from_martingale",
     "random_measure",
     "carleson_inequality_check",
+    "carleson_inequality_grid",
     "converse_extraction",
     "CARLESON_MODES",
 ]
@@ -193,14 +195,14 @@ def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
     return mu.tent_mass(tau) * tau.prob_finite ** (-(1.0 + 2.0 * alpha))
 
 
-def _product_space_lhs(g: AdaptedProcess, mu: CarlesonMeasure, p: float) -> float:
-    """integral of |g_k|^p dmu, levels ascending, one masked sum per level.
+def _product_space_lhs(mods: np.ndarray, mu: CarlesonMeasure, p: float) -> float:
+    """integral of |g_k|^p dmu from the per-level leaf moduli of g, levels
+    ascending, one masked sum per level.
 
     Must stay in lockstep with CarlesonMeasure.tent_mass: see its docstring.
     """
     total = 0.0
-    for k in range(g.tree.depth + 1):
-        mod = _modulus(g.leaf_view(k))
+    for k, mod in enumerate(mods):
         total += float(np.sum(mod**p * mu.weighted[k]))
     return total
 
@@ -227,43 +229,71 @@ class CarlesonInequalityResult:
         return out
 
 
+def carleson_inequality_grid(
+    g: AdaptedProcess, mu: CarlesonMeasure, ps, alphas, slack: float = 1e-9,
+) -> list[list[CarlesonInequalityResult]]:
+    """Evaluate both sides of the inequality for one process and measure at
+    every (p, alpha): entry [i][j] is the check at ps[i] and alphas[j].
+
+    Each factor is computed once for the arguments it depends on: the
+    maximal function once, the measure norm and the norms of Mg at
+    1/(2 alpha) once per alpha, both left sides and the tail term once
+    per p.  The results in one column share their measure-norm result.
+    """
+    for p in ps:
+        if not p > 1:
+            raise ValueError(f"p must exceed 1, got {p}")
+    checked = []
+    for alpha in alphas:
+        alpha = _check_alpha_carleson(alpha)
+        if alpha == 0.0:
+            raise ValueError("alpha must be positive here (the exponent 1/(2 alpha))")
+        checked.append(alpha)
+    if g.tree is not mu.tree and g.tree != mu.tree:
+        raise ValueError("process and measure live on different trees")
+
+    mods = np.stack([_modulus(g.leaf_view(k)) for k in range(g.tree.depth + 1)])
+    mg = maximal(g)
+    per_alpha = []
+    for alpha in checked:
+        q = 1.0 / (2.0 * alpha)
+        norm = carleson_alpha_norm(mu, alpha, "node-fast")
+        per_alpha.append((alpha, norm, lp_norm(mg, q), weak_lq_norm(mg, q)))
+
+    grid = []
+    for p in ps:
+        lhs = _product_space_lhs(mods, mu, p)
+        lhs_layer = _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p)
+        tail_term = lp_norm(mg, p - 1.0) ** (p - 1.0)
+        constant = p / (p - 1.0)
+        row = []
+        for alpha, norm, strong, weak in per_alpha:
+            rhs = constant * norm.value * strong * tail_term
+            row.append(
+                CarlesonInequalityResult(
+                    lhs=lhs,
+                    lhs_layer_cake=lhs_layer,
+                    rhs=rhs,
+                    holds=bool(lhs <= rhs + slack),
+                    p=float(p),
+                    alpha=alpha,
+                    constant=constant,
+                    carleson_norm=norm,
+                    maximal_strong_norm=strong,
+                    maximal_tail_term=tail_term,
+                    maximal_weak_norm=weak,
+                )
+            )
+        grid.append(row)
+    return grid
+
+
 def carleson_inequality_check(
     g: AdaptedProcess, mu: CarlesonMeasure, p: float, alpha: float,
     slack: float = 1e-9,
 ) -> CarlesonInequalityResult:
     """Evaluate both sides of the inequality for one process and measure."""
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
-    alpha = _check_alpha_carleson(alpha)
-    if alpha == 0.0:
-        raise ValueError("alpha must be positive here (the exponent 1/(2 alpha))")
-    if g.tree is not mu.tree and g.tree != mu.tree:
-        raise ValueError("process and measure live on different trees")
-
-    lhs = _product_space_lhs(g, mu, p)
-    mods = np.stack([_modulus(g.leaf_view(k)) for k in range(g.tree.depth + 1)])
-    lhs_layer = _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p)
-
-    norm = carleson_alpha_norm(mu, alpha, "node-fast")
-    mg = maximal(g)
-    strong = lp_norm(mg, 1.0 / (2.0 * alpha))
-    tail_term = lp_norm(mg, p - 1.0) ** (p - 1.0)
-    constant = p / (p - 1.0)
-    rhs = constant * norm.value * strong * tail_term
-
-    return CarlesonInequalityResult(
-        lhs=lhs,
-        lhs_layer_cake=lhs_layer,
-        rhs=rhs,
-        holds=bool(lhs <= rhs + slack),
-        p=float(p),
-        alpha=alpha,
-        constant=constant,
-        carleson_norm=norm,
-        maximal_strong_norm=strong,
-        maximal_tail_term=tail_term,
-        maximal_weak_norm=weak_lq_norm(mg, 1.0 / (2.0 * alpha)),
-    )
+    return carleson_inequality_grid(g, mu, (p,), (alpha,), slack)[0][0]
 
 
 def _indicator_lhs(

@@ -10,8 +10,10 @@ path; size-cap refusals suggest the fast modes).
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import json
+import os
 import sys
 
 from .carleson import CARLESON_MODES, CarlesonMeasure, carleson_alpha_norm
@@ -133,6 +135,19 @@ def _cmd_carleson_norm(args) -> int:
     return 0
 
 
+def _check_output_paths(*paths) -> None:
+    """Refuse an output path that cannot be opened before any suite work:
+    an existing directory, or a file in a directory that does not exist.
+    Raises the OSError that opening the path at the end would raise."""
+    for path in paths:
+        if path is None:
+            continue
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _cmd_check(args) -> int:
     fn = SUITES[args.suite]
     sig = inspect.signature(fn)
@@ -145,6 +160,7 @@ def _cmd_check(args) -> int:
             print(f"error: suite {args.suite!r} takes no --{name}", file=sys.stderr)
             return 2
         kwargs[name] = value
+    _check_output_paths(args.out, args.csv)
     report = fn(**kwargs)
     if args.out:
         report.save(args.out, comparison=args.comparison)
@@ -158,6 +174,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_campaign(args) -> int:
+    _check_output_paths(args.out, args.csv)
     report = campaign(args.alphas, args.depths, args.trials, args.seed, args.ps)
     if args.out:
         report.save(args.out)

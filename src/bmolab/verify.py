@@ -22,7 +22,7 @@ import numpy as np
 
 from .carleson import (
     carleson_alpha_norm,
-    carleson_inequality_check,
+    carleson_inequality_grid,
     converse_extraction,
     from_martingale,
     random_measure,
@@ -339,9 +339,9 @@ def check_carleson_inequality(
         sub = _trial_seeds(ts, 2)
         g = random_adapted_process(tree, sub[0], 1)
         mu = random_measure(tree, sub[1])
-        for p in ps:
-            for alpha in alphas:
-                res = carleson_inequality_check(g, mu, p, alpha, slack=slack)
+        grid = carleson_inequality_grid(g, mu, ps, alphas, slack=slack)
+        for p, row in zip(ps, grid):
+            for alpha, res in zip(alphas, row):
                 layer_residual = _rel(res.lhs, res.lhs_layer_cake)
                 ok = res.holds and layer_residual <= layer_tol
                 cases.append(
@@ -579,9 +579,10 @@ def campaign(
             if ps:
                 g = random_adapted_process(tree, sub[0], 1)
                 mu = random_measure(tree, sub[1])
-                for alpha in alphas:
-                    for p in ps:
-                        res = carleson_inequality_check(g, mu, p, alpha)
+                grid = carleson_inequality_grid(g, mu, ps, alphas)
+                for j, alpha in enumerate(alphas):
+                    for i, p in enumerate(ps):
+                        res = grid[i][j]
                         cases.append(
                             {
                                 "trial": trial,

@@ -1,7 +1,11 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmolab import (
     CarlesonMeasure,
@@ -13,17 +17,23 @@ from bmolab import (
     build_random,
     carleson_alpha_norm,
     carleson_inequality_check,
+    carleson_inequality_grid,
     carleson_ratio_at,
     converse_extraction,
     from_martingale,
     indicator_process,
+    lp_norm,
     martingale_from_final,
+    maximal,
     random_adapted_process,
     random_martingale,
     random_measure,
     stop_on_atoms,
+    weak_lq_norm,
 )
 from bmolab.carleson import CARLESON_MODES
+from bmolab.norms import _layer_cake_arrays
+from bmolab.process import _modulus
 
 import oracles
 
@@ -234,6 +244,118 @@ def test_weak_norm_is_a_diagnostic_not_a_bound():
     mu = random_measure(tree, 9)
     res = carleson_inequality_check(g, mu, 2.0, 0.3)
     assert res.maximal_weak_norm <= res.maximal_strong_norm + 1e-12
+
+
+# == the inequality grid =====================================================
+
+
+GRID_PS = (1.5, 2.0, 3.0)
+GRID_ALPHAS = (0.1, 0.25, 0.45, 0.9)
+
+
+def _inequality_reference(g, mu, p, alpha, slack=1e-9):
+    """The inequality for one (p, alpha), every factor recomputed from the
+    public pieces with nothing shared between calls: the float operations
+    the grid must reproduce bit for bit."""
+    mods = np.stack([_modulus(g.leaf_view(k)) for k in range(g.tree.depth + 1)])
+    lhs = 0.0
+    for k in range(g.tree.depth + 1):
+        lhs += float(np.sum(_modulus(g.leaf_view(k)) ** p * mu.weighted[k]))
+    norm = carleson_alpha_norm(mu, alpha, "node-fast")
+    mg = maximal(g)
+    strong = lp_norm(mg, 1.0 / (2.0 * alpha))
+    tail = lp_norm(mg, p - 1.0) ** (p - 1.0)
+    constant = p / (p - 1.0)
+    rhs = constant * norm.value * strong * tail
+    return {
+        "lhs": lhs,
+        "lhs_layer_cake": _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p),
+        "rhs": rhs,
+        "holds": bool(lhs <= rhs + slack),
+        "p": float(p),
+        "alpha": float(alpha),
+        "constant": constant,
+        "carleson_norm": norm.as_dict(),
+        "maximal_strong_norm": strong,
+        "maximal_tail_term": tail,
+        "maximal_weak_norm": weak_lq_norm(mg, 1.0 / (2.0 * alpha)),
+    }
+
+
+def _assert_same_fields(got: dict, want: dict):
+    """`==` on every field, witness included; NaN matches only NaN."""
+    assert list(got) == list(want)
+    for key in want:
+        a, b = got[key], want[key]
+        if isinstance(b, float) and math.isnan(b):
+            assert isinstance(a, float) and math.isnan(a), key
+        else:
+            assert a == b, key
+
+
+def _assert_grid_matches(g, mu, ps, alphas):
+    grid = carleson_inequality_grid(g, mu, ps, alphas)
+    assert [len(row) for row in grid] == [len(alphas)] * len(ps)
+    for i, p in enumerate(ps):
+        for j, alpha in enumerate(alphas):
+            got = grid[i][j].as_dict()
+            _assert_same_fields(got, carleson_inequality_check(g, mu, p, alpha).as_dict())
+            _assert_same_fields(got, _inequality_reference(g, mu, p, alpha))
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [build_dyadic(2), build_dyadic(3), build_random(5, 3, 3), build_random(17, 4, 3)],
+    ids=["dyadic2", "dyadic3", "random5", "random17"],
+)
+@pytest.mark.parametrize("dim", [1, 3])
+def test_inequality_grid_matches_single_checks(tree, dim):
+    for seed in range(3):
+        g = random_adapted_process(tree, 40 + seed, dim)
+        mu = random_measure(tree, 80 + seed)
+        _assert_grid_matches(g, mu, GRID_PS, GRID_ALPHAS)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 3),
+    dim=st.sampled_from([1, 2]),
+    ps=st.lists(st.floats(1.0, 4.0, exclude_min=True), min_size=1, max_size=3),
+    alphas=st.lists(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=3
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_inequality_grid_matches_single_checks_hypothesis(seed, depth, dim, ps, alphas):
+    tree = build_random(seed, depth, 3)
+    g = random_adapted_process(tree, seed + 1, dim)
+    mu = random_measure(tree, seed + 2)
+    _assert_grid_matches(g, mu, ps, alphas)
+
+
+@pytest.mark.parametrize(
+    "p, alpha, other_tree",
+    [(1.0, 0.25, False), (0.5, 0.25, False), (2.0, 0.0, False), (2.0, 1.0, False),
+     (2.0, 1.5, False), (2.0, 0.25, True)],
+)
+def test_inequality_grid_rejects_what_the_check_rejects(p, alpha, other_tree):
+    tree = build_dyadic(2)
+    g = random_adapted_process(tree, 5, 1)
+    mu = random_measure(build_dyadic(1) if other_tree else tree, 6)
+    with pytest.raises(ValueError) as single:
+        carleson_inequality_check(g, mu, p, alpha)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(single.value))}$"):
+        carleson_inequality_grid(g, mu, (2.0, p), (0.25, alpha))
+
+
+def test_inequality_grid_validates_every_p_then_every_alpha_then_the_tree():
+    tree = build_dyadic(2)
+    g = random_adapted_process(tree, 5, 1)
+    other = random_measure(build_dyadic(1), 6)
+    with pytest.raises(ValueError, match="p must exceed 1, got 1.0"):
+        carleson_inequality_grid(g, other, (2.0, 1.0), (0.0,))
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        carleson_inequality_grid(g, other, (2.0,), (0.25, 1.0))
 
 
 # == the converse extraction =================================================

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -170,6 +171,14 @@ def test_campaign_stdout_matches_csv_file(tmp_path, capsys, ps):
     assert stdout.encode() == csvp.read_bytes()
 
 
+def test_campaign_ps_csv_bytes_are_pinned(capsys):
+    """sha256 prefix of the inequality campaign's stdout CSV."""
+    args = ["--alphas", "0.1,0.45", "--depths", "2,3", "--trials", "3", "--ps", "1.5,3"]
+    assert run("campaign", *args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f83533f8b4172120"
+
+
 # == bench ===================================================================
 
 
@@ -253,6 +262,33 @@ def test_output_path_that_is_a_directory_exits_2(tmp_path, argv):
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("input error: ")
+
+
+def _refuse_to_run(**kwargs):
+    raise AssertionError("the suite ran before the output path was checked")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("bad", ["directory", "missing-parent"])
+def test_check_rejects_bad_output_path_before_the_suite(tmp_path, capsys, monkeypatch, flag, bad):
+    monkeypatch.setitem(bmolab.cli.SUITES, "carleson-inequality", _refuse_to_run)
+    path = tmp_path if bad == "directory" else tmp_path / "no-such-dir" / "r"
+    assert run("check", "carleson-inequality", flag, str(path)) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("bad", ["directory", "missing-parent"])
+def test_campaign_rejects_bad_output_path_before_the_grid(tmp_path, capsys, monkeypatch, flag, bad):
+    monkeypatch.setattr(bmolab.cli, "campaign", _refuse_to_run)
+    path = tmp_path if bad == "directory" else tmp_path / "no-such-dir" / "c"
+    args = ["--alphas", "0.25", "--depths", "2", "--ps", "1.5", flag, str(path)]
+    assert run("campaign", *args) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("input error: ")
 
 
 def test_tree_too_deep_exits_2():
