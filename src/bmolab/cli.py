@@ -226,8 +226,9 @@ def main(argv=None) -> int:
         print(f"input error: malformed JSON ({exc})", file=sys.stderr)
         return 2
     except RecursionError:
+        # Raised by json.load: the parser nests two levels per tree level.
         print(
-            "input error: tree too deep (tree/v1 documents hold about 490 levels)",
+            "input error: tree too deep to read (JSON nesting allows about 490 tree levels)",
             file=sys.stderr,
         )
         return 2

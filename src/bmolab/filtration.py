@@ -14,8 +14,8 @@ read-only), so they can be shared freely between computations.
 
 from __future__ import annotations
 
+import bisect
 import json
-import math
 import os
 from typing import Iterator, NamedTuple
 
@@ -43,7 +43,10 @@ MAX_RANDOM_ATOMS = 1_000_000
 
 
 def dump_json(doc: object) -> str:
-    """The one document encoder: two-space indent, sorted keys, no final newline."""
+    """The document encoder: two-space indent, sorted keys, no final newline.
+
+    Tree text, alone or inlined, comes from ``FiltrationTree`` in the same format.
+    """
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
@@ -69,6 +72,96 @@ class AtomRef(NamedTuple):
     index: int
 
 
+_MASS_RANGE = "mass must lie in (0, 1], got {!r}"
+
+
+def _in_range(masses: np.ndarray) -> np.ndarray:
+    return (masses > 0.0) & (masses <= 1.0)
+
+
+def _atom_steps(parents, level: int, index: int) -> list[int]:
+    """Child positions on the way from the root down to an atom.
+
+    ``parents`` holds one nondecreasing parent-index sequence per level.
+    Compared as lists, steps give the depth-first order of atoms.
+    """
+    steps = []
+    for n in range(level, 0, -1):
+        parent = int(parents[n][index])
+        steps.append(index - bisect.bisect_left(parents[n], parent))
+        index = parent
+    steps.reverse()
+    return steps
+
+
+def _path(steps: list[int]) -> str:
+    """The node path of an atom in a nested tree document."""
+    return "root" + "".join(f"/children/{j}" for j in steps)
+
+
+def _first_atom(parents, flagged: list[np.ndarray]) -> tuple[list[int], int, int]:
+    """``(steps, level, index)`` of the depth-first first flagged atom.
+
+    Within a level, left-to-right order is depth-first order, so only the
+    first flagged index of each level is a candidate.
+    """
+    return min(
+        (_atom_steps(parents, n, int(idx[0])), n, int(idx[0]))
+        for n, idx in enumerate(flagged)
+        if idx.size
+    )
+
+
+def _walk_error(message: str, parents: list[list[int]], level: int, parent: int) -> SchemaError:
+    """A schema error at the node the walk is visiting.
+
+    The node is not in ``parents`` yet; its earlier siblings are.
+    """
+    steps = []
+    if level:
+        steps = _atom_steps(parents, level - 1, parent)
+        siblings = parents[level] if level < len(parents) else []
+        steps.append(len(siblings) - bisect.bisect_left(siblings, parent))
+    return SchemaError(message, _path(steps))
+
+
+def _levels_of(root: object) -> tuple[list[list[float]], list[list[int]]]:
+    """Per-level masses and parent indices of a nested node document.
+
+    An explicit-stack depth-first walk, so no recursion limit applies; it
+    raises at the first malformed node in depth-first order.
+    """
+    masses: list[list[float]] = []
+    parents: list[list[int]] = []
+    stack = [(root, 0, -1)]
+    while stack:
+        node, level, parent = stack.pop()
+        if not isinstance(node, dict) or "mass" not in node:
+            raise _walk_error(
+                "atom must be an object with 'mass' and 'children'", parents, level, parent
+            )
+        mass = node["mass"]
+        if not isinstance(mass, (int, float)) or isinstance(mass, bool):
+            raise _walk_error(
+                f"mass must be a number, got {type(mass).__name__}", parents, level, parent
+            )
+        mass = float(mass)
+        if not 0.0 < mass <= 1.0:
+            raise _walk_error(_MASS_RANGE.format(mass), parents, level, parent)
+        children = node.get("children", [])
+        if not isinstance(children, list):
+            raise _walk_error("'children' must be a list", parents, level, parent)
+        if level == len(masses):
+            masses.append([])
+            parents.append([])
+        index = len(masses[level])
+        masses[level].append(mass)
+        parents[level].append(parent)
+        if children:
+            stack.extend([(child, level + 1, index) for child in reversed(children)])
+    return masses, parents
+
+
 class FiltrationTree:
     """Immutable rooted atom tree with per-level flattened views.
 
@@ -77,58 +170,46 @@ class FiltrationTree:
     the offending node: non-positive masses, children that do not sum to
     their parent within ``MASS_TOL``, levels that do not sum to 1, leaves
     off the final level, and a root mass different from 1.
+
+    The document is read into per-level ``(masses, parent)`` arrays, the
+    one representation every tree is built, validated and written from.
     """
 
     def __init__(self, root: dict, depth: int | None = None):
-        masses: list[list[float]] = []
-        parents: list[list[int]] = []
-        paths: list[list[str]] = []
-        childless: list[tuple[int, str]] = []
+        self._set_levels(*_levels_of(root), depth)
 
-        def walk(node: object, level: int, parent: int, path: str) -> None:
-            if not isinstance(node, dict) or "mass" not in node:
-                raise SchemaError("atom must be an object with 'mass' and 'children'", path)
-            mass = node["mass"]
-            if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-                raise SchemaError(f"mass must be a number, got {type(mass).__name__}", path)
-            mass = float(mass)
-            if not math.isfinite(mass) or mass <= 0.0 or mass > 1.0:
-                raise SchemaError(f"mass must lie in (0, 1], got {mass!r}", path)
-            while len(masses) <= level:
-                masses.append([])
-                parents.append([])
-                paths.append([])
-            masses[level].append(mass)
-            parents[level].append(parent)
-            paths[level].append(path)
-            index = len(masses[level]) - 1
-            children = node.get("children", [])
-            if not isinstance(children, list):
-                raise SchemaError("'children' must be a list", path)
-            if not children:
-                childless.append((level, path))
-            for j, child in enumerate(children):
-                walk(child, level + 1, index, f"{path}/children/{j}")
+    @classmethod
+    def _from_levels(cls, masses: list, parents: list, depth: int | None = None) -> FiltrationTree:
+        tree = cls.__new__(cls)
+        tree._set_levels(masses, parents, depth)
+        return tree
 
-        walk(root, 0, -1, "root")
+    def _set_levels(self, masses: list, parents: list, depth: int | None) -> None:
+        """Validate the level arrays and build every derived view.
 
-        derived_depth = len(masses) - 1
-        if depth is not None and depth != derived_depth:
-            raise SchemaError(
-                f"declared depth {depth} does not match tree depth {derived_depth}", "root"
-            )
-        if masses[0][0] != 1.0:
-            raise SchemaError(f"root mass must be exactly 1, got {masses[0][0]!r}", "root")
-        for level, path in childless:
-            if level != derived_depth:
-                raise SchemaError(
-                    f"leaf at level {level}, but all leaves must sit at level {derived_depth}",
-                    path,
-                )
-
-        self._depth = derived_depth
+        ``masses[n]`` and ``parents[n]`` list the level-``n`` atoms left to
+        right with ``parents[0] == [-1]``.  The atoms come from a depth-first
+        walk, so the children of consecutive parents are consecutive and
+        every ``parents[n]`` is nondecreasing.
+        """
+        self._depth = len(masses) - 1
         self._masses = [np.asarray(m, dtype=float) for m in masses]
         self._parent = [np.asarray(p, dtype=np.intp) for p in parents]
+
+        # The dict walk has checked this node by node; the builders' arrays
+        # are checked here.
+        if not _in_range(np.concatenate(self._masses)).all():
+            out_of_range = [np.flatnonzero(~_in_range(m)) for m in self._masses]
+            steps, n, i = _first_atom(self._parent, out_of_range)
+            raise SchemaError(_MASS_RANGE.format(float(self._masses[n][i])), _path(steps))
+        if depth is not None and depth != self._depth:
+            raise SchemaError(
+                f"declared depth {depth} does not match tree depth {self._depth}", "root"
+            )
+        if self._masses[0][0] != 1.0:
+            raise SchemaError(
+                f"root mass must be exactly 1, got {float(self._masses[0][0])!r}", "root"
+            )
 
         # Children of consecutive parents are consecutive (DFS order), so the
         # child block of each atom is a contiguous range in the next level.
@@ -138,6 +219,17 @@ class FiltrationTree:
             idx = np.arange(self.atom_count(n))
             self._child_start.append(np.searchsorted(self._parent[n + 1], idx, side="left"))
             self._child_stop.append(np.searchsorted(self._parent[n + 1], idx, side="right"))
+        if self._depth and not (
+            np.concatenate(self._child_stop) > np.concatenate(self._child_start)
+        ).all():
+            childless = [
+                np.flatnonzero(a == b) for a, b in zip(self._child_start, self._child_stop)
+            ]
+            steps, n, _ = _first_atom(self._parent, childless)
+            raise SchemaError(
+                f"leaf at level {n}, but all leaves must sit at level {self._depth}",
+                _path(steps),
+            )
 
         num_leaves = self.atom_count(self._depth)
         self._leaf_start: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * (self._depth + 1)
@@ -161,7 +253,7 @@ class FiltrationTree:
                 raise SchemaError(
                     f"children masses sum to {float(child_sums[i])!r} but the atom mass "
                     f"is {float(self._masses[n][i])!r}",
-                    paths[n][i],
+                    _path(_atom_steps(self._parent, n, i)),
                 )
         for n in range(self._depth + 1):
             total = float(np.sum(self._masses[n]))
@@ -295,16 +387,67 @@ class FiltrationTree:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        def build(ref: AtomRef) -> dict:
-            return {
-                "mass": self.mass_of(ref),
-                "children": [build(c) for c in self.children_of(ref)],
-            }
-
-        return {"schema": "tree/v1", "depth": self._depth, "root": build(AtomRef(0, 0))}
+        nodes: list[dict] = []
+        for n in range(self._depth, -1, -1):
+            masses = self._masses[n].tolist()
+            if n == self._depth:
+                nodes = [{"mass": m, "children": []} for m in masses]
+            else:
+                starts = self._child_start[n].tolist()
+                stops = self._child_stop[n].tolist()
+                nodes = [
+                    {"mass": m, "children": nodes[a:b]} for m, a, b in zip(masses, starts, stops)
+                ]
+        return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
     def to_json(self) -> str:
-        return dump_json(self.to_dict())
+        return self._json_text()
+
+    def _json_text(self, margin: str = "") -> str:
+        """The text ``dump_json(self.to_dict())`` writes, with ``margin``
+        added before every line but the first.
+
+        Each atom has an opening piece (up to its children) and a closing
+        piece (its mass, after them), made from per-level templates and
+        ``float.__repr__``, which is what ``json`` writes for a float.  The
+        pieces go to the atom's two positions in the depth-first tour and
+        are joined once.
+        """
+        depth = self._depth
+        sizes = [np.ones(self.num_leaves, dtype=np.intp)]  # atoms per subtree
+        for n in range(depth - 1, -1, -1):
+            sizes.append(1 + np.add.reduceat(sizes[-1], self._child_start[n]))
+        sizes.reverse()
+        # Slot 0 holds the text before the root, the last slot the text after.
+        pieces = np.empty(2 * self.num_atoms + 2, dtype=object)
+        pieces[0] = "{\n" + margin + '  "depth": ' + str(depth) + ",\n" + margin + '  "root": '
+        pieces[-1] = ",\n" + margin + '  "schema": "tree/v1"\n' + margin + "}"
+        opens = np.ones(1, dtype=np.intp)
+        last = np.ones(1, dtype=bool)
+        for n in range(depth + 1):
+            if n:
+                # An atom opens right after its parent opens and after the
+                # two pieces of every atom in its earlier siblings' subtrees.
+                parent = self._parent[n]
+                before = np.cumsum(sizes[n]) - sizes[n]
+                first = self._child_start[n - 1][parent]
+                opens = opens[parent] + 1 + 2 * (before - before[first])
+                last = np.arange(len(parent)) == self._child_stop[n - 1][parent] - 1
+            keys = margin + " " * (4 * n + 4)
+            brace = keys[:-2]
+            if n == depth:
+                pieces[opens] = "{\n" + keys + '"children": [],\n' + keys + '"mass": '
+                before_mass = ""
+            else:
+                pieces[opens] = "{\n" + keys + '"children": [\n' + keys + "  "
+                before_mass = "\n" + keys + "],\n" + keys + '"mass": '
+            end = "\n" + brace + "}"
+            end_sibling = end + ",\n" + brace
+            pieces[opens + 2 * sizes[n] - 1] = [
+                before_mass + r + (end if lst else end_sibling)
+                for r, lst in zip(map(float.__repr__, self._masses[n].tolist()), last.tolist())
+            ]
+        return "".join(pieces.tolist())
 
     def save(self, path: str) -> None:
         write_text(path, self.to_json())
@@ -372,7 +515,10 @@ class TreeDocument:
         return doc
 
     def to_json(self) -> str:
-        return dump_json(self.to_dict())
+        # The tree text is written from its arrays, in place of a placeholder.
+        text = dump_json({**self.to_dict(inline_tree=False), "tree": 0})
+        head, tail = text.rsplit('"tree": 0', 1)
+        return head + '"tree": ' + self.tree._json_text("  ") + tail
 
     def save(self, path: str) -> None:
         write_text(path, self.to_json())
@@ -405,13 +551,10 @@ def build_dyadic(depth: int, *, max_depth: int = MAX_DYADIC_DEPTH) -> Filtration
     if depth > max_depth:
         raise SizeCapError(f"dyadic depth {depth} exceeds the cap {max_depth}")
 
-    def node(level: int, mass: float) -> dict:
-        if level == depth:
-            return {"mass": mass, "children": []}
-        half = mass / 2.0
-        return {"mass": mass, "children": [node(level + 1, half), node(level + 1, half)]}
-
-    return FiltrationTree(node(0, 1.0), depth)
+    masses = [np.full(1 << n, 0.5**n) for n in range(depth + 1)]
+    parents = [np.full(1, -1, dtype=np.intp)]
+    parents += [np.arange(1 << n, dtype=np.intp) >> 1 for n in range(1, depth + 1)]
+    return FiltrationTree._from_levels(masses, parents, depth)
 
 
 def build_random(
@@ -428,15 +571,25 @@ def build_random(
     if max_branch < 1:
         raise ValueError("max_branch must be at least 1")
     rng = np.random.default_rng(seed)
+    masses: list[list[float]] = []
+    parents: list[list[int]] = []
+    # Depth-first with an explicit stack: the atoms are visited, counted and
+    # split in the same order as a recursive walk, so the RNG draws match.
+    stack = [(1.0, 0, -1)]
     count = 0
-
-    def node(level: int, mass: float) -> dict:
-        nonlocal count
+    while stack:
+        mass, level, parent = stack.pop()
         count += 1
         if count > max_atoms:
             raise SizeCapError(f"random tree exceeds the atom cap {max_atoms}")
+        if level == len(masses):
+            masses.append([])
+            parents.append([])
+        index = len(masses[level])
+        masses[level].append(mass)
+        parents[level].append(parent)
         if level == depth:
-            return {"mass": mass, "children": []}
+            continue
         branches = int(rng.integers(1, max_branch + 1))
         if branches == 1:
             parts = [mass]
@@ -446,9 +599,9 @@ def build_random(
                 weights = rng.dirichlet(np.ones(branches))
             parts = [mass * float(w) for w in weights[:-1]]
             parts.append(mass - sum(parts))
-        return {"mass": mass, "children": [node(level + 1, p) for p in parts]}
+        stack.extend([(p, level + 1, index) for p in reversed(parts)])
 
-    return FiltrationTree(node(0, 1.0), depth)
+    return FiltrationTree._from_levels(masses, parents, depth)
 
 
 def omega_weight(tree: FiltrationTree, n: int):

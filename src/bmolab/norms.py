@@ -27,6 +27,7 @@ subset in enumeration order, so witnesses are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,15 @@ def lp_norm(X: RandomVariable, p: float) -> float:
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     mod = _modulus(X.values)
-    return float(np.sum(mod**p * X.tree.leaf_masses) ** (1.0 / p))
+    w = X.tree.leaf_masses
+    with np.errstate(over="ignore"):
+        total = np.sum(mod**p * w)
+    if math.isinf(total) and np.all(np.isfinite(mod)):
+        # mod**p overflowed for a finite norm: factor out max |X|, which
+        # bounds the norm, and sum the powers of ratios in [0, 1] instead.
+        scale = float(np.max(mod))
+        return float(scale * np.sum((mod / scale) ** p * w) ** (1.0 / p))
+    return float(total ** (1.0 / p))
 
 
 def weak_lq_norm(X: RandomVariable, q: float) -> float:

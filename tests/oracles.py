@@ -5,10 +5,19 @@ tree/v1 document) and plain Python lists, using only math and itertools.
 No numpy, no shared code with the package: different traversals,
 different summation order, different enumeration.  Agreement within
 1e-10 between these and the fast paths is therefore meaningful.
+
+The one exception is the reference tree builders, which are the
+recursive nested-dict builders the package used before it built trees
+as level arrays, kept verbatim; ``build_random`` needs numpy's generator
+to make the same draws.  The reference tree/v1 text is the standard
+library's ``json.dumps`` of their output.
 """
 
 import itertools
+import json
 import math
+
+import numpy as np
 
 
 # == values: scalars or vectors ==============================================
@@ -26,6 +35,77 @@ def _mod(v):
 
 def _dist2(a, b):
     return sum((x - y) ** 2 for x, y in zip(_as_vec(a), _as_vec(b)))
+
+
+# == reference trees: recursive builders and the stdlib encoder =============
+
+
+class SizeCapError(Exception):
+    """The reference random builder's atom cap."""
+
+
+def build_dyadic(depth):
+    """Root node of the uniform binary tree of the given depth."""
+
+    def node(level: int, mass: float) -> dict:
+        if level == depth:
+            return {"mass": mass, "children": []}
+        half = mass / 2.0
+        return {"mass": mass, "children": [node(level + 1, half), node(level + 1, half)]}
+
+    return node(0, 1.0)
+
+
+def build_random(seed, depth, max_branch, *, max_atoms=1_000_000):
+    """Root node of the seeded random tree, drawn by a recursive walk."""
+    rng = np.random.default_rng(seed)
+    count = 0
+
+    def node(level: int, mass: float) -> dict:
+        nonlocal count
+        count += 1
+        if count > max_atoms:
+            raise SizeCapError(f"random tree exceeds the atom cap {max_atoms}")
+        if level == depth:
+            return {"mass": mass, "children": []}
+        branches = int(rng.integers(1, max_branch + 1))
+        if branches == 1:
+            parts = [mass]
+        else:
+            weights = rng.dirichlet(np.ones(branches))
+            while float(weights.min()) < 1e-6:
+                weights = rng.dirichlet(np.ones(branches))
+            parts = [mass * float(w) for w in weights[:-1]]
+            parts.append(mass - sum(parts))
+        return {"mass": mass, "children": [node(level + 1, p) for p in parts]}
+
+    return node(0, 1.0)
+
+
+def tree_doc(root):
+    """The tree/v1 document of a root node."""
+    return {"schema": "tree/v1", "depth": tree_depth(root), "root": root}
+
+
+def tree_json(root):
+    """tree/v1 text of a root node, as the standard library writes it."""
+    return json.dumps(tree_doc(root), indent=2, sort_keys=True)
+
+
+def levels(root):
+    """Per level, the (mass, parent index) pairs left to right."""
+    out = []
+
+    def rec(node, level, parent):
+        while len(out) <= level:
+            out.append([])
+        out[level].append((node["mass"], parent))
+        index = len(out[level]) - 1
+        for ch in node["children"]:
+            rec(ch, level + 1, index)
+
+    rec(root, 0, -1)
+    return out
 
 
 # == tree walks ==============================================================

@@ -333,6 +333,16 @@ def test_inequality_grid_matches_single_checks_hypothesis(seed, depth, dim, ps, 
     _assert_grid_matches(g, mu, ps, alphas)
 
 
+def test_inequality_strong_norm_is_finite_at_small_alpha():
+    # 1/(2 alpha) = 5000: each |Mg|**5000 overflows, the norm does not.
+    tree = build_dyadic(2)
+    g = random_adapted_process(tree, 3, 1)
+    res = carleson_inequality_check(g, random_measure(tree, 4), 2.0, 1e-4)
+    top = float(np.max(_modulus(maximal(g).values)))
+    assert 0.99 * top < res.maximal_strong_norm <= top
+    assert math.isfinite(res.rhs)
+
+
 @pytest.mark.parametrize(
     "p, alpha, other_tree",
     [(1.0, 0.25, False), (0.5, 0.25, False), (2.0, 0.0, False), (2.0, 1.0, False),

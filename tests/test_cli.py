@@ -291,8 +291,19 @@ def test_campaign_rejects_bad_output_path_before_the_grid(tmp_path, capsys, monk
     assert err.startswith("input error: ")
 
 
-def test_tree_too_deep_exits_2():
+def test_deep_random_tree_is_written():
     proc = run_process("gen-tree", "--depth", "600", "--random", "--max-branch", "1")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == build_random(0, 600, 1).to_json() + "\n"
+    assert proc.stdout.count('"mass": 1.0\n') == 601
+
+
+def test_tree_too_deep_exits_2(tmp_path):
+    # Writing has no depth limit, but json.load stops at about 490 levels.
+    path = str(tmp_path / "deep.json")
+    assert run("gen-tree", "--depth", "600", "--random", "--max-branch", "1", "--out", path) == 0
+    proc = run_process("gen-martingale", "--tree", path)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr

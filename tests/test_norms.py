@@ -44,6 +44,14 @@ def test_lp_norm_vector():
     assert lp_norm(Y, 2.0) == pytest.approx(np.sqrt(12.5), rel=1e-15)
 
 
+def test_lp_norm_large_exponent_does_not_overflow():
+    tree = build_dyadic(1)
+    X = RandomVariable(tree, [3.0, -1.0])  # 3**5000 overflows a float
+    assert lp_norm(X, 5000.0) == pytest.approx(3.0 * 0.5 ** (1 / 5000), rel=1e-14)
+    Y = RandomVariable(tree, [1.0, 1e200])
+    assert lp_norm(Y, 2.0) == pytest.approx(1e200 * np.sqrt(0.5), rel=1e-14)
+
+
 def test_lp_rejects_nonpositive_p():
     tree = build_dyadic(1)
     X = RandomVariable(tree, [1.0, 2.0])
