@@ -42,12 +42,19 @@ MAX_DYADIC_DEPTH = 20
 MAX_RANDOM_ATOMS = 1_000_000
 
 
+def _plain(x: object) -> object:
+    if isinstance(x, (np.generic, np.ndarray)):
+        return x.tolist()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def dump_json(doc: object) -> str:
     """The document encoder: two-space indent, sorted keys, no final newline.
 
+    Numpy scalars and arrays are written as the Python values they hold.
     Tree text, alone or inlined, comes from ``FiltrationTree`` in the same format.
     """
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True, default=_plain)
 
 
 def write_text(path: str | None, text: str) -> None:

@@ -111,27 +111,26 @@ def weak_lq_norm(X: RandomVariable, q: float) -> float:
     """
     if q <= 0:
         raise ValueError(f"q must be positive, got {q}")
-    mod = _modulus(X.values)
-    order = np.argsort(mod, kind="stable")
-    v = mod[order]
-    tail = np.cumsum(X.tree.leaf_masses[order][::-1])[::-1]
-    vals, first = np.unique(v, return_index=True)
-    pos = vals > 0
-    if not np.any(pos):
+    vals, tails = _tails(_modulus(X.values), X.tree.leaf_masses)
+    if not vals.size:
         return 0.0
-    return float(np.max(vals[pos] * tail[first][pos] ** (1.0 / q)))
+    return float(np.max(vals * tails ** (1.0 / q)))
+
+
+def _tails(mod: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct positive values v of ``mod``, ascending, and the weight
+    of {mod >= v} for each."""
+    order = np.argsort(mod, kind="stable")
+    tail = np.cumsum(weights[order][::-1])[::-1]
+    vals, first = np.unique(mod[order], return_index=True)
+    pos = vals > 0
+    return vals[pos], tail[first][pos]
 
 
 def _layer_cake_arrays(mod: np.ndarray, weights: np.ndarray, p: float) -> float:
-    order = np.argsort(mod, kind="stable")
-    v = mod[order]
-    tail = np.cumsum(weights[order][::-1])[::-1]
-    vals, first = np.unique(v, return_index=True)
-    pos = vals > 0
-    if not np.any(pos):
+    vals, tails = _tails(mod, weights)
+    if not vals.size:
         return 0.0
-    vals = vals[pos]
-    tails = tail[first][pos]
     prev = np.concatenate(([0.0], vals[:-1]))
     return float(np.sum((vals**p - prev**p) * tails))
 

@@ -43,7 +43,17 @@ def _modulus(values: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm; identity shape for scalar arrays."""
     if values.ndim == 1:
         return np.abs(values)
-    return np.sqrt(np.sum(values * values, axis=-1))
+    with np.errstate(over="ignore"):
+        mod = np.sqrt(np.sum(values * values, axis=-1))
+    big = np.isinf(mod)
+    if big.any():
+        # a square overflowed: redo those rows scaled by their largest
+        # component, unless the row holds an inf component itself
+        big[big] = np.isfinite(values[big]).all(axis=-1)
+        rows = np.abs(values[big])
+        scale = np.max(rows, axis=-1, keepdims=True)
+        mod[big] = scale[:, 0] * np.sqrt(np.sum((rows / scale) ** 2, axis=-1))
+    return mod
 
 
 class RandomVariable(TreeDocument):

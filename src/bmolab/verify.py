@@ -73,22 +73,6 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-def _py(x):
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
-    if isinstance(x, np.ndarray):
-        return _py(x.tolist())
-    if isinstance(x, dict):
-        return {k: _py(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_py(v) for v in x]
-    return x
-
-
 @dataclass
 class VerificationReport:
     suite: str
@@ -105,8 +89,8 @@ class VerificationReport:
         doc = {
             "schema": "report/v1",
             "suite": self.suite,
-            "params": _py(self.params),
-            "cases": _py(self.cases),
+            "params": self.params,
+            "cases": self.cases,
             "verdict": self.verdict,
         }
         if not comparison:
@@ -137,6 +121,18 @@ def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationRep
 # == suite: characterization =================================================
 
 
+def _characterization(f, alphas):
+    """Both sides of the identity for ``f``, per alpha: the oscillation
+    norm (atom-fast), the measure norm of |increments|^2 (node-fast), the
+    square root of the latter, and the relative gap between the two sides."""
+    mu = from_martingale(f)
+    for alpha in alphas:
+        bmo = bmo_alpha_norm(f, alpha, "atom-fast")
+        car = carleson_alpha_norm(mu, alpha, "node-fast")
+        lhs = float(np.sqrt(car.value))
+        yield alpha, bmo, car, lhs, _rel(lhs, bmo.value)
+
+
 def check_characterization(
     trials: int = 200,
     alphas=(0.0, 0.25, 0.5, 0.9),
@@ -163,13 +159,8 @@ def check_characterization(
         tree = build_random(sub[1], depth, max_branch)
         for dim, mseed in zip(dims, sub[2:]):
             f = random_martingale(tree, mseed, dim)
-            mu = from_martingale(f)
-            for alpha in alphas:
-                bmo = bmo_alpha_norm(f, alpha, "atom-fast")
+            for alpha, bmo, car, lhs, residual in _characterization(f, alphas):
                 omega = bmo_alpha_norm(f, alpha, "omega-form")
-                car = carleson_alpha_norm(mu, alpha, "node-fast")
-                lhs = float(np.sqrt(car.value))
-                residual = _rel(lhs, bmo.value)
                 omega_residual = _rel(omega.value, bmo.value)
                 ok = residual <= tol and omega_residual <= 1e-12
                 cases.append(
@@ -213,8 +204,7 @@ def replay_characterization_case(case: dict) -> dict:
     """
     tree = build_random(case["tree_seed"], case["depth"], case["max_branch"])
     f = random_martingale(tree, case["mart_seed"], case["dim"])
-    bmo = bmo_alpha_norm(f, case["alpha"], "atom-fast")
-    car = carleson_alpha_norm(from_martingale(f), case["alpha"], "node-fast")
+    _, bmo, car, _, _ = next(_characterization(f, [case["alpha"]]))
     return {"rhs": bmo.value, "carleson_value": car.value}
 
 
@@ -315,6 +305,14 @@ def check_lemma_stopping_form(
 # == suite: inequality and converse ==========================================
 
 
+def _inequality_grid(tree, trial_seed, ps, alphas, slack=1e-9):
+    """The inequality grid on one random adapted process and measure on ``tree``."""
+    sub = _trial_seeds(trial_seed, 2)
+    g = random_adapted_process(tree, sub[0], 1)
+    mu = random_measure(tree, sub[1])
+    return carleson_inequality_grid(g, mu, ps, alphas, slack=slack)
+
+
 def check_carleson_inequality(
     trials: int = 500,
     ps=(1.5, 2.0, 3.0),
@@ -336,10 +334,7 @@ def check_carleson_inequality(
     cases = []
     tree = build_dyadic(depth)
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
-        sub = _trial_seeds(ts, 2)
-        g = random_adapted_process(tree, sub[0], 1)
-        mu = random_measure(tree, sub[1])
-        grid = carleson_inequality_grid(g, mu, ps, alphas, slack=slack)
+        grid = _inequality_grid(tree, ts, ps, alphas, slack)
         for p, row in zip(ps, grid):
             for alpha, res in zip(alphas, row):
                 layer_residual = _rel(res.lhs, res.lhs_layer_cake)
@@ -420,25 +415,11 @@ def check_carleson_inequality(
 # == suite: operators ========================================================
 
 
-def _random_predictable(tree: FiltrationTree, seed: int) -> PredictableSequence:
-    rng = np.random.default_rng(seed)
-    coeffs = [rng.uniform(-2.0, 2.0, 1)]
-    for k in range(1, tree.depth + 1):
-        coeffs.append(rng.uniform(-2.0, 2.0, tree.atom_count(k - 1)))
-    return PredictableSequence(tree, coeffs)
-
-
-def _unimodular_predictable(
-    tree: FiltrationTree, seed: int
-) -> tuple[PredictableSequence, float]:
-    """Random signs times one positive constant: |v_k| = c everywhere."""
-    rng = np.random.default_rng(seed)
-    c = float(rng.uniform(0.5, 2.0))
-    coeffs = [c * np.where(rng.random(1) < 0.5, -1.0, 1.0)]
-    for k in range(1, tree.depth + 1):
-        signs = np.where(rng.random(tree.atom_count(k - 1)) < 0.5, -1.0, 1.0)
-        coeffs.append(c * signs)
-    return PredictableSequence(tree, coeffs), c
+def _predictable(tree: FiltrationTree, draw) -> PredictableSequence:
+    """v_0 and then v_k on the level-(k-1) atoms, each from ``draw(size)`` in turn."""
+    return PredictableSequence(
+        tree, [draw(1)] + [draw(tree.atom_count(k - 1)) for k in range(1, tree.depth + 1)]
+    )
 
 
 def check_operators(
@@ -464,8 +445,12 @@ def check_operators(
         depth = int(pick.integers(depth_range[0], depth_range[1] + 1))
         tree = build_random(sub[1], depth, max_branch)
         f = random_martingale(tree, sub[2], 1)
-        v = _random_predictable(tree, sub[3])
-        v_uni, c = _unimodular_predictable(tree, sub[3] ^ 1)
+        rng = np.random.default_rng(sub[3])
+        v = _predictable(tree, lambda n: rng.uniform(-2.0, 2.0, n))
+        # random signs times one positive constant: |v_k| = c everywhere
+        uni = np.random.default_rng(sub[3] ^ 1)
+        c = float(uni.uniform(0.5, 2.0))
+        v_uni = _predictable(tree, lambda n: c * np.where(uni.random(n) < 0.5, -1.0, 1.0))
         tf = transform(f, v)
         tf_uni = transform(f, v_uni)
         lift = l2_lift(f)
@@ -571,58 +556,44 @@ def campaign(
     measure per cell.
     """
     t0 = time.perf_counter()
+    inequality = ps is not None and len(ps) > 0
     cases = []
     for depth in depths:
         for trial, ts in enumerate(_trial_seeds(seed + depth, trials)):
-            sub = _trial_seeds(ts, 2)
-            tree = build_dyadic(depth) if ps else build_random(sub[0], depth, max_branch)
-            if ps:
-                g = random_adapted_process(tree, sub[0], 1)
-                mu = random_measure(tree, sub[1])
-                grid = carleson_inequality_grid(g, mu, ps, alphas)
-                for j, alpha in enumerate(alphas):
-                    for i, p in enumerate(ps):
-                        res = grid[i][j]
-                        cases.append(
-                            {
-                                "trial": trial,
-                                "seed": ts,
-                                "depth": depth,
-                                "alpha": alpha,
-                                "p": p,
-                                "lhs": res.lhs,
-                                "rhs": res.rhs,
-                                "residual": max(0.0, res.lhs - res.rhs),
-                                "verdict": "pass" if res.holds else "fail",
-                            }
-                        )
+            if inequality:
+                grid = _inequality_grid(build_dyadic(depth), ts, ps, alphas)
+                cells = [
+                    (alpha, p, res.lhs, res.rhs, max(0.0, res.lhs - res.rhs), res.holds)
+                    for alpha, column in zip(alphas, zip(*grid))
+                    for p, res in zip(ps, column)
+                ]
             else:
-                f = random_martingale(tree, sub[1], 1)
-                mu = from_martingale(f)
-                for alpha in alphas:
-                    bmo = bmo_alpha_norm(f, alpha, "atom-fast")
-                    car = carleson_alpha_norm(mu, alpha, "node-fast")
-                    lhs = float(np.sqrt(car.value))
-                    residual = _rel(lhs, bmo.value)
-                    cases.append(
-                        {
-                            "trial": trial,
-                            "seed": ts,
-                            "depth": depth,
-                            "alpha": alpha,
-                            "p": None,
-                            "lhs": lhs,
-                            "rhs": bmo.value,
-                            "residual": residual,
-                            "verdict": "pass" if residual <= 1e-9 else "fail",
-                        }
-                    )
+                sub = _trial_seeds(ts, 2)
+                f = random_martingale(build_random(sub[0], depth, max_branch), sub[1], 1)
+                cells = [
+                    (alpha, None, lhs, bmo.value, residual, residual <= 1e-9)
+                    for alpha, bmo, _, lhs, residual in _characterization(f, alphas)
+                ]
+            for alpha, p, lhs, rhs, residual, ok in cells:
+                cases.append(
+                    {
+                        "trial": trial,
+                        "seed": ts,
+                        "depth": depth,
+                        "alpha": alpha,
+                        "p": p,
+                        "lhs": lhs,
+                        "rhs": rhs,
+                        "residual": residual,
+                        "verdict": "pass" if ok else "fail",
+                    }
+                )
     params = {
         "alphas": list(alphas),
         "depths": list(depths),
         "trials": trials,
         "seed": seed,
-        "ps": list(ps) if ps else None,
+        "ps": list(ps) if inequality else None,
         "max_branch": max_branch,
         "seed_scheme": SEED_SCHEME,
     }

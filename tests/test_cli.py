@@ -171,12 +171,28 @@ def test_campaign_stdout_matches_csv_file(tmp_path, capsys, ps):
     assert stdout.encode() == csvp.read_bytes()
 
 
+def test_campaign_with_empty_ps_runs_the_characterization(capsys):
+    args = ["campaign", "--alphas", "0.25,0.5", "--depths", "1,2", "--trials", "2"]
+    assert run(*args) == 0
+    plain = capsys.readouterr().out
+    assert run(*args, "--ps", "") == 0
+    assert capsys.readouterr().out == plain
+
+
 def test_campaign_ps_csv_bytes_are_pinned(capsys):
     """sha256 prefix of the inequality campaign's stdout CSV."""
     args = ["--alphas", "0.1,0.45", "--depths", "2,3", "--trials", "3", "--ps", "1.5,3"]
     assert run("campaign", *args) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "f83533f8b4172120"
+
+
+def test_campaign_characterization_csv_bytes_are_pinned(capsys):
+    """sha256 prefix of the characterization campaign's stdout CSV."""
+    args = ["--alphas", "0.0,0.25,0.5", "--depths", "1,2,3", "--trials", "4"]
+    assert run("campaign", *args) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "3159954b2965195e"
 
 
 # == bench ===================================================================

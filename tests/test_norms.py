@@ -22,6 +22,7 @@ from bmolab import (
     weak_lq_norm,
 )
 from bmolab.norms import BMO_MODES
+from bmolab.process import _modulus
 
 import oracles
 
@@ -50,6 +51,19 @@ def test_lp_norm_large_exponent_does_not_overflow():
     assert lp_norm(X, 5000.0) == pytest.approx(3.0 * 0.5 ** (1 / 5000), rel=1e-14)
     Y = RandomVariable(tree, [1.0, 1e200])
     assert lp_norm(Y, 2.0) == pytest.approx(1e200 * np.sqrt(0.5), rel=1e-14)
+
+
+def test_vector_modulus_does_not_overflow():
+    # the squared second component overflows; the modulus is 1e300
+    X = RandomVariable(build_dyadic(1), [[3.0, 0.0], [0.0, 1e300]])
+    assert lp_norm(X, 2.0) == 7.071067811865476e299
+    assert weak_lq_norm(X, 2.0) == 7.071067811865476e299
+    # rows that do not overflow keep their bits
+    Y = RandomVariable(build_dyadic(1), [[3.0, 4.0], [1e300, 1e300]])
+    assert Y.modulus()[0] == 5.0
+    assert Y.modulus()[1] == pytest.approx(1e300 * np.sqrt(2.0), rel=1e-15)
+    # a residual can hold an inf component; its modulus stays inf, not NaN
+    assert _modulus(np.array([[np.inf, 1.0], [1e300, 0.0]])).tolist() == [np.inf, 1e300]
 
 
 def test_lp_rejects_nonpositive_p():

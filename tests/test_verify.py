@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from bmolab import (
@@ -131,6 +132,50 @@ def test_campaign_with_ps_runs_the_inequality():
     assert rep.passed
     assert len(rep.cases) == 1 * 1 * 2 * 2
     assert all(c["p"] in (1.5, 2.0) for c in rep.cases)
+
+
+@pytest.mark.parametrize("ps", [[], (), np.array([])])
+def test_campaign_with_empty_ps_runs_the_characterization(ps):
+    rep = campaign(alphas=(0.0, 0.5), depths=(1, 2), trials=2, seed=13, ps=ps)
+    assert rep.params["ps"] is None
+    plain = campaign(alphas=(0.0, 0.5), depths=(1, 2), trials=2, seed=13)
+    assert rep.to_json(comparison=True) == plain.to_json(comparison=True)
+
+
+def _csv_text(rep, path):
+    rep.write_csv(str(path))
+    return path.read_text()
+
+
+@pytest.mark.parametrize(
+    "run, numpy_kwargs, plain_kwargs",
+    [
+        (
+            check_characterization,
+            dict(trials=np.int64(3), seed=np.int64(5), alphas=np.array([0.0, 0.5]),
+                 dims=np.array([1, 3]), depth_range=np.array([1, 3])),
+            dict(trials=3, seed=5, alphas=(0.0, 0.5), dims=(1, 3), depth_range=(1, 3)),
+        ),
+        (
+            campaign,
+            dict(alphas=np.array([0.0, 0.5]), depths=np.array([1, 2]), trials=np.int64(3),
+                 seed=np.int64(5)),
+            dict(alphas=(0.0, 0.5), depths=(1, 2), trials=3, seed=5),
+        ),
+        (
+            campaign,
+            dict(alphas=np.array([0.1, 0.45]), depths=np.array([2, 3]), trials=np.int64(2),
+                 seed=np.int64(5), ps=np.array([1.5, 3.0])),
+            dict(alphas=(0.1, 0.45), depths=(2, 3), trials=2, seed=5, ps=(1.5, 3.0)),
+        ),
+    ],
+    ids=["characterization", "campaign", "campaign-ps"],
+)
+def test_numpy_arguments_write_the_same_bytes(tmp_path, run, numpy_kwargs, plain_kwargs):
+    rep = run(**numpy_kwargs)
+    plain = run(**plain_kwargs)
+    assert rep.to_json(comparison=True) == plain.to_json(comparison=True)
+    assert _csv_text(rep, tmp_path / "a.csv") == _csv_text(plain, tmp_path / "b.csv")
 
 
 def test_bench_rows():
