@@ -38,8 +38,11 @@ from .filtration import FiltrationTree, TreeDocument
 from .norms import (
     NormResult,
     _ArgMax,
+    _check_mode,
+    _float_power,
     _layer_cake_arrays,
     _stops_witness,
+    _times_powers,
     lp_norm,
     weak_lq_norm,
 )
@@ -50,6 +53,7 @@ from .stopping import StoppingTime, chunks, prob_finite, stopping_time_table
 __all__ = [
     "CarlesonMeasure",
     "carleson_alpha_norm",
+    "carleson_alpha_norms",
     "carleson_ratio_at",
     "from_martingale",
     "random_measure",
@@ -143,38 +147,58 @@ def _check_alpha_carleson(alpha: float) -> float:
     return alpha
 
 
-def carleson_alpha_norm(
-    mu: CarlesonMeasure, alpha: float, mode: str = "node-fast",
+def carleson_alpha_norms(
+    mu: CarlesonMeasure, alphas, mode: str = "node-fast",
     max_enum: int | None = None,
-) -> NormResult:
-    """sup over stopping times of mu(tent) / P(tau finite)^(1+2 alpha).
+) -> list[NormResult]:
+    """sup over stopping times of mu(tent) / P(tau finite)^(1+2 alpha) at
+    every alpha of a list, one `NormResult` per alpha in order.
 
     `node-fast` scans single tree nodes (each as a one-atom stop set);
     `stopping-bruteforce` enumerates every stopping time.  The witness is
-    a stopping time either way.
+    a stopping time either way.  Every alpha is validated before anything
+    is scanned.  The tents (suffix sums, or tent masses and stopping
+    probabilities) are computed once for all alphas; each alpha takes its
+    own powers and argmax, so each result is bitwise the one a scan at
+    that alpha alone gives.
     """
-    alpha = _check_alpha_carleson(alpha)
+    alphas = list(map(_check_alpha_carleson, alphas))
+    _check_mode(mode, CARLESON_MODES)
+    if not alphas:
+        return []
     tree = mu.tree
-    expo = -(1.0 + 2.0 * alpha)
-    best = _ArgMax()
+    expos = [-(1.0 + 2.0 * alpha) for alpha in alphas]
+    bests = [_ArgMax() for _ in alphas]
 
     if mode == "node-fast":
         suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
         for n in range(tree.depth + 1):
             c = np.add.reduceat(suffix[n], tree.leaf_starts(n))
-            vals = c * tree.masses(n) ** expo
-            i = int(np.argmax(vals))
-            best.offer(float(vals[i]), {"kind": "stopping-time", "stops": [[n, i]]})
-    elif mode == "stopping-bruteforce":
+            m = tree.masses(n)
+            for expo, best in zip(expos, bests):
+                vals = c * m**expo
+                i = int(vals.argmax())
+                best.offer(vals.item(i), {"kind": "stopping-time", "stops": [[n, i]]})
+    else:  # stopping-bruteforce
         taus = stopping_time_table(tree, max_enum)
         for rows in chunks(len(taus) - 1):  # the last row never stops
             t = taus[rows]
-            vals = _tent_ratios(tree, mu.tent_masses(t), t, expo)
-            best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
-    else:
-        raise ValueError(f"unknown mode {mode!r}; choose one of {CARLESON_MODES}")
+            tents = mu.tent_masses(t).tolist()
+            probs = prob_finite(tree, t).tolist()
+            for expo, best in zip(expos, bests):
+                best.offer_all(
+                    _times_powers(tents, probs, expo), lambda j: _stops_witness(tree, t[j])
+                )
 
-    return NormResult(best.value, best.witness, mode)
+    return [NormResult(best.value, best.witness, mode) for best in bests]
+
+
+def carleson_alpha_norm(
+    mu: CarlesonMeasure, alpha: float, mode: str = "node-fast",
+    max_enum: int | None = None,
+) -> NormResult:
+    """`carleson_alpha_norms` at one alpha."""
+    return carleson_alpha_norms(mu, [alpha], mode, max_enum)[0]
 
 
 def _tent_ratios(
@@ -182,8 +206,7 @@ def _tent_ratios(
 ) -> np.ndarray:
     """tent * P(tau finite) ** expo per table row, powers taken one Python
     float at a time as the single-stopping-time formula does."""
-    probs = prob_finite(tree, taus).tolist()
-    return np.array([t * q**expo for t, q in zip(tents.tolist(), probs)])
+    return _times_powers(tents.tolist(), prob_finite(tree, taus).tolist(), expo)
 
 
 def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
@@ -192,7 +215,7 @@ def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
     tau = StoppingTime(mu.tree, [tuple(s) for s in stops])
     if tau.is_never():
         raise ValueError("the never-stopping time has no ratio")
-    return mu.tent_mass(tau) * tau.prob_finite ** (-(1.0 + 2.0 * alpha))
+    return mu.tent_mass(tau) * _float_power(tau.prob_finite, -(1.0 + 2.0 * alpha))
 
 
 def _product_space_lhs(mods: np.ndarray, mu: CarlesonMeasure, p: float) -> float:
@@ -255,9 +278,8 @@ def carleson_inequality_grid(
     mods = np.stack([_modulus(g.leaf_view(k)) for k in range(g.tree.depth + 1)])
     mg = maximal(g)
     per_alpha = []
-    for alpha in checked:
+    for alpha, norm in zip(checked, carleson_alpha_norms(mu, checked, "node-fast")):
         q = 1.0 / (2.0 * alpha)
-        norm = carleson_alpha_norm(mu, alpha, "node-fast")
         per_alpha.append((alpha, norm, lp_norm(mg, q), weak_lq_norm(mg, q)))
 
     grid = []

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -57,6 +59,7 @@ __all__ = [
     "layer_cake",
     "power_integral",
     "bmo_alpha_norm",
+    "bmo_alpha_norms",
     "bmo_alpha_p_norm",
     "process_bmo_alpha_norm",
     "bmo_ratio_at",
@@ -232,15 +235,40 @@ def _mask_atoms(mask: int, k: int) -> list[int]:
     return [i for i in range(k) if mask >> i & 1]
 
 
-def _union_ratios(
-    r: np.ndarray, m: np.ndarray, masks: np.ndarray, e_int: float, e_mass: float
-) -> np.ndarray:
-    """(sum of r over the union) ** e_int * (sum of m over it) ** e_mass per mask.
+def _float_power(q: float, e: float) -> float:
+    """q ** e in Python floats, inf where the power overflows: Python
+    raises there, while numpy's power, which the fast scans take, gives inf."""
+    try:
+        return q**e
+    except OverflowError:
+        return math.inf
+
+
+def _powers(values, e: float) -> list:
+    """value ** e one float64 scalar at a time, as the one-candidate
+    formulas take the powers (``map`` runs the loop without bytecode)."""
+    return list(map(pow, values, repeat(e)))
+
+
+def _times_powers(factors: list, bases, e: float) -> np.ndarray:
+    """factor * base ** e per row, one scalar power at a time as the
+    one-candidate formulas take them: Python float probabilities (inf
+    where the power overflows, as in `_float_power`) or float64 union
+    masses."""
+    try:
+        return np.fromiter(map(mul, factors, map(pow, bases, repeat(e))), float, len(factors))
+    except OverflowError:
+        return np.array([a * _float_power(b, e) for a, b in zip(factors, bases)])
+
+
+def _union_sums(
+    r: np.ndarray, m: np.ndarray, masks: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of r and the sum of m over the union of each mask's atoms.
 
     Masks are grouped by popcount so each group sums a compact
     C-contiguous (unions, atoms) matrix: every row then adds exactly the
-    elements, in exactly the order, of ``np.sum(r[atoms])``.  Powers are
-    taken one float64 scalar at a time, as the per-union formula does.
+    elements, in exactly the order, of ``np.sum(r[atoms])``.
     """
     bits = (masks[:, None] & (1 << np.arange(len(r)))) != 0
     counts = bits.sum(axis=1)
@@ -251,56 +279,92 @@ def _union_ratios(
         atoms = np.nonzero(bits[sel])[1].reshape(len(sel), c)
         r_sum[sel] = r[atoms].sum(axis=1)
         m_sum[sel] = m[atoms].sum(axis=1)
-    return np.array([a**e_int * b**e_mass for a, b in zip(r_sum, m_sum)])
+    return r_sum, m_sum
+
+
+def _union_ratios(
+    r: np.ndarray, m: np.ndarray, masks: np.ndarray, e_int: float, e_mass: float
+) -> np.ndarray:
+    """(sum of r over the union) ** e_int * (sum of m over it) ** e_mass per
+    mask: the scores `_bmo_sups` offers at one alpha."""
+    r_sum, m_sum = _union_sums(r, m, masks)
+    return _times_powers(_powers(r_sum, e_int), m_sum, e_mass)
+
+
+def _stopping_integrals(
+    tree: FiltrationTree, final: np.ndarray, before: np.ndarray, taus: np.ndarray
+) -> np.ndarray:
+    """Integral of |f_N - f_(tau-1)|^2 per table row, from ``before =
+    _before_table(f)``.
+
+    Each row's integral sums a C-contiguous (rows, leaves) array, the same
+    additions in the same order as for one stopping time.
+    """
+    resid = final - before[taus, np.arange(tree.num_leaves)]
+    mod = np.abs(resid) if final.ndim == 1 else np.sqrt(np.sum(resid * resid, axis=-1))
+    return np.sum(mod**2 * tree.leaf_masses, axis=1)
 
 
 def _stopping_ratios(
     f: AdaptedProcess, taus: np.ndarray, e_int: float, e_mass: float
 ) -> np.ndarray:
     """(integral of |f_N - f_(tau-1)|^2) ** e_int * P(tau finite) ** e_mass
-    per table row.
-
-    Each row's integral sums a C-contiguous (rows, leaves) array, the same
-    additions in the same order as for one stopping time; the integral's
-    power is a float64 scalar power and the probability's a Python float
-    power, as in the one-stopping-time formula.
-    """
-    tree = f.tree
-    final = f.level(f.depth)
-    resid = final - _before_table(f)[taus, np.arange(tree.num_leaves)]
-    mod = np.abs(resid) if final.ndim == 1 else np.sqrt(np.sum(resid * resid, axis=-1))
-    integrals = np.sum(mod**2 * tree.leaf_masses, axis=1)
-    probs = prob_finite(tree, taus).tolist()
-    return np.array([i**e_int * q**e_mass for i, q in zip(integrals, probs)])
+    per table row: the scores `_bmo_sups` offers at one alpha.  The
+    integral's power is a float64 scalar power and the probability's a
+    Python float power, as in the one-stopping-time formula."""
+    integrals = _stopping_integrals(f.tree, f.level(f.depth), _before_table(f), taus)
+    probs = prob_finite(f.tree, taus).tolist()
+    return _times_powers(_powers(integrals, e_int), probs, e_mass)
 
 
 def _stops_witness(tree: FiltrationTree, row: np.ndarray) -> dict:
     return {"kind": "stopping-time", "stops": [[s.level, s.index] for s in row_stops(tree, row)]}
 
 
-def _bmo_sup(
+def _check_mode(mode: str, modes: tuple) -> None:
+    if mode not in modes:
+        raise ValueError(f"unknown mode {mode!r}; choose one of {modes}")
+
+
+def _bmo_sups(
     f: AdaptedProcess,
-    alpha: float,
+    alphas: list[float],
     p: float,
     mode: str,
     max_enum: int | None,
     previous: str = "own",
-) -> NormResult:
+) -> list[NormResult]:
+    """The norm at every (validated) alpha, one scan of ``f`` for all.
+
+    Whatever does not depend on alpha (residual integrals, masses, union
+    sums, the stopping-time table, row integrals and probabilities) is
+    computed once; each alpha takes its own powers and its own running
+    argmax, the same floats in the same order as a scan for it alone.
+    """
+    _check_mode(mode, BMO_MODES)
+    if mode == "stopping-bruteforce" and p != 2.0:
+        raise ValueError("the stopping-time form is defined for the p = 2 norm only")
+    if not alphas:
+        return []
     tree = f.tree
     e_int = 1.0 / p
-    e_mass = -1.0 / p - alpha
-    best = _ArgMax()
+    e_masses = [-1.0 / p - alpha for alpha in alphas]
+    bests = [_ArgMax() for _ in alphas]
 
     if mode in ("atom-fast", "omega-form"):
+        # atom-fast: r ** e_int * m ** e_mass; omega-form scales the atom
+        # mean instead: m ** -alpha * (r / m) ** e_int (a product of two
+        # floats is the same float in either order).
+        atom = mode == "atom-fast"
+        mass_exps = e_masses if atom else [-alpha for alpha in alphas]
         for n in range(tree.depth + 1):
             r = _residual_integrals(f, n, p, previous)
             m = tree.masses(n)
-            if mode == "atom-fast":
-                vals = r**e_int * m**e_mass
-            else:
-                vals = m ** (-alpha) * (r / m) ** e_int
-            i = int(np.argmax(vals))
-            best.offer(float(vals[i]), {"kind": "level-set", "level": n, "atoms": [i]})
+            scale = r**e_int if atom else (r / m) ** e_int
+            for e, best in zip(mass_exps, bests):
+                vals = scale * m**e
+                i = int(vals.argmax())
+                best.offer(vals.item(i), {"kind": "level-set", "level": n, "atoms": [i]})
 
     elif mode == "subset-bruteforce":
         cap = resolve_max_enum(max_enum)
@@ -316,38 +380,52 @@ def _bmo_sup(
             k = tree.atom_count(n)
             for rows in chunks((1 << k) - 1):
                 masks = np.arange(rows.start + 1, rows.stop + 1)
-                vals = _union_ratios(r, m, masks, e_int, e_mass)
-                best.offer_all(
-                    vals,
-                    lambda j: {"kind": "level-set", "level": n,
-                               "atoms": _mask_atoms(int(masks[j]), k)},
-                )
+                r_sum, m_sum = _union_sums(r, m, masks)
+                r_pow = _powers(r_sum, e_int)
+                for e_mass, best in zip(e_masses, bests):
+                    best.offer_all(
+                        _times_powers(r_pow, m_sum, e_mass),
+                        lambda j: {"kind": "level-set", "level": n,
+                                   "atoms": _mask_atoms(int(masks[j]), k)},
+                    )
 
-    elif mode == "stopping-bruteforce":
-        if p != 2.0:
-            raise ValueError("the stopping-time form is defined for the p = 2 norm only")
+    else:  # stopping-bruteforce
         taus = stopping_time_table(tree, max_enum)
+        final, before = f.level(f.depth), _before_table(f)
         for rows in chunks(len(taus) - 1):  # the last row never stops
             t = taus[rows]
-            vals = _stopping_ratios(f, t, e_int, e_mass)
-            best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
+            integrals = _stopping_integrals(tree, final, before, t)
+            i_pow = _powers(integrals, e_int)
+            probs = prob_finite(tree, t).tolist()
+            for e_mass, best in zip(e_masses, bests):
+                best.offer_all(
+                    _times_powers(i_pow, probs, e_mass),
+                    lambda j: _stops_witness(tree, t[j]),
+                )
 
-    else:
-        raise ValueError(f"unknown mode {mode!r}; choose one of {BMO_MODES}")
+    return [NormResult(best.value, best.witness, mode) for best in bests]
 
-    return NormResult(best.value, best.witness, mode)
+
+def bmo_alpha_norms(
+    f: AdaptedProcess, alphas, mode: str = "atom-fast", max_enum: int | None = None
+) -> list[NormResult]:
+    """The scaled oscillation norm of a martingale at every alpha of a
+    list, one `NormResult` per alpha in order, from one scan of ``f``.
+
+    All modes return the same value (brute-force ones up to float noise);
+    they differ in cost and in the witness family they search.  Vector
+    values are handled through the Euclidean modulus.  Every alpha is
+    validated before anything is scanned; each result is bitwise the one
+    a scan at that alpha alone gives.
+    """
+    return _bmo_sups(f, list(map(_check_alpha, alphas)), 2.0, mode, max_enum)
 
 
 def bmo_alpha_norm(
     f: AdaptedProcess, alpha: float, mode: str = "atom-fast", max_enum: int | None = None
 ) -> NormResult:
-    """The scaled oscillation norm of a martingale, any of the four modes.
-
-    All modes return the same value (brute-force ones up to float noise);
-    they differ in cost and in the witness family they search.  Vector
-    values are handled through the Euclidean modulus.
-    """
-    return _bmo_sup(f, _check_alpha(alpha), 2.0, mode, max_enum)
+    """`bmo_alpha_norms` at one alpha."""
+    return _bmo_sups(f, [_check_alpha(alpha)], 2.0, mode, max_enum)[0]
 
 
 def bmo_alpha_p_norm(
@@ -368,7 +446,7 @@ def bmo_alpha_p_norm(
         raise ValueError(f"p must be at least 1, got {p}")
     if mode not in ("atom-fast", "subset-bruteforce"):
         raise ValueError("p-variant supports atom-fast and subset-bruteforce modes")
-    return _bmo_sup(f, _check_alpha(alpha), float(p), mode, max_enum).value
+    return _bmo_sups(f, [_check_alpha(alpha)], float(p), mode, max_enum)[0].value
 
 
 def process_bmo_alpha_norm(
@@ -382,7 +460,7 @@ def process_bmo_alpha_norm(
     subtracts the conditional expectation of the final value instead.
     The single-atom reduction applies verbatim, so this is an atom scan.
     """
-    return _bmo_sup(g, _check_alpha(alpha), 2.0, "atom-fast", None, previous).value
+    return _bmo_sups(g, [_check_alpha(alpha)], 2.0, "atom-fast", None, previous)[0].value
 
 
 def bmo_ratio_at(
@@ -414,5 +492,5 @@ def replay_bmo_witness(
         tau = StoppingTime(f.tree, [tuple(s) for s in witness["stops"]])
         resid = f.level(f.depth) - stopped_before(f, tau).values
         integral = np.sum(_modulus(resid) ** 2 * f.tree.leaf_masses)
-        return float(integral**0.5 * tau.prob_finite ** (-0.5 - alpha))
+        return float(integral**0.5 * _float_power(tau.prob_finite, -0.5 - alpha))
     raise ValueError(f"unknown witness kind {witness.get('kind')!r}")

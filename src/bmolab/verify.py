@@ -22,17 +22,14 @@ import numpy as np
 
 from .carleson import (
     carleson_alpha_norm,
+    carleson_alpha_norms,
     carleson_inequality_grid,
     converse_extraction,
     from_martingale,
     random_measure,
 )
 from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
-from .norms import (
-    bmo_alpha_norm,
-    process_bmo_alpha_norm,
-    replay_bmo_witness,
-)
+from .norms import bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
 from .process import (
     PredictableSequence,
@@ -113,6 +110,14 @@ class VerificationReport:
                             for col in CSV_COLUMNS])
 
 
+def _require(**lists) -> None:
+    """Refuse an empty list argument before any work: a run over it would
+    pass with no cases at all."""
+    for name, values in lists.items():
+        if len(values) == 0:
+            raise ValueError(f"{name} must not be empty")
+
+
 def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationReport:
     verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
     return VerificationReport(suite, params, cases, verdict, time.perf_counter() - t0)
@@ -124,11 +129,11 @@ def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationRep
 def _characterization(f, alphas):
     """Both sides of the identity for ``f``, per alpha: the oscillation
     norm (atom-fast), the measure norm of |increments|^2 (node-fast), the
-    square root of the latter, and the relative gap between the two sides."""
-    mu = from_martingale(f)
-    for alpha in alphas:
-        bmo = bmo_alpha_norm(f, alpha, "atom-fast")
-        car = carleson_alpha_norm(mu, alpha, "node-fast")
+    square root of the latter, and the relative gap between the two sides.
+    Each side is one scan of its object for all alphas."""
+    bmos = bmo_alpha_norms(f, alphas, "atom-fast")
+    cars = carleson_alpha_norms(from_martingale(f), alphas, "node-fast")
+    for alpha, bmo, car in zip(alphas, bmos, cars):
         lhs = float(np.sqrt(car.value))
         yield alpha, bmo, car, lhs, _rel(lhs, bmo.value)
 
@@ -150,6 +155,7 @@ def check_characterization(
     The two single-atom scan forms are also compared here (1e-12), which
     keeps the definitional agreement covered on every instance.
     """
+    _require(alphas=alphas, dims=dims)
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
@@ -159,8 +165,10 @@ def check_characterization(
         tree = build_random(sub[1], depth, max_branch)
         for dim, mseed in zip(dims, sub[2:]):
             f = random_martingale(tree, mseed, dim)
-            for alpha, bmo, car, lhs, residual in _characterization(f, alphas):
-                omega = bmo_alpha_norm(f, alpha, "omega-form")
+            omegas = bmo_alpha_norms(f, alphas, "omega-form")
+            for (alpha, bmo, car, lhs, residual), omega in zip(
+                _characterization(f, alphas), omegas
+            ):
                 omega_residual = _rel(omega.value, bmo.value)
                 ok = residual <= tol and omega_residual <= 1e-12
                 cases.append(
@@ -234,6 +242,7 @@ def check_lemma_stopping_form(
     oscillation norm equals the union brute force, and both fast scans
     match; the measure-norm fast path is checked against its own brute
     force on the same instances.  Witnesses are replayed to 1e-12."""
+    _require(alphas=alphas)
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
@@ -242,11 +251,14 @@ def check_lemma_stopping_form(
         n_tau = count_stopping_times(tree)
         f = random_martingale(tree, sub[1], 1)
         mu = random_measure(tree, sub[2])
-        for alpha in alphas:
-            subset = bmo_alpha_norm(f, alpha, "subset-bruteforce")
-            stopping = bmo_alpha_norm(f, alpha, "stopping-bruteforce")
-            atom = bmo_alpha_norm(f, alpha, "atom-fast")
-            omega = bmo_alpha_norm(f, alpha, "omega-form")
+        bmo_norms = [bmo_alpha_norms(f, alphas, mode) for mode in
+                 ("subset-bruteforce", "stopping-bruteforce", "atom-fast", "omega-form")]
+        measure_alphas = [alpha for alpha in alphas if alpha < 1.0]
+        measure_norms = iter(zip(
+            carleson_alpha_norms(mu, measure_alphas, "node-fast"),
+            carleson_alpha_norms(mu, measure_alphas, "stopping-bruteforce"),
+        ))
+        for alpha, subset, stopping, atom, omega in zip(alphas, *bmo_norms):
             residual = _rel(stopping.value, subset.value)
             fast_residual = _rel(atom.value, subset.value)
             omega_residual = _rel(omega.value, atom.value)
@@ -255,8 +267,7 @@ def check_lemma_stopping_form(
                 for r in (subset, stopping, atom, omega)
             )
             if alpha < 1.0:
-                car_fast = carleson_alpha_norm(mu, alpha, "node-fast")
-                car_brute = carleson_alpha_norm(mu, alpha, "stopping-bruteforce")
+                car_fast, car_brute = next(measure_norms)
                 car_residual = _rel(car_fast.value, car_brute.value)
             else:
                 car_fast = car_brute = None
@@ -330,6 +341,7 @@ def check_carleson_inequality(
     The converse asserts three things per instance: the indicator's left
     side is the tent mass bitwise, the bound is satisfied at the measure
     norm, and shaving 1e-6 off the witness ratio flips the verdict."""
+    _require(ps=ps, alphas=alphas)
     t0 = time.perf_counter()
     cases = []
     tree = build_dyadic(depth)
@@ -437,6 +449,7 @@ def check_operators(
     The oscillation-norm ratio of the maximal function is recorded per
     case but never asserted: no proof pins its constant down, so the
     empirical maximum is reported as data."""
+    _require(alphas=alphas)
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
@@ -483,20 +496,20 @@ def check_operators(
             np.array_equal(maximal(indicator_process(tau)).values, chi)
         )
 
-        for alpha in alphas:
-            nf = bmo_alpha_norm(f, alpha, "atom-fast").value
-            nt = bmo_alpha_norm(tf, alpha, "atom-fast").value
+        # One atom scan per process for all alphas; for the square function
+        # and the running maximum it is the process norm's own scan.
+        columns = zip(alphas, *(
+            [r.value for r in bmo_alpha_norms(g, alphas, "atom-fast")]
+            for g in (f, tf, tf_uni, lift, sf, runmax)
+        ))
+        for alpha, nf, nt, nt_uni, nl, ns, nm in columns:
             bound = v.bound * nf
             transform_ok = nt <= bound + tol * max(1.0, bound)
-            nt_uni = bmo_alpha_norm(tf_uni, alpha, "atom-fast").value
             eq_residual = abs(nt_uni - c * nf)
             equality_ok = eq_residual <= tol * max(1.0, c * nf)
-            nl = bmo_alpha_norm(lift, alpha, "atom-fast").value
             lift_residual = abs(nl - nf)
             lift_ok = lift_residual <= tol * max(1.0, nf)
-            ns = process_bmo_alpha_norm(sf, alpha)
             square_ok = ns <= nf + tol * max(1.0, nf)
-            nm = process_bmo_alpha_norm(runmax, alpha)
             maximal_ratio = nm / nf if nf > 0 else 0.0
             ok = (
                 transform_ok
@@ -555,6 +568,7 @@ def campaign(
     cell.  With ps: the inequality on a random adapted process and
     measure per cell.
     """
+    _require(alphas=alphas, depths=depths)
     t0 = time.perf_counter()
     inequality = ps is not None and len(ps) > 0
     cases = []

@@ -6,11 +6,13 @@ No numpy, no shared code with the package: different traversals,
 different summation order, different enumeration.  Agreement within
 1e-10 between these and the fast paths is therefore meaningful.
 
-The one exception is the reference tree builders, which are the
+There are two exceptions.  The reference tree builders are the
 recursive nested-dict builders the package used before it built trees
 as level arrays, kept verbatim; ``build_random`` needs numpy's generator
 to make the same draws.  The reference tree/v1 text is the standard
-library's ``json.dumps`` of their output.
+library's ``json.dumps`` of their output.  The reference per-alpha norm
+scans at the end are the package's norms before it scanned all alphas
+at once, kept verbatim on the package's tree and stopping primitives.
 """
 
 import itertools
@@ -330,3 +332,218 @@ def weak_lq(leaves, masses, q):
         pm = sum(m for mo, m in zip(mods, masses) if mo >= lam)
         best = max(best, lam * pm ** (1.0 / q))
     return best
+
+
+# == reference per-alpha scans: the package's norms before batching =========
+#
+# The oscillation norm and the measure norm as the package computed them,
+# one alpha per call, kept verbatim.  The package now scans every alpha
+# of a list at once, and its one-alpha functions run that batched code, so
+# they cannot serve as the reference for it.  Unlike the rest of this
+# module these reuse the package's tree and stopping-table primitives:
+# the check they back is that batching changes no bit, not an independent
+# derivation.
+
+from bmolab.errors import SizeCapError as _PackageSizeCapError  # noqa: E402
+from bmolab.norms import NormResult  # noqa: E402
+from bmolab.process import RandomVariable, _modulus, conditional_expectation  # noqa: E402
+from bmolab.stopping import (  # noqa: E402
+    _before_table,
+    chunks,
+    prob_finite,
+    resolve_max_enum,
+    row_stops,
+    stopping_time_table,
+)
+
+
+def _check_alpha(alpha):
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
+    return alpha
+
+
+def _previous_leaf_values(g, n, previous):
+    """g_{n-1} spread onto leaves; zero array for n = 0."""
+    final = g.level(g.depth)
+    if n == 0:
+        return np.zeros_like(final)
+    if previous == "own":
+        return g.leaf_view(n - 1)
+    if previous == "conditional":
+        ce = conditional_expectation(RandomVariable(g.tree, final), n - 1)
+        return ce[g.tree.leaf_ancestors(n - 1)]
+    raise ValueError(f"unknown previous-value rule {previous!r}")
+
+
+def _residual_integrals(g, n, p, previous="own"):
+    """Per level-n atom: integral over the atom of |g_N - g_{n-1}|^p dP."""
+    tree = g.tree
+    resid = g.level(g.depth) - _previous_leaf_values(g, n, previous)
+    integrand = _modulus(resid) ** p * tree.leaf_masses
+    return np.add.reduceat(integrand, tree.leaf_starts(n))
+
+
+class _ArgMax:
+    """Running strict maximum in candidate order (first winner kept)."""
+
+    def __init__(self):
+        self.value = -np.inf
+        self.witness = None
+
+    def offer(self, value, witness):
+        if value > self.value or self.witness is None:
+            self.value = float(value)
+            self.witness = witness
+
+    def offer_all(self, values, witness_of):
+        """Offer ``values`` in order, as one ``offer`` each would; the
+        witness is built only for the winner, as ``witness_of(position)``."""
+        start = 0
+        if self.witness is None:
+            self.offer(values[0], witness_of(0))
+            start = 1
+        rest = values[start:]
+        if rest.size:
+            # argmax returns the first maximum; a NaN never wins after the
+            # first candidate, so rank it below everything.
+            i = int(np.argmax(np.where(np.isnan(rest), -np.inf, rest)))
+            if rest[i] > self.value:
+                self.offer(rest[i], witness_of(start + i))
+
+
+def _mask_atoms(mask, k):
+    return [i for i in range(k) if mask >> i & 1]
+
+
+def _union_ratios(r, m, masks, e_int, e_mass):
+    """(sum of r over the union) ** e_int * (sum of m over it) ** e_mass per mask."""
+    bits = (masks[:, None] & (1 << np.arange(len(r)))) != 0
+    counts = bits.sum(axis=1)
+    r_sum = np.empty(len(masks))
+    m_sum = np.empty(len(masks))
+    for c in np.flatnonzero(np.bincount(counts)).tolist():
+        sel = np.flatnonzero(counts == c)
+        atoms = np.nonzero(bits[sel])[1].reshape(len(sel), c)
+        r_sum[sel] = r[atoms].sum(axis=1)
+        m_sum[sel] = m[atoms].sum(axis=1)
+    return np.array([a**e_int * b**e_mass for a, b in zip(r_sum, m_sum)])
+
+
+def _stopping_ratios(f, taus, e_int, e_mass):
+    """(integral of |f_N - f_(tau-1)|^2) ** e_int * P(tau finite) ** e_mass
+    per table row."""
+    tree = f.tree
+    final = f.level(f.depth)
+    resid = final - _before_table(f)[taus, np.arange(tree.num_leaves)]
+    mod = np.abs(resid) if final.ndim == 1 else np.sqrt(np.sum(resid * resid, axis=-1))
+    integrals = np.sum(mod**2 * tree.leaf_masses, axis=1)
+    probs = prob_finite(tree, taus).tolist()
+    return np.array([i**e_int * q**e_mass for i, q in zip(integrals, probs)])
+
+
+def _stops_witness(tree, row):
+    return {"kind": "stopping-time", "stops": [[s.level, s.index] for s in row_stops(tree, row)]}
+
+
+def reference_bmo_sup(f, alpha, p, mode, max_enum, previous="own"):
+    """The oscillation norm at one alpha, as the package's ``_bmo_sup``
+    computed it before batching; ``alpha`` is already validated."""
+    tree = f.tree
+    e_int = 1.0 / p
+    e_mass = -1.0 / p - alpha
+    best = _ArgMax()
+
+    if mode in ("atom-fast", "omega-form"):
+        for n in range(tree.depth + 1):
+            r = _residual_integrals(f, n, p, previous)
+            m = tree.masses(n)
+            if mode == "atom-fast":
+                vals = r**e_int * m**e_mass
+            else:
+                vals = m ** (-alpha) * (r / m) ** e_int
+            i = int(np.argmax(vals))
+            best.offer(float(vals[i]), {"kind": "level-set", "level": n, "atoms": [i]})
+
+    elif mode == "subset-bruteforce":
+        cap = resolve_max_enum(max_enum)
+        total = sum(2 ** tree.atom_count(n) - 1 for n in range(tree.depth + 1))
+        if total > cap:
+            raise _PackageSizeCapError(
+                f"subset brute force would scan {total} unions, over the cap {cap}; "
+                f"use atom-fast or raise BMO_LAB_MAX_ENUM"
+            )
+        for n in range(tree.depth + 1):
+            r = _residual_integrals(f, n, p, previous)
+            m = tree.masses(n)
+            k = tree.atom_count(n)
+            for rows in chunks((1 << k) - 1):
+                masks = np.arange(rows.start + 1, rows.stop + 1)
+                vals = _union_ratios(r, m, masks, e_int, e_mass)
+                best.offer_all(
+                    vals,
+                    lambda j: {"kind": "level-set", "level": n,
+                               "atoms": _mask_atoms(int(masks[j]), k)},
+                )
+
+    elif mode == "stopping-bruteforce":
+        if p != 2.0:
+            raise ValueError("the stopping-time form is defined for the p = 2 norm only")
+        taus = stopping_time_table(tree, max_enum)
+        for rows in chunks(len(taus) - 1):  # the last row never stops
+            t = taus[rows]
+            vals = _stopping_ratios(f, t, e_int, e_mass)
+            best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
+
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    return NormResult(best.value, best.witness, mode)
+
+
+def reference_bmo_alpha_norm(f, alpha, mode="atom-fast", max_enum=None):
+    return reference_bmo_sup(f, _check_alpha(alpha), 2.0, mode, max_enum)
+
+
+def reference_bmo_alpha_p_norm(f, alpha, p, mode="atom-fast", max_enum=None):
+    return reference_bmo_sup(f, _check_alpha(alpha), float(p), mode, max_enum).value
+
+
+def reference_process_bmo_alpha_norm(g, alpha, previous="own"):
+    return reference_bmo_sup(g, _check_alpha(alpha), 2.0, "atom-fast", None, previous).value
+
+
+def _tent_ratios(tree, tents, taus, expo):
+    """tent * P(tau finite) ** expo per table row."""
+    probs = prob_finite(tree, taus).tolist()
+    return np.array([t * q**expo for t, q in zip(tents.tolist(), probs)])
+
+
+def reference_carleson_alpha_norm(mu, alpha, mode="node-fast", max_enum=None):
+    """The measure norm at one alpha, as the package's
+    ``carleson_alpha_norm`` computed it before batching."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
+    tree = mu.tree
+    expo = -(1.0 + 2.0 * alpha)
+    best = _ArgMax()
+
+    if mode == "node-fast":
+        suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
+        for n in range(tree.depth + 1):
+            c = np.add.reduceat(suffix[n], tree.leaf_starts(n))
+            vals = c * tree.masses(n) ** expo
+            i = int(np.argmax(vals))
+            best.offer(float(vals[i]), {"kind": "stopping-time", "stops": [[n, i]]})
+    elif mode == "stopping-bruteforce":
+        taus = stopping_time_table(tree, max_enum)
+        for rows in chunks(len(taus) - 1):  # the last row never stops
+            t = taus[rows]
+            vals = _tent_ratios(tree, mu.tent_masses(t), t, expo)
+            best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+
+    return NormResult(best.value, best.witness, mode)

@@ -1,0 +1,294 @@
+"""Both norms at a list of alphas, from one scan per object.
+
+`bmo_alpha_norms` and `carleson_alpha_norms` compute every alpha of a
+list at once, and the one-alpha functions are their one-element case.
+Their contract is bitwise: every value and witness equals what the
+per-alpha scans gave before batching, kept verbatim in ``oracles`` as the
+reference (the package's own one-alpha functions run the batched code,
+so they cannot be the reference).
+"""
+
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bmolab
+from bmolab import (
+    FiltrationTree,
+    bmo_alpha_norm,
+    bmo_alpha_norms,
+    bmo_alpha_p_norm,
+    build_dyadic,
+    build_random,
+    campaign,
+    carleson_alpha_norm,
+    carleson_alpha_norms,
+    carleson_ratio_at,
+    check_carleson_inequality,
+    check_characterization,
+    check_lemma_stopping_form,
+    check_operators,
+    from_martingale,
+    process_bmo_alpha_norm,
+    random_adapted_process,
+    random_martingale,
+    random_measure,
+    replay_bmo_witness,
+)
+from bmolab import stopping, verify
+from bmolab.cli import main
+from bmolab.norms import _float_power
+
+import oracles
+
+BMO_MODES = ("atom-fast", "omega-form", "subset-bruteforce", "stopping-bruteforce")
+MEASURE_MODES = ("node-fast", "stopping-bruteforce")
+
+
+# == bitwise against the per-alpha reference =================================
+
+# Small enough for both brute-force oracles: at most 730 stopping times
+# and 511 unions on a level.
+SHAPES = [(2, depth) for depth in (1, 2, 3)] + [(3, depth) for depth in (1, 2)]
+
+
+@st.composite
+def trees(draw):
+    if draw(st.booleans()):
+        return build_dyadic(draw(st.integers(1, 3)))
+    branch, depth = draw(st.sampled_from(SHAPES))
+    return build_random(draw(st.integers(0, 2**32)), depth, branch)
+
+
+def alpha_lists(edge):
+    """Unsorted lists, repeats allowed, with the closed end's edge value."""
+    value = st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, edge]), st.floats(0.0, edge, allow_nan=False)
+    )
+    return st.lists(value, min_size=0, max_size=5)
+
+
+@given(
+    tree=trees(),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    bmo_alphas=alpha_lists(1.0),
+    measure_alphas=alpha_lists(0.999),
+    chunk=st.sampled_from([7, stopping.CHUNK_ROWS]),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_norms_equal_the_per_alpha_reference(
+    tree, dim, seed, bmo_alphas, measure_alphas, chunk
+):
+    f = random_martingale(tree, seed, dim)
+    mu = from_martingale(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stopping, "CHUNK_ROWS", chunk)
+        for mode in BMO_MODES:
+            want = [oracles.reference_bmo_alpha_norm(f, a, mode) for a in bmo_alphas]
+            assert bmo_alpha_norms(f, bmo_alphas, mode) == want
+            assert [bmo_alpha_norm(f, a, mode) for a in bmo_alphas] == want
+        for m in (mu, random_measure(tree, seed)):
+            for mode in MEASURE_MODES:
+                want = [oracles.reference_carleson_alpha_norm(m, a, mode) for a in measure_alphas]
+                assert carleson_alpha_norms(m, measure_alphas, mode) == want
+                assert [carleson_alpha_norm(m, a, mode) for a in measure_alphas] == want
+
+
+@given(
+    tree=trees(),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+    p=st.sampled_from([1.0, 1.5, 3.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_process_and_p_norms_equal_the_per_alpha_reference(tree, dim, seed, alpha, p):
+    g = random_adapted_process(tree, seed, dim)
+    for previous in ("own", "conditional"):
+        assert process_bmo_alpha_norm(g, alpha, previous) == (
+            oracles.reference_process_bmo_alpha_norm(g, alpha, previous)
+        )
+    f = random_martingale(tree, seed, dim)
+    for mode in ("atom-fast", "subset-bruteforce"):
+        assert bmo_alpha_p_norm(f, alpha, p, mode) == (
+            oracles.reference_bmo_alpha_p_norm(f, alpha, p, mode)
+        )
+
+
+def test_batched_results_do_not_share_witnesses():
+    f = random_martingale(build_dyadic(2), 5, 1)
+    first, second = bmo_alpha_norms(f, [0.25, 0.25], "subset-bruteforce")
+    assert first == second
+    first.witness["atoms"].append(99)
+    assert second.witness["atoms"] != first.witness["atoms"]
+
+
+@pytest.mark.parametrize("mode", BMO_MODES)
+def test_empty_bmo_alpha_list_gives_no_results(mode):
+    assert bmo_alpha_norms(random_martingale(build_dyadic(1), 0), [], mode) == []
+
+
+@pytest.mark.parametrize("mode", MEASURE_MODES)
+def test_empty_measure_alpha_list_gives_no_results(mode):
+    assert carleson_alpha_norms(random_measure(build_dyadic(1), 0), [], mode) == []
+
+
+# == every alpha is checked before anything is scanned =======================
+
+
+class _Untouchable:
+    """Stands in for a process or measure that must not be read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"scanned ({name}) before every alpha was checked")
+
+
+@pytest.mark.parametrize("mode", BMO_MODES)
+@pytest.mark.parametrize("bad", [1.5, -0.25, math.nan])
+def test_bad_bmo_alpha_anywhere_raises_before_any_scan(mode, bad):
+    message = re.escape(f"alpha must lie in [0, 1], got {bad}")
+    for alphas in ([bad], [0.25, bad], [0.0, 0.5, bad, 1.0]):
+        with pytest.raises(ValueError, match=message):
+            bmo_alpha_norms(_Untouchable(), alphas, mode)
+
+
+@pytest.mark.parametrize("mode", MEASURE_MODES)
+@pytest.mark.parametrize("bad", [1.0, -0.25, math.nan])
+def test_bad_measure_alpha_anywhere_raises_before_any_scan(mode, bad):
+    message = re.escape(f"alpha must lie in [0, 1), got {bad}")
+    for alphas in ([bad], [0.25, bad], [0.0, 0.5, bad, 0.999]):
+        with pytest.raises(ValueError, match=message):
+            carleson_alpha_norms(_Untouchable(), alphas, mode)
+
+
+def test_unknown_mode_raises_before_any_scan():
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        bmo_alpha_norms(_Untouchable(), [0.25], "bogus")
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        carleson_alpha_norms(_Untouchable(), [0.25], "bogus")
+
+
+# == an overflowing brute-force power is inf, as in the fast scans ===========
+
+
+def _tiny_atom_martingale():
+    """A valid tree whose level-1 atoms have masses 1e-300 and 1.0: their
+    sum is 1 to float precision.  mass ** (-1/2 - alpha) overflows."""
+    tree = FiltrationTree(
+        {"mass": 1.0, "children": [{"mass": 1e-300, "children": []},
+                                   {"mass": 1.0, "children": []}]}
+    )
+    return random_martingale(tree, 1)
+
+
+def _run_process(*argv):
+    """The command line as its own process, so stderr holds any traceback."""
+    src = os.path.dirname(os.path.dirname(bmolab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "bmolab.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_float_power_is_inf_where_it_overflows():
+    assert _float_power(1e-300, -1.4) == math.inf
+    assert _float_power(5e-324, -1.0) == math.inf
+    for q, e in ((0.3, -1.4), (1.0, -2.999), (1e-300, -1.0)):
+        assert _float_power(q, e) == q**e
+
+
+def test_stopping_bruteforce_bmo_norm_is_inf_where_the_power_overflows():
+    f = _tiny_atom_martingale()
+    with np.errstate(over="ignore"):
+        brute = bmo_alpha_norm(f, 0.9, "stopping-bruteforce")
+        assert brute.value == math.inf
+        assert brute.value == bmo_alpha_norm(f, 0.9, "atom-fast").value
+        assert brute.value == bmo_alpha_norm(f, 0.9, "subset-bruteforce").value
+        assert replay_bmo_witness(f, 0.9, brute.witness) == math.inf
+        # every alpha of a batch, overflowing or not, as at that alpha alone
+        alphas = [0.9, 0.0, 0.25]
+        assert bmo_alpha_norms(f, alphas, "stopping-bruteforce") == [
+            bmo_alpha_norm(f, a, "stopping-bruteforce") for a in alphas
+        ]
+
+
+def test_stopping_bruteforce_measure_norm_is_inf_where_the_power_overflows():
+    mu = from_martingale(_tiny_atom_martingale())
+    with np.errstate(over="ignore"):
+        brute = carleson_alpha_norm(mu, 0.25, "stopping-bruteforce")
+        assert brute.value == math.inf
+        assert brute.value == carleson_alpha_norm(mu, 0.25, "node-fast").value
+        assert carleson_ratio_at(mu, 0.25, brute.witness["stops"]) == math.inf
+
+
+def test_carleson_norm_cli_survives_an_overflowing_power(tmp_path):
+    path = tmp_path / "mu.json"
+    from_martingale(_tiny_atom_martingale()).save(str(path))
+    values = {}
+    for mode in MEASURE_MODES:
+        out = _run_process("carleson-norm", str(path), "--alpha", "0.5", "--mode", mode)
+        assert out.returncode == 0, out.stderr
+        assert "Traceback" not in out.stderr
+        values[mode] = json.loads(out.stdout)["value"]
+    assert values["stopping-bruteforce"] == values["node-fast"] == math.inf
+
+
+# == empty argument lists are refused before any work ========================
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+EMPTY_CALLS = [
+    ("alphas", check_characterization, {"alphas": ()}),
+    ("dims", check_characterization, {"dims": ()}),
+    ("alphas", check_lemma_stopping_form, {"alphas": ()}),
+    ("ps", check_carleson_inequality, {"ps": ()}),
+    ("alphas", check_carleson_inequality, {"alphas": ()}),
+    ("alphas", check_operators, {"alphas": ()}),
+    ("alphas", campaign, {"alphas": [], "depths": [1], "trials": 1}),
+    ("depths", campaign, {"alphas": [0.25], "depths": [], "trials": 1}),
+    ("depths", campaign, {"alphas": [0.25], "depths": [], "trials": 1, "ps": [2.0]}),
+]
+
+
+@pytest.mark.parametrize("name,fn,kwargs", EMPTY_CALLS)
+def test_empty_argument_lists_are_refused_before_any_work(name, fn, kwargs, monkeypatch):
+    monkeypatch.setattr(verify, "_trial_seeds", _no_work)
+    with pytest.raises(ValueError, match=f"^{name} must not be empty$"):
+        fn(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv,name",
+    [
+        (["check", "carleson-inequality", "--ps", ","], "ps"),
+        (["check", "carleson-inequality", "--alphas", ","], "alphas"),
+        (["check", "characterization", "--alphas", ","], "alphas"),
+        (["check", "lemma", "--alphas", ","], "alphas"),
+        (["check", "operators", "--alphas", ","], "alphas"),
+        (["campaign", "--alphas", ",", "--depths", "1"], "alphas"),
+        (["campaign", "--alphas", "0.25", "--depths", ","], "depths"),
+    ],
+)
+def test_cli_refuses_empty_lists_with_exit_2(argv, name, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {name} must not be empty\n"
+    assert captured.out == ""
+
+
+def test_cli_empty_ps_prints_one_error_line_and_no_traceback():
+    out = _run_process("check", "carleson-inequality", "--trials", "1", "--ps", ",")
+    assert out.returncode == 2
+    assert out.stderr == "error: ps must not be empty\n"
