@@ -38,9 +38,11 @@ from .filtration import FiltrationTree, TreeDocument
 from .norms import (
     NormResult,
     _ArgMax,
+    _argmaxes,
     _check_mode,
     _float_power,
     _layer_cake_arrays,
+    _stopping_blocks,
     _stops_witness,
     _times_powers,
     lp_norm,
@@ -147,6 +149,18 @@ def _check_alpha_carleson(alpha: float) -> float:
     return alpha
 
 
+def _node_blocks(mu: CarlesonMeasure):
+    """One block per level: each node's tent mass (suffix sums of the
+    weighted densities, summed over the node's leaves) times its mass
+    ** e."""
+    tree = mu.tree
+    suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
+    for n in range(tree.depth + 1):
+        c = np.add.reduceat(suffix[n], tree.leaf_starts(n))
+        m = tree.masses(n)
+        yield (lambda e: c * m**e), (lambda i: {"kind": "stopping-time", "stops": [[n, i]]})
+
+
 def carleson_alpha_norms(
     mu: CarlesonMeasure, alphas, mode: str = "node-fast",
     max_enum: int | None = None,
@@ -166,31 +180,11 @@ def carleson_alpha_norms(
     _check_mode(mode, CARLESON_MODES)
     if not alphas:
         return []
-    tree = mu.tree
-    expos = [-(1.0 + 2.0 * alpha) for alpha in alphas]
-    bests = [_ArgMax() for _ in alphas]
-
     if mode == "node-fast":
-        suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
-        for n in range(tree.depth + 1):
-            c = np.add.reduceat(suffix[n], tree.leaf_starts(n))
-            m = tree.masses(n)
-            for expo, best in zip(expos, bests):
-                vals = c * m**expo
-                i = int(vals.argmax())
-                best.offer(vals.item(i), {"kind": "stopping-time", "stops": [[n, i]]})
-    else:  # stopping-bruteforce
-        taus = stopping_time_table(tree, max_enum)
-        for rows in chunks(len(taus) - 1):  # the last row never stops
-            t = taus[rows]
-            tents = mu.tent_masses(t).tolist()
-            probs = prob_finite(tree, t).tolist()
-            for expo, best in zip(expos, bests):
-                best.offer_all(
-                    _times_powers(tents, probs, expo), lambda j: _stops_witness(tree, t[j])
-                )
-
-    return [NormResult(best.value, best.witness, mode) for best in bests]
+        blocks = _node_blocks(mu)
+    else:
+        blocks = _stopping_blocks(mu.tree, max_enum, lambda t: mu.tent_masses(t).tolist())
+    return _argmaxes(blocks, [-(1.0 + 2.0 * alpha) for alpha in alphas], mode)
 
 
 def carleson_alpha_norm(
@@ -199,14 +193,6 @@ def carleson_alpha_norm(
 ) -> NormResult:
     """`carleson_alpha_norms` at one alpha."""
     return carleson_alpha_norms(mu, [alpha], mode, max_enum)[0]
-
-
-def _tent_ratios(
-    tree: FiltrationTree, tents: np.ndarray, taus: np.ndarray, expo: float
-) -> np.ndarray:
-    """tent * P(tau finite) ** expo per table row, powers taken one Python
-    float at a time as the single-stopping-time formula does."""
-    return _times_powers(tents.tolist(), prob_finite(tree, taus).tolist(), expo)
 
 
 def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
@@ -374,7 +360,7 @@ def converse_extraction(
         identity_exact = identity_exact and np.array_equal(lhs, tent)
         chi = np.where(t <= tree.depth, 1.0, 0.0)
         maximal_identity = maximal_identity and np.array_equal(running, chi)
-        ratios = _tent_ratios(tree, tent, t, expo)
+        ratios = _times_powers(tent.tolist(), prob_finite(tree, t).tolist(), expo)
         best.offer_all(ratios, lambda j: _stops_witness(tree, t[j]))
         over = np.flatnonzero(ratios > c_p + slack)
         if first_violation is None and over.size:

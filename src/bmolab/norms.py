@@ -21,8 +21,10 @@ are kept: two brute-force oracles (`subset-bruteforce` over unions,
 scans (`atom-fast`, and `omega-form` which scales the atom mean instead
 of the atom integral).
 
-Argmax ties are broken toward the smallest level, then atom index, then
-subset in enumeration order, so witnesses are deterministic.
+Every mode picks its supremum by one rule, the first strict maximum in
+candidate order: ties go to the smallest level, then atom index, then
+subset or stopping time in enumeration order, so witnesses are
+deterministic, and a NaN candidate never wins after the first.
 """
 
 from __future__ import annotations
@@ -204,31 +206,40 @@ def _residual_integrals(
 
 
 class _ArgMax:
-    """Running strict maximum in candidate order (first winner kept)."""
+    """Running first strict maximum in candidate order: the first candidate
+    ever offered is taken, and after it only a strictly larger value wins,
+    so ties go to the earliest candidate and a NaN never wins after the
+    first."""
 
     def __init__(self) -> None:
         self.value = -np.inf
         self.witness: dict | None = None
 
-    def offer(self, value: float, witness: dict) -> None:
-        if value > self.value or self.witness is None:
-            self.value = float(value)
-            self.witness = witness
-
     def offer_all(self, values: np.ndarray, witness_of) -> None:
-        """Offer ``values`` in order, as one ``offer`` each would; the
-        witness is built only for the winner, as ``witness_of(position)``."""
-        start = 0
-        if self.witness is None:
-            self.offer(values[0], witness_of(0))
-            start = 1
-        rest = values[start:]
-        if rest.size:
-            # argmax returns the first maximum; a NaN never wins after the
-            # first candidate, so rank it below everything.
-            i = int(np.argmax(np.where(np.isnan(rest), -np.inf, rest)))
-            if rest[i] > self.value:
-                self.offer(rest[i], witness_of(start + i))
+        """Offer ``values`` in order; the witness is built only for a
+        winner, as ``witness_of(position)``."""
+        i = values.argmax()  # the first maximum, or the first NaN
+        v = values.item(i)
+        if v != v and (i or self.witness is not None):
+            # a NaN is taken only as the very first candidate; otherwise
+            # rank NaNs below everything (blocks with none skip this pass)
+            i = np.where(np.isnan(values), -np.inf, values).argmax()
+            v = values.item(i)
+        if v > self.value or self.witness is None:
+            self.value = v
+            self.witness = witness_of(int(i))
+
+
+def _argmaxes(blocks, exps: list, mode: str) -> list[NormResult]:
+    """One `NormResult` per exponent: the argmax over every block's
+    candidates.  A block is a pair ``(values_at, witness_of)``:
+    ``values_at(e)`` scores its candidates at exponent ``e`` and
+    ``witness_of(position)`` names one."""
+    bests = [_ArgMax() for _ in exps]
+    for values_at, witness_of in blocks:
+        for e, best in zip(exps, bests):
+            best.offer_all(values_at(e), witness_of)
+    return [NormResult(best.value, best.witness, mode) for best in bests]
 
 
 def _mask_atoms(mask: int, k: int) -> list[int]:
@@ -244,17 +255,16 @@ def _float_power(q: float, e: float) -> float:
         return math.inf
 
 
-def _powers(values, e: float) -> list:
-    """value ** e one float64 scalar at a time, as the one-candidate
+def _powers(values: list, e: float) -> list:
+    """value ** e one Python float at a time, as the one-candidate
     formulas take the powers (``map`` runs the loop without bytecode)."""
     return list(map(pow, values, repeat(e)))
 
 
-def _times_powers(factors: list, bases, e: float) -> np.ndarray:
-    """factor * base ** e per row, one scalar power at a time as the
-    one-candidate formulas take them: Python float probabilities (inf
-    where the power overflows, as in `_float_power`) or float64 union
-    masses."""
+def _times_powers(factors: list, bases: list, e: float) -> np.ndarray:
+    """factor * base ** e per row in Python floats, one power at a time as
+    the one-candidate formulas take them; inf where a power overflows, as
+    in `_float_power`."""
     try:
         return np.fromiter(map(mul, factors, map(pow, bases, repeat(e))), float, len(factors))
     except OverflowError:
@@ -282,15 +292,6 @@ def _union_sums(
     return r_sum, m_sum
 
 
-def _union_ratios(
-    r: np.ndarray, m: np.ndarray, masks: np.ndarray, e_int: float, e_mass: float
-) -> np.ndarray:
-    """(sum of r over the union) ** e_int * (sum of m over it) ** e_mass per
-    mask: the scores `_bmo_sups` offers at one alpha."""
-    r_sum, m_sum = _union_sums(r, m, masks)
-    return _times_powers(_powers(r_sum, e_int), m_sum, e_mass)
-
-
 def _stopping_integrals(
     tree: FiltrationTree, final: np.ndarray, before: np.ndarray, taus: np.ndarray
 ) -> np.ndarray:
@@ -305,25 +306,70 @@ def _stopping_integrals(
     return np.sum(mod**2 * tree.leaf_masses, axis=1)
 
 
-def _stopping_ratios(
-    f: AdaptedProcess, taus: np.ndarray, e_int: float, e_mass: float
-) -> np.ndarray:
-    """(integral of |f_N - f_(tau-1)|^2) ** e_int * P(tau finite) ** e_mass
-    per table row: the scores `_bmo_sups` offers at one alpha.  The
-    integral's power is a float64 scalar power and the probability's a
-    Python float power, as in the one-stopping-time formula."""
-    integrals = _stopping_integrals(f.tree, f.level(f.depth), _before_table(f), taus)
-    probs = prob_finite(f.tree, taus).tolist()
-    return _times_powers(_powers(integrals, e_int), probs, e_mass)
-
-
 def _stops_witness(tree: FiltrationTree, row: np.ndarray) -> dict:
     return {"kind": "stopping-time", "stops": [[s.level, s.index] for s in row_stops(tree, row)]}
+
+
+def _stopping_blocks(tree: FiltrationTree, max_enum: int | None, numerators):
+    """One block per chunk of the stopping-time table, the never-stopping
+    last row left out: ``numerators(chunk)[j] * P(tau_j finite) ** e``, in
+    Python floats as the one-stopping-time formula takes them."""
+    taus = stopping_time_table(tree, max_enum)
+    for rows in chunks(len(taus) - 1):
+        t = taus[rows]
+        nums = numerators(t)
+        probs = prob_finite(tree, t).tolist()
+        yield (lambda e: _times_powers(nums, probs, e)), (lambda j: _stops_witness(tree, t[j]))
 
 
 def _check_mode(mode: str, modes: tuple) -> None:
     if mode not in modes:
         raise ValueError(f"unknown mode {mode!r}; choose one of {modes}")
+
+
+def _bmo_blocks(
+    f: AdaptedProcess, p: float, mode: str, max_enum: int | None, previous: str = "own"
+):
+    """The candidate blocks of one scan of ``f``, scored at a mass
+    exponent: ``(integral) ** (1/p) * (mass) ** e`` per atom, union or
+    stopping time (``omega-form``: ``(mean) ** (1/p) * (mass) ** e``).
+    Whatever does not depend on the exponent is computed once per block.
+    """
+    tree = f.tree
+    e_int = 1.0 / p
+    if mode == "stopping-bruteforce":
+        final, before = f.level(f.depth), _before_table(f)
+        yield from _stopping_blocks(
+            tree, max_enum,
+            lambda t: _powers(_stopping_integrals(tree, final, before, t).tolist(), e_int),
+        )
+        return
+    if mode == "subset-bruteforce":
+        cap = resolve_max_enum(max_enum)
+        total = sum(2 ** tree.atom_count(n) - 1 for n in range(tree.depth + 1))
+        if total > cap:
+            raise SizeCapError(
+                f"subset brute force would scan {total} unions, over the cap {cap}; "
+                f"use atom-fast or raise BMO_LAB_MAX_ENUM"
+            )
+    for n in range(tree.depth + 1):
+        r = _residual_integrals(f, n, p, previous)
+        m = tree.masses(n)
+        if mode == "subset-bruteforce":
+            k = tree.atom_count(n)
+            for rows in chunks((1 << k) - 1):
+                masks = np.arange(rows.start + 1, rows.stop + 1)
+                r_sum, m_sum = _union_sums(r, m, masks)
+                r_pow, m_sum = _powers(r_sum.tolist(), e_int), m_sum.tolist()
+                yield (lambda e: _times_powers(r_pow, m_sum, e)), (
+                    lambda j: {"kind": "level-set", "level": n,
+                               "atoms": _mask_atoms(int(masks[j]), k)})
+        else:
+            # omega-form scales the atom mean instead of the atom integral
+            # (a product of two floats is the same float in either order)
+            scale = r**e_int if mode == "atom-fast" else (r / m) ** e_int
+            yield (lambda e: scale * m**e), (
+                lambda i: {"kind": "level-set", "level": n, "atoms": [i]})
 
 
 def _bmo_sups(
@@ -334,76 +380,16 @@ def _bmo_sups(
     max_enum: int | None,
     previous: str = "own",
 ) -> list[NormResult]:
-    """The norm at every (validated) alpha, one scan of ``f`` for all.
-
-    Whatever does not depend on alpha (residual integrals, masses, union
-    sums, the stopping-time table, row integrals and probabilities) is
-    computed once; each alpha takes its own powers and its own running
-    argmax, the same floats in the same order as a scan for it alone.
-    """
+    """The norm at every (validated) alpha, one scan of ``f`` for all; each
+    alpha takes its own powers and argmax, the same floats in the same
+    order as a scan for it alone."""
     _check_mode(mode, BMO_MODES)
     if mode == "stopping-bruteforce" and p != 2.0:
         raise ValueError("the stopping-time form is defined for the p = 2 norm only")
     if not alphas:
         return []
-    tree = f.tree
-    e_int = 1.0 / p
-    e_masses = [-1.0 / p - alpha for alpha in alphas]
-    bests = [_ArgMax() for _ in alphas]
-
-    if mode in ("atom-fast", "omega-form"):
-        # atom-fast: r ** e_int * m ** e_mass; omega-form scales the atom
-        # mean instead: m ** -alpha * (r / m) ** e_int (a product of two
-        # floats is the same float in either order).
-        atom = mode == "atom-fast"
-        mass_exps = e_masses if atom else [-alpha for alpha in alphas]
-        for n in range(tree.depth + 1):
-            r = _residual_integrals(f, n, p, previous)
-            m = tree.masses(n)
-            scale = r**e_int if atom else (r / m) ** e_int
-            for e, best in zip(mass_exps, bests):
-                vals = scale * m**e
-                i = int(vals.argmax())
-                best.offer(vals.item(i), {"kind": "level-set", "level": n, "atoms": [i]})
-
-    elif mode == "subset-bruteforce":
-        cap = resolve_max_enum(max_enum)
-        total = sum(2 ** tree.atom_count(n) - 1 for n in range(tree.depth + 1))
-        if total > cap:
-            raise SizeCapError(
-                f"subset brute force would scan {total} unions, over the cap {cap}; "
-                f"use atom-fast or raise BMO_LAB_MAX_ENUM"
-            )
-        for n in range(tree.depth + 1):
-            r = _residual_integrals(f, n, p, previous)
-            m = tree.masses(n)
-            k = tree.atom_count(n)
-            for rows in chunks((1 << k) - 1):
-                masks = np.arange(rows.start + 1, rows.stop + 1)
-                r_sum, m_sum = _union_sums(r, m, masks)
-                r_pow = _powers(r_sum, e_int)
-                for e_mass, best in zip(e_masses, bests):
-                    best.offer_all(
-                        _times_powers(r_pow, m_sum, e_mass),
-                        lambda j: {"kind": "level-set", "level": n,
-                                   "atoms": _mask_atoms(int(masks[j]), k)},
-                    )
-
-    else:  # stopping-bruteforce
-        taus = stopping_time_table(tree, max_enum)
-        final, before = f.level(f.depth), _before_table(f)
-        for rows in chunks(len(taus) - 1):  # the last row never stops
-            t = taus[rows]
-            integrals = _stopping_integrals(tree, final, before, t)
-            i_pow = _powers(integrals, e_int)
-            probs = prob_finite(tree, t).tolist()
-            for e_mass, best in zip(e_masses, bests):
-                best.offer_all(
-                    _times_powers(i_pow, probs, e_mass),
-                    lambda j: _stops_witness(tree, t[j]),
-                )
-
-    return [NormResult(best.value, best.witness, mode) for best in bests]
+    exps = [-alpha if mode == "omega-form" else -1.0 / p - alpha for alpha in alphas]
+    return _argmaxes(_bmo_blocks(f, p, mode, max_enum, previous), exps, mode)
 
 
 def bmo_alpha_norms(

@@ -110,12 +110,15 @@ class VerificationReport:
                             for col in CSV_COLUMNS])
 
 
-def _require(**lists) -> None:
-    """Refuse an empty list argument before any work: a run over it would
-    pass with no cases at all."""
+def _require(counts: dict, **lists) -> None:
+    """Refuse an empty list argument, or a trial count below 1, before any
+    work: a run over either would pass with no cases at all."""
     for name, values in lists.items():
         if len(values) == 0:
             raise ValueError(f"{name} must not be empty")
+    for name, count in counts.items():
+        if count < 1:
+            raise ValueError(f"{name} must be at least 1")
 
 
 def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationReport:
@@ -155,7 +158,7 @@ def check_characterization(
     The two single-atom scan forms are also compared here (1e-12), which
     keeps the definitional agreement covered on every instance.
     """
-    _require(alphas=alphas, dims=dims)
+    _require({"trials": trials}, alphas=alphas, dims=dims)
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
@@ -242,7 +245,7 @@ def check_lemma_stopping_form(
     oscillation norm equals the union brute force, and both fast scans
     match; the measure-norm fast path is checked against its own brute
     force on the same instances.  Witnesses are replayed to 1e-12."""
-    _require(alphas=alphas)
+    _require({"trials": trials}, alphas=alphas)
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
@@ -341,7 +344,7 @@ def check_carleson_inequality(
     The converse asserts three things per instance: the indicator's left
     side is the tent mass bitwise, the bound is satisfied at the measure
     norm, and shaving 1e-6 off the witness ratio flips the verdict."""
-    _require(ps=ps, alphas=alphas)
+    _require({"trials": trials, "converse_trials": converse_trials}, ps=ps, alphas=alphas)
     t0 = time.perf_counter()
     cases = []
     tree = build_dyadic(depth)
@@ -449,7 +452,7 @@ def check_operators(
     The oscillation-norm ratio of the maximal function is recorded per
     case but never asserted: no proof pins its constant down, so the
     empirical maximum is reported as data."""
-    _require(alphas=alphas)
+    _require({"trials": trials}, alphas=alphas)
     t0 = time.perf_counter()
     cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
@@ -568,7 +571,7 @@ def campaign(
     cell.  With ps: the inequality on a random adapted process and
     measure per cell.
     """
-    _require(alphas=alphas, depths=depths)
+    _require({"trials": trials}, alphas=alphas, depths=depths)
     t0 = time.perf_counter()
     inequality = ps is not None and len(ps) > 0
     cases = []

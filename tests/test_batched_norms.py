@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 import bmolab
 from bmolab import (
     FiltrationTree,
+    Martingale,
     bmo_alpha_norm,
     bmo_alpha_norms,
     bmo_alpha_p_norm,
@@ -46,6 +47,7 @@ from bmolab import (
 from bmolab import stopping, verify
 from bmolab.cli import main
 from bmolab.norms import _float_power
+from bmolab.verify import _rel
 
 import oracles
 
@@ -242,6 +244,51 @@ def test_carleson_norm_cli_survives_an_overflowing_power(tmp_path):
     assert values["stopping-bruteforce"] == values["node-fast"] == math.inf
 
 
+# == a NaN candidate never hides a level's maximum ===========================
+
+
+def _zero_residual_chain(chain_first):
+    """A valid tree with a chain A (1e-300) -> A' (1e-300) beside B
+    (1 - 1e-300), whose two leaves hold 3 and -1.  A' has residual and
+    tent mass exactly 0 and a mass whose power overflows, so its
+    candidate is 0 * inf = NaN; ``chain_first=False`` puts the chain after
+    B, so the NaN is not its level's first candidate."""
+    chain = {"mass": 1e-300, "children": [{"mass": 1e-300, "children": []}]}
+    fan = {"mass": 1 - 1e-300, "children": [{"mass": 0.25, "children": []},
+                                            {"mass": 0.75 - 1e-300, "children": []}]}
+    if chain_first:
+        tree = FiltrationTree({"mass": 1.0, "children": [chain, fan]})
+        return Martingale(tree, [[0.0], [0.0, 0.0], [0.0, 3.0, -1.0]])
+    tree = FiltrationTree({"mass": 1.0, "children": [fan, chain]})
+    return Martingale(tree, [[0.0], [0.0, 0.0], [3.0, -1.0, 0.0]])
+
+
+@pytest.mark.parametrize("chain_first", [True, False], ids=["chain-first", "chain-last"])
+@pytest.mark.parametrize("alpha", [0.25, 0.9])
+def test_a_nan_candidate_never_hides_a_levels_maximum(chain_first, alpha):
+    f = _zero_residual_chain(chain_first)
+    mu = from_martingale(f)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bmo = {mode: bmo_alpha_norm(f, alpha, mode) for mode in BMO_MODES}
+        node = carleson_alpha_norm(mu, alpha, "node-fast")
+        brute = carleson_alpha_norm(mu, alpha, "stopping-bruteforce")
+    fast = bmo["atom-fast"].value
+    assert bmo["atom-fast"].witness["level"] == 2
+    assert _rel(bmo["omega-form"].value, fast) <= 1e-12
+    for mode in ("subset-bruteforce", "stopping-bruteforce"):
+        assert _rel(bmo[mode].value, fast) <= 1e-10
+    assert node.value == brute.value
+    assert _rel(math.sqrt(node.value), fast) <= 1e-9
+
+
+@pytest.mark.parametrize("mode", ["subset-bruteforce", "stopping-bruteforce"])
+def test_brute_force_powers_are_python_floats(mode):
+    # No errstate: the test configuration turns any RuntimeWarning into an
+    # error, and numpy's scalar powers warned on the overflowing mass here.
+    value = bmo_alpha_norm(_zero_residual_chain(True), 0.9, mode).value
+    assert math.isclose(value, 10.446606759553488, rel_tol=1e-12)
+
+
 # == empty argument lists are refused before any work ========================
 
 
@@ -292,3 +339,36 @@ def test_cli_empty_ps_prints_one_error_line_and_no_traceback():
     out = _run_process("check", "carleson-inequality", "--trials", "1", "--ps", ",")
     assert out.returncode == 2
     assert out.stderr == "error: ps must not be empty\n"
+
+
+TRIAL_CALLS = [
+    ("trials", check_characterization, {"trials": 0}),
+    ("trials", check_lemma_stopping_form, {"trials": 0}),
+    ("trials", check_carleson_inequality, {"trials": 0}),
+    ("converse_trials", check_carleson_inequality, {"trials": 1, "converse_trials": 0}),
+    ("trials", check_operators, {"trials": -1}),
+    ("trials", campaign, {"alphas": [0.5], "depths": [1], "trials": 0}),
+    ("trials", campaign, {"alphas": [0.5], "depths": [1], "trials": -3, "ps": [2.0]}),
+]
+
+
+@pytest.mark.parametrize("name,fn,kwargs", TRIAL_CALLS)
+def test_trial_counts_below_one_are_refused_before_any_work(name, fn, kwargs, monkeypatch):
+    monkeypatch.setattr(verify, "_trial_seeds", _no_work)
+    with pytest.raises(ValueError, match=f"^{name} must be at least 1$"):
+        fn(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "operators", "--trials", "0"],
+        ["check", "characterization", "--trials", "-2"],
+        ["campaign", "--alphas", "0.5", "--depths", "1", "--trials", "0"],
+    ],
+)
+def test_cli_refuses_trials_below_one_with_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: trials must be at least 1\n"
+    assert captured.out == ""

@@ -27,8 +27,8 @@ from bmolab import (
     stopped_before,
 )
 from bmolab import stopping
-from bmolab.carleson import _indicator_lhs, _tent_ratios
-from bmolab.norms import _ArgMax, _residual_integrals, _stopping_ratios, _union_ratios
+from bmolab.carleson import _indicator_lhs
+from bmolab.norms import _ArgMax, _bmo_blocks, _residual_integrals, _stopping_blocks
 from bmolab.operators import maximal
 from bmolab.process import _modulus
 
@@ -291,18 +291,24 @@ def _values(candidates):
     return [v for v, _ in candidates]
 
 
+def _scores(blocks, e):
+    """Every candidate's score at exponent ``e``, blocks in scan order."""
+    return [v for values_at, _ in blocks for v in values_at(e).tolist()]
+
+
 @pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
 def test_every_stopping_row_scores_bitwise(tree):
     table = stopping.stopping_time_table(tree)[:-1]
     for dim in (1, 9):
         f = _martingale(tree, dim)
         for alpha in (0.0, 0.3, 1.0):
-            got = _stopping_ratios(f, table, 0.5, -0.5 - alpha).tolist()
+            got = _scores(_bmo_blocks(f, 2.0, "stopping-bruteforce", None), -0.5 - alpha)
             assert got == _values(bmo_stopping_candidates(f, alpha))
     mu = _measure(tree)
     assert mu.tent_masses(table).tolist() == [_tent_mass(mu, tau) for tau in reference_taus(tree)[:-1]]
     for alpha in (0.0, 0.25, 0.9):
-        got = _tent_ratios(tree, mu.tent_masses(table), table, -(1.0 + 2.0 * alpha)).tolist()
+        blocks = _stopping_blocks(tree, None, lambda t: mu.tent_masses(t).tolist())
+        got = _scores(blocks, -(1.0 + 2.0 * alpha))
         assert got == _values(carleson_candidates(mu, alpha))
 
 
@@ -322,11 +328,7 @@ def test_every_union_scores_bitwise(tree):
     f = _martingale(tree, 3)
     for p, alpha in ((2.0, 0.45), (3.0, 0.2)):
         want = _values(bmo_subset_candidates(f, alpha, p))
-        got = []
-        for n in range(tree.depth + 1):
-            r = _residual_integrals(f, n, p)
-            masks = np.arange(1, 1 << tree.atom_count(n))
-            got += _union_ratios(r, tree.masses(n), masks, 1.0 / p, -1.0 / p - alpha).tolist()
+        got = _scores(_bmo_blocks(f, p, "subset-bruteforce", None), -1.0 / p - alpha)
         assert got == want
 
 
@@ -334,10 +336,7 @@ def test_every_union_scores_bitwise(tree):
 
 
 def _sequential(values):
-    best = _ArgMax()
-    for i, v in enumerate(values):
-        best.offer(v, i)
-    return best.value, best.witness
+    return _first_max(zip(values, range(len(values))))
 
 
 def _batched(values, chunk):
