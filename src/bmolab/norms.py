@@ -234,11 +234,14 @@ def _argmaxes(blocks, exps: list, mode: str) -> list[NormResult]:
     """One `NormResult` per exponent: the argmax over every block's
     candidates.  A block is a pair ``(values_at, witness_of)``:
     ``values_at(e)`` scores its candidates at exponent ``e`` and
-    ``witness_of(position)`` names one."""
+    ``witness_of(position)`` names one.  A mass power that overflows to
+    inf, and the NaN of inf times a zero integral, are intended: numpy
+    does not warn of them, and `_ArgMax` ranks them."""
     bests = [_ArgMax() for _ in exps]
-    for values_at, witness_of in blocks:
-        for e, best in zip(exps, bests):
-            best.offer_all(values_at(e), witness_of)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values_at, witness_of in blocks:
+            for e, best in zip(exps, bests):
+                best.offer_all(values_at(e), witness_of)
     return [NormResult(best.value, best.witness, mode) for best in bests]
 
 

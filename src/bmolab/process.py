@@ -66,6 +66,8 @@ class RandomVariable(TreeDocument):
         values = _freeze(values)
         if values.ndim not in (1, 2):
             raise ValueError(f"values must be 1-D or 2-D, got shape {values.shape}")
+        if values.ndim == 2 and values.shape[1] == 0:
+            raise ValueError("vector values must have at least one component")
         if values.shape[0] != tree.num_leaves:
             raise ValueError(
                 f"expected {tree.num_leaves} leaf values, got {values.shape[0]}"
@@ -112,6 +114,8 @@ class AdaptedProcess(TreeDocument):
             a = _freeze(lvl)
             if a.ndim not in (1, 2):
                 raise ValueError(f"level {n} must be 1-D or 2-D, got shape {a.shape}")
+            if a.ndim == 2 and a.shape[1] == 0:
+                raise ValueError(f"level {n}: vector values must have at least one component")
             if a.shape[0] != tree.atom_count(n):
                 raise ValueError(
                     f"level {n}: expected {tree.atom_count(n)} values, got {a.shape[0]}"
@@ -251,11 +255,7 @@ class PredictableSequence:
 
     @classmethod
     def constant(cls, tree: FiltrationTree, value: float) -> "PredictableSequence":
-        return cls(
-            tree,
-            [np.array([value])]
-            + [np.full(tree.atom_count(k - 1), value) for k in range(1, tree.depth + 1)],
-        )
+        return cls.from_level_scalars(tree, [value] * (tree.depth + 1))
 
     @classmethod
     def from_level_scalars(cls, tree: FiltrationTree, scalars) -> "PredictableSequence":

@@ -13,6 +13,8 @@ byte-identical comparison-mode JSON.
 from __future__ import annotations
 
 import csv
+import functools
+import inspect
 import sys
 import time
 from contextlib import nullcontext
@@ -111,8 +113,8 @@ class VerificationReport:
 
 
 def _require(counts: dict, **lists) -> None:
-    """Refuse an empty list argument, or a trial count below 1, before any
-    work: a run over either would pass with no cases at all."""
+    """Refuse an empty list argument, or a count below 1, before any work:
+    a suite run over either would pass with no cases at all."""
     for name, values in lists.items():
         if len(values) == 0:
             raise ValueError(f"{name} must not be empty")
@@ -121,9 +123,40 @@ def _require(counts: dict, **lists) -> None:
             raise ValueError(f"{name} must be at least 1")
 
 
-def _finish(suite: str, params: dict, cases: list, t0: float) -> VerificationReport:
-    verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
-    return VerificationReport(suite, params, cases, verdict, time.perf_counter() - t0)
+def _param(value):
+    """A params entry: an iterable as a list, an empty one as None."""
+    return (list(value) or None) if hasattr(value, "__iter__") else value
+
+
+def _suite(name: str, counts=("trials",), lists=("alphas",)):
+    """Frame a suite body, a generator of case dicts, as a suite.
+
+    The suite refuses empty ``lists`` and then ``counts`` below 1 before
+    any work, runs the body, and reports every argument in ``params``
+    (see `_param`) plus the seed scheme; the verdict passes when every
+    case passes.  The suite keeps the body's name, docstring and
+    signature."""
+
+    def frame(body):
+        sig = inspect.signature(body)
+
+        @functools.wraps(body)
+        def suite(*args, **kwargs) -> VerificationReport:
+            bound = sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            arguments = bound.arguments
+            _require({c: arguments[c] for c in counts}, **{k: arguments[k] for k in lists})
+            t0 = time.perf_counter()
+            cases = list(body(**arguments))
+            params = {k: _param(v) for k, v in arguments.items()}
+            params["seed_scheme"] = SEED_SCHEME
+            verdict = "pass" if all(c["verdict"] == "pass" for c in cases) else "fail"
+            return VerificationReport(name, params, cases, verdict, time.perf_counter() - t0)
+
+        suite.__signature__ = sig.replace(return_annotation="VerificationReport")
+        return suite
+
+    return frame
 
 
 # == suite: characterization =================================================
@@ -141,6 +174,7 @@ def _characterization(f, alphas):
         yield alpha, bmo, car, lhs, _rel(lhs, bmo.value)
 
 
+@_suite("characterization", lists=("alphas", "dims"))
 def check_characterization(
     trials: int = 200,
     alphas=(0.0, 0.25, 0.5, 0.9),
@@ -149,7 +183,7 @@ def check_characterization(
     max_branch: int = 3,
     dims=(1, 3),
     tol: float = 1e-9,
-) -> VerificationReport:
+):
     """Square root of the measure norm of |increments|^2 equals the
     oscillation norm of the martingale, over a random campaign.
 
@@ -158,9 +192,6 @@ def check_characterization(
     The two single-atom scan forms are also compared here (1e-12), which
     keeps the definitional agreement covered on every instance.
     """
-    _require({"trials": trials}, alphas=alphas, dims=dims)
-    t0 = time.perf_counter()
-    cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
         sub = _trial_seeds(ts, 2 + len(dims))
         pick = np.random.default_rng(sub[0])
@@ -174,38 +205,25 @@ def check_characterization(
             ):
                 omega_residual = _rel(omega.value, bmo.value)
                 ok = residual <= tol and omega_residual <= 1e-12
-                cases.append(
-                    {
-                        "trial": trial,
-                        "seed": ts,
-                        "tree_seed": sub[1],
-                        "depth": depth,
-                        "max_branch": max_branch,
-                        "dim": dim,
-                        "mart_seed": mseed,
-                        "alpha": alpha,
-                        "p": None,
-                        "lhs": lhs,
-                        "rhs": bmo.value,
-                        "carleson_value": car.value,
-                        "omega_value": omega.value,
-                        "residual": residual,
-                        "omega_residual": omega_residual,
-                        "witness": bmo.witness,
-                        "verdict": "pass" if ok else "fail",
-                    }
-                )
-    params = {
-        "trials": trials,
-        "alphas": list(alphas),
-        "seed": seed,
-        "depth_range": list(depth_range),
-        "max_branch": max_branch,
-        "dims": list(dims),
-        "tol": tol,
-        "seed_scheme": SEED_SCHEME,
-    }
-    return _finish("characterization", params, cases, t0)
+                yield {
+                    "trial": trial,
+                    "seed": ts,
+                    "tree_seed": sub[1],
+                    "depth": depth,
+                    "max_branch": max_branch,
+                    "dim": dim,
+                    "mart_seed": mseed,
+                    "alpha": alpha,
+                    "p": None,
+                    "lhs": lhs,
+                    "rhs": bmo.value,
+                    "carleson_value": car.value,
+                    "omega_value": omega.value,
+                    "residual": residual,
+                    "omega_residual": omega_residual,
+                    "witness": bmo.witness,
+                    "verdict": "pass" if ok else "fail",
+                }
 
 
 def replay_characterization_case(case: dict) -> dict:
@@ -234,20 +252,18 @@ def _small_tree(search_seed: int, max_count: int) -> tuple[FiltrationTree, int, 
     return build_dyadic(2), -1, 2
 
 
+@_suite("lemma-stopping-form")
 def check_lemma_stopping_form(
     trials: int = 100,
     alphas=(0.0, 0.25, 0.5),
     seed: int = 1,
     max_count: int = 30,
     tol: float = 1e-10,
-) -> VerificationReport:
+):
     """On trees small enough to enumerate, the stopping-time form of the
     oscillation norm equals the union brute force, and both fast scans
     match; the measure-norm fast path is checked against its own brute
     force on the same instances.  Witnesses are replayed to 1e-12."""
-    _require({"trials": trials}, alphas=alphas)
-    t0 = time.perf_counter()
-    cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
         sub = _trial_seeds(ts, 3)
         tree, tseed, depth = _small_tree(sub[0], max_count)
@@ -282,38 +298,27 @@ def check_lemma_stopping_form(
                 and car_residual <= tol
                 and replay_residual <= 1e-12 * max(1.0, subset.value)
             )
-            cases.append(
-                {
-                    "trial": trial,
-                    "seed": ts,
-                    "tree_seed": tseed,
-                    "depth": depth,
-                    "stopping_times": n_tau,
-                    "alpha": alpha,
-                    "p": None,
-                    "lhs": stopping.value,
-                    "rhs": subset.value,
-                    "residual": residual,
-                    "fast_residual": fast_residual,
-                    "omega_residual": omega_residual,
-                    "replay_residual": replay_residual,
-                    "carleson_fast": None if car_fast is None else car_fast.value,
-                    "carleson_brute": None if car_brute is None else car_brute.value,
-                    "carleson_residual": car_residual,
-                    "witness_subset": subset.witness,
-                    "witness_stopping": stopping.witness,
-                    "verdict": "pass" if ok else "fail",
-                }
-            )
-    params = {
-        "trials": trials,
-        "alphas": list(alphas),
-        "seed": seed,
-        "max_count": max_count,
-        "tol": tol,
-        "seed_scheme": SEED_SCHEME,
-    }
-    return _finish("lemma-stopping-form", params, cases, t0)
+            yield {
+                "trial": trial,
+                "seed": ts,
+                "tree_seed": tseed,
+                "depth": depth,
+                "stopping_times": n_tau,
+                "alpha": alpha,
+                "p": None,
+                "lhs": stopping.value,
+                "rhs": subset.value,
+                "residual": residual,
+                "fast_residual": fast_residual,
+                "omega_residual": omega_residual,
+                "replay_residual": replay_residual,
+                "carleson_fast": None if car_fast is None else car_fast.value,
+                "carleson_brute": None if car_brute is None else car_brute.value,
+                "carleson_residual": car_residual,
+                "witness_subset": subset.witness,
+                "witness_stopping": stopping.witness,
+                "verdict": "pass" if ok else "fail",
+            }
 
 
 # == suite: inequality and converse ==========================================
@@ -327,6 +332,7 @@ def _inequality_grid(tree, trial_seed, ps, alphas, slack=1e-9):
     return carleson_inequality_grid(g, mu, ps, alphas, slack=slack)
 
 
+@_suite("carleson-inequality", counts=("trials", "converse_trials"), lists=("ps", "alphas"))
 def check_carleson_inequality(
     trials: int = 500,
     ps=(1.5, 2.0, 3.0),
@@ -337,16 +343,13 @@ def check_carleson_inequality(
     converse_max_count: int = 26,
     slack: float = 1e-9,
     layer_tol: float = 1e-10,
-) -> VerificationReport:
+):
     """Random adapted processes and measures against the inequality, plus
     the converse extraction on enumerable trees.
 
     The converse asserts three things per instance: the indicator's left
     side is the tent mass bitwise, the bound is satisfied at the measure
     norm, and shaving 1e-6 off the witness ratio flips the verdict."""
-    _require({"trials": trials, "converse_trials": converse_trials}, ps=ps, alphas=alphas)
-    t0 = time.perf_counter()
-    cases = []
     tree = build_dyadic(depth)
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
         grid = _inequality_grid(tree, ts, ps, alphas, slack)
@@ -354,24 +357,22 @@ def check_carleson_inequality(
             for alpha, res in zip(alphas, row):
                 layer_residual = _rel(res.lhs, res.lhs_layer_cake)
                 ok = res.holds and layer_residual <= layer_tol
-                cases.append(
-                    {
-                        "kind": "inequality",
-                        "trial": trial,
-                        "seed": ts,
-                        "depth": depth,
-                        "alpha": alpha,
-                        "p": p,
-                        "lhs": res.lhs,
-                        "rhs": res.rhs,
-                        "lhs_layer_cake": res.lhs_layer_cake,
-                        "residual": layer_residual,
-                        "carleson_norm": res.carleson_norm.value,
-                        "maximal_strong_norm": res.maximal_strong_norm,
-                        "maximal_weak_norm": res.maximal_weak_norm,
-                        "verdict": "pass" if ok else "fail",
-                    }
-                )
+                yield {
+                    "kind": "inequality",
+                    "trial": trial,
+                    "seed": ts,
+                    "depth": depth,
+                    "alpha": alpha,
+                    "p": p,
+                    "lhs": res.lhs,
+                    "rhs": res.rhs,
+                    "lhs_layer_cake": res.lhs_layer_cake,
+                    "residual": layer_residual,
+                    "carleson_norm": res.carleson_norm.value,
+                    "maximal_strong_norm": res.maximal_strong_norm,
+                    "maximal_weak_norm": res.maximal_weak_norm,
+                    "verdict": "pass" if ok else "fail",
+                }
     grid = [(p, alpha) for p in ps for alpha in alphas]
     for j, ts in enumerate(_trial_seeds(seed + 1, converse_trials)):
         sub = _trial_seeds(ts, 2)
@@ -392,39 +393,24 @@ def check_carleson_inequality(
             and witness_residual <= 1e-10
             and not reduced["norm_bound_satisfied"]
         )
-        cases.append(
-            {
-                "kind": "converse",
-                "trial": j,
-                "seed": ts,
-                "tree_seed": tseed,
-                "depth": cdepth,
-                "alpha": alpha,
-                "p": p,
-                "lhs": conv["max_ratio"],
-                "rhs": norm.value,
-                "residual": witness_residual,
-                "stopping_times_checked": conv["stopping_times_checked"],
-                "identity_exact": conv["identity_exact"],
-                "maximal_identity": conv["maximal_identity"],
-                "reduced_violated": not reduced["norm_bound_satisfied"],
-                "witness": conv["witness"],
-                "verdict": "pass" if ok else "fail",
-            }
-        )
-    params = {
-        "trials": trials,
-        "ps": list(ps),
-        "alphas": list(alphas),
-        "seed": seed,
-        "depth": depth,
-        "converse_trials": converse_trials,
-        "converse_max_count": converse_max_count,
-        "slack": slack,
-        "layer_tol": layer_tol,
-        "seed_scheme": SEED_SCHEME,
-    }
-    return _finish("carleson-inequality", params, cases, t0)
+        yield {
+            "kind": "converse",
+            "trial": j,
+            "seed": ts,
+            "tree_seed": tseed,
+            "depth": cdepth,
+            "alpha": alpha,
+            "p": p,
+            "lhs": conv["max_ratio"],
+            "rhs": norm.value,
+            "residual": witness_residual,
+            "stopping_times_checked": conv["stopping_times_checked"],
+            "identity_exact": conv["identity_exact"],
+            "maximal_identity": conv["maximal_identity"],
+            "reduced_violated": not reduced["norm_bound_satisfied"],
+            "witness": conv["witness"],
+            "verdict": "pass" if ok else "fail",
+        }
 
 
 # == suite: operators ========================================================
@@ -437,6 +423,7 @@ def _predictable(tree: FiltrationTree, draw) -> PredictableSequence:
     )
 
 
+@_suite("operators")
 def check_operators(
     trials: int = 100,
     alphas=(0.0, 0.25, 0.5, 1.0),
@@ -444,7 +431,7 @@ def check_operators(
     depth_range=(1, 4),
     max_branch: int = 3,
     tol: float = 1e-9,
-) -> VerificationReport:
+):
     """Transform bound with equality in the constant-modulus case, lift
     isometry, square-function bound with constant 1 plus its pointwise
     reverse-triangle step, and the maximal function's pointwise laws.
@@ -452,9 +439,6 @@ def check_operators(
     The oscillation-norm ratio of the maximal function is recorded per
     case but never asserted: no proof pins its constant down, so the
     empirical maximum is reported as data."""
-    _require({"trials": trials}, alphas=alphas)
-    t0 = time.perf_counter()
-    cases = []
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
         sub = _trial_seeds(ts, 5)
         pick = np.random.default_rng(sub[0])
@@ -523,58 +507,42 @@ def check_operators(
                 and maximal_ok
                 and indicator_ok
             )
-            cases.append(
-                {
-                    "trial": trial,
-                    "seed": ts,
-                    "tree_seed": sub[1],
-                    "depth": depth,
-                    "alpha": alpha,
-                    "p": None,
-                    "lhs": ns,
-                    "rhs": nf,
-                    "residual": max(0.0, ns - nf),
-                    "transform_norm": nt,
-                    "transform_bound": bound,
-                    "transform_equality_residual": eq_residual,
-                    "unimodular_constant": c,
-                    "lift_residual": lift_residual,
-                    "square_norm": ns,
-                    "triangle_ok": triangle_ok,
-                    "maximal_pointwise_ok": maximal_ok,
-                    "maximal_indicator_ok": indicator_ok,
-                    "maximal_ratio": maximal_ratio,
-                    "verdict": "pass" if ok else "fail",
-                }
-            )
-    params = {
-        "trials": trials,
-        "alphas": list(alphas),
-        "seed": seed,
-        "depth_range": list(depth_range),
-        "max_branch": max_branch,
-        "tol": tol,
-        "seed_scheme": SEED_SCHEME,
-    }
-    return _finish("operators", params, cases, t0)
+            yield {
+                "trial": trial,
+                "seed": ts,
+                "tree_seed": sub[1],
+                "depth": depth,
+                "alpha": alpha,
+                "p": None,
+                "lhs": ns,
+                "rhs": nf,
+                "residual": max(0.0, ns - nf),
+                "transform_norm": nt,
+                "transform_bound": bound,
+                "transform_equality_residual": eq_residual,
+                "unimodular_constant": c,
+                "lift_residual": lift_residual,
+                "square_norm": ns,
+                "triangle_ok": triangle_ok,
+                "maximal_pointwise_ok": maximal_ok,
+                "maximal_indicator_ok": indicator_ok,
+                "maximal_ratio": maximal_ratio,
+                "verdict": "pass" if ok else "fail",
+            }
 
 
 # == campaign and bench ======================================================
 
 
-def campaign(
-    alphas, depths, trials: int, seed: int = 0, ps=None, max_branch: int = 3
-) -> VerificationReport:
+@_suite("campaign", lists=("alphas", "depths"))
+def campaign(alphas, depths, trials: int, seed: int = 0, ps=None, max_branch: int = 3):
     """Grid runner producing one case per (alpha[, p], depth, trial).
 
     Without ps: the characterization identity on a random martingale per
     cell.  With ps: the inequality on a random adapted process and
     measure per cell.
     """
-    _require({"trials": trials}, alphas=alphas, depths=depths)
-    t0 = time.perf_counter()
     inequality = ps is not None and len(ps) > 0
-    cases = []
     for depth in depths:
         for trial, ts in enumerate(_trial_seeds(seed + depth, trials)):
             if inequality:
@@ -592,33 +560,22 @@ def campaign(
                     for alpha, bmo, _, lhs, residual in _characterization(f, alphas)
                 ]
             for alpha, p, lhs, rhs, residual, ok in cells:
-                cases.append(
-                    {
-                        "trial": trial,
-                        "seed": ts,
-                        "depth": depth,
-                        "alpha": alpha,
-                        "p": p,
-                        "lhs": lhs,
-                        "rhs": rhs,
-                        "residual": residual,
-                        "verdict": "pass" if ok else "fail",
-                    }
-                )
-    params = {
-        "alphas": list(alphas),
-        "depths": list(depths),
-        "trials": trials,
-        "seed": seed,
-        "ps": list(ps) if inequality else None,
-        "max_branch": max_branch,
-        "seed_scheme": SEED_SCHEME,
-    }
-    return _finish("campaign", params, cases, t0)
+                yield {
+                    "trial": trial,
+                    "seed": ts,
+                    "depth": depth,
+                    "alpha": alpha,
+                    "p": p,
+                    "lhs": lhs,
+                    "rhs": rhs,
+                    "residual": residual,
+                    "verdict": "pass" if ok else "fail",
+                }
 
 
 def bench(depths=(1, 2, 3), alpha: float = 0.25, seed: int = 0, repeats: int = 3) -> list:
     """Fast paths against brute force, minimum wall time over repeats."""
+    _require({"repeats": repeats}, depths=depths)
     rows = []
     for depth in depths:
         tree = build_dyadic(depth)

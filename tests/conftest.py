@@ -1,6 +1,30 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import bmolab
 from bmolab import RandomVariable, build_dyadic, martingale_from_final
+
+
+def run_python(*argv, cwd=None):
+    """``python argv...`` as its own process against the package under
+    test, so stderr holds any traceback or warning.  As in the test run, a
+    RuntimeWarning is an error there."""
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.path.dirname(os.path.dirname(bmolab.__file__)),
+        "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
+    return subprocess.run(
+        [sys.executable, *argv], cwd=cwd, capture_output=True, text=True, env=env
+    )
+
+
+def run_process(*argv):
+    """The command line as its own process (see `run_python`)."""
+    return run_python("-m", "bmolab.cli", *argv)
 
 
 @pytest.fixture

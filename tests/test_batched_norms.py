@@ -10,17 +10,13 @@ so they cannot be the reference).
 
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bmolab
 from bmolab import (
     FiltrationTree,
     Martingale,
@@ -48,6 +44,7 @@ from bmolab import stopping, verify
 from bmolab.cli import main
 from bmolab.norms import _float_power
 from bmolab.verify import _rel
+from conftest import run_process
 
 import oracles
 
@@ -192,15 +189,6 @@ def _tiny_atom_martingale():
     return random_martingale(tree, 1)
 
 
-def _run_process(*argv):
-    """The command line as its own process, so stderr holds any traceback."""
-    src = os.path.dirname(os.path.dirname(bmolab.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run(
-        [sys.executable, "-m", "bmolab.cli", *argv], capture_output=True, text=True, env=env
-    )
-
-
 def test_float_power_is_inf_where_it_overflows():
     assert _float_power(1e-300, -1.4) == math.inf
     assert _float_power(5e-324, -1.0) == math.inf
@@ -237,7 +225,7 @@ def test_carleson_norm_cli_survives_an_overflowing_power(tmp_path):
     from_martingale(_tiny_atom_martingale()).save(str(path))
     values = {}
     for mode in MEASURE_MODES:
-        out = _run_process("carleson-norm", str(path), "--alpha", "0.5", "--mode", mode)
+        out = run_process("carleson-norm", str(path), "--alpha", "0.5", "--mode", mode)
         assert out.returncode == 0, out.stderr
         assert "Traceback" not in out.stderr
         values[mode] = json.loads(out.stdout)["value"]
@@ -289,6 +277,30 @@ def test_brute_force_powers_are_python_floats(mode):
     assert math.isclose(value, 10.446606759553488, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("chain_first", [True, False], ids=["chain-first", "chain-last"])
+def test_fast_scans_are_quiet_where_a_power_overflows(chain_first):
+    # No errstate: the overflowing power and the NaN candidate it makes are
+    # intended, so the scans keep numpy from warning about them.
+    f = _zero_residual_chain(chain_first)
+    assert bmo_alpha_norm(f, 0.9, "atom-fast").value == 10.446606759553488
+    assert _rel(bmo_alpha_norm(f, 0.9, "omega-form").value, 10.446606759553488) <= 1e-12
+    assert carleson_alpha_norm(from_martingale(f), 0.9, "node-fast").value == 109.13159278874863
+
+
+def test_fast_scans_print_no_warning_on_the_command_line(tmp_path):
+    f = _zero_residual_chain(True)
+    f.save(str(tmp_path / "f.json"))
+    from_martingale(f).save(str(tmp_path / "mu.json"))
+    for command, name, value in (
+        ("norm", "f.json", 10.446606759553488),
+        ("carleson-norm", "mu.json", 109.13159278874863),
+    ):
+        proc = run_process(command, str(tmp_path / name), "--alpha", "0.9")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["value"] == value
+
+
 # == empty argument lists are refused before any work ========================
 
 
@@ -336,7 +348,7 @@ def test_cli_refuses_empty_lists_with_exit_2(argv, name, capsys):
 
 
 def test_cli_empty_ps_prints_one_error_line_and_no_traceback():
-    out = _run_process("check", "carleson-inequality", "--trials", "1", "--ps", ",")
+    out = run_process("check", "carleson-inequality", "--trials", "1", "--ps", ",")
     assert out.returncode == 2
     assert out.stderr == "error: ps must not be empty\n"
 

@@ -1,8 +1,5 @@
 import hashlib
 import json
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -20,19 +17,11 @@ from bmolab import (
 )
 import bmolab
 from bmolab.cli import main
+from conftest import run_process
 
 
 def run(*argv):
     return main(list(argv))
-
-
-def run_process(*argv):
-    """The command line as its own process, so stderr holds any traceback."""
-    src = os.path.dirname(os.path.dirname(bmolab.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run(
-        [sys.executable, "-m", "bmolab.cli", *argv], capture_output=True, text=True, env=env
-    )
 
 
 # == generators ==============================================================
@@ -66,6 +55,17 @@ def test_gen_martingale(tmp_path):
     f = Martingale.load(str(fpath))
     want = random_martingale(build_dyadic(2), 7, 1)
     assert all(np.array_equal(a, b) for a, b in zip(f.levels, want.levels))
+
+
+def test_gen_martingale_refuses_zero_width_values(tmp_path, capsys):
+    tpath = tmp_path / "t.json"
+    build_dyadic(2).save(str(tpath))
+    fpath = tmp_path / "f.json"
+    assert run("gen-martingale", "--tree", str(tpath), "--dim", "0", "--out", str(fpath)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: vector values must have at least one component\n"
+    assert captured.out == ""
+    assert not fpath.exists()
 
 
 # == norms ===================================================================
@@ -203,6 +203,21 @@ def test_bench_prints_a_table(capsys):
     out = capsys.readouterr().out
     assert "atom-fast" in out
     assert "node-fast" in out
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--repeats", "0"], "repeats must be at least 1"),
+        (["--depths", ","], "depths must not be empty"),
+        (["--depths", ",", "--repeats", "-1"], "depths must not be empty"),
+    ],
+)
+def test_bench_refuses_zero_repeats_and_empty_depths(argv, message):
+    proc = run_process("bench", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
 
 
 # == error paths =============================================================

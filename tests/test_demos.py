@@ -1,11 +1,11 @@
-"""Every script under demos/ runs to completion against the package in src/."""
+"""Every script under demos/ runs to completion, with no RuntimeWarning,
+against the package under test."""
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
+
+from conftest import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -17,8 +17,5 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
-    )
+    proc = run_python(str(demo), cwd=ROOT)
     assert proc.returncode == 0, proc.stderr

@@ -88,6 +88,20 @@ def test_from_dict_error_paths(kind, breakage):
     assert info.value.path == (path or field)
 
 
+@pytest.mark.parametrize("kind", ["rv", "martingale"])
+def test_zero_width_document_is_refused(kind):
+    cls, make, field = DOCUMENTS[kind]
+    doc = make(build_dyadic(2)).to_dict()
+    doc["dim"] = 0
+    if kind == "rv":
+        doc[field] = [[] for _ in doc[field]]
+    else:
+        doc[field] = [[[] for _ in level] for level in doc[field]]
+    with pytest.raises(SchemaError, match="at least one component") as info:
+        cls.from_dict(doc)
+    assert info.value.path == field
+
+
 @pytest.mark.parametrize("kind", ["martingale", "measure"])
 def test_load_resolves_tree_path_against_document_dir(kind, tmp_path, monkeypatch):
     cls, make, _ = DOCUMENTS[kind]

@@ -54,6 +54,20 @@ def test_rv_modulus_euclidean():
     assert np.array_equal(Y.modulus(), [5.0, 0.0])
 
 
+def test_zero_width_values_are_refused():
+    tree = build_dyadic(1)
+    with pytest.raises(ValueError, match="^vector values must have at least one component$"):
+        RandomVariable(tree, np.zeros((2, 0)))
+    with pytest.raises(ValueError, match="^level 0: vector values must have at least one"):
+        AdaptedProcess(tree, [np.zeros((1, 0)), np.zeros((2, 0))])
+    with pytest.raises(ValueError, match="at least one component"):
+        Martingale(tree, [np.zeros((1, 0)), np.zeros((2, 0))])
+    with pytest.raises(ValueError, match="at least one component"):
+        random_martingale(tree, 3, 0)
+    with pytest.raises(ValueError, match="at least one component"):
+        random_adapted_process(tree, 3, 0)
+
+
 # == conditional expectation =================================================
 
 
@@ -193,6 +207,18 @@ def test_predictable_constant_and_scalars():
     assert c.bound == 2.5
     s = PredictableSequence.from_level_scalars(tree, [1.0, -2.0, 3.0])
     assert np.array_equal(s.values_on_level(2), [3.0, 3.0, 3.0, 3.0])
+
+
+@pytest.mark.parametrize("value", [2.5, -0.1, 0.0, 3])
+def test_predictable_constant_coefficients_are_bitwise(value):
+    tree = build_random(4, 3, 3)
+    c = PredictableSequence.constant(tree, value)
+    want = [np.array([value])] + [
+        np.full(tree.atom_count(k - 1), value) for k in range(1, tree.depth + 1)
+    ]
+    assert len(c.coeffs) == len(want)
+    for a, b in zip(c.coeffs, want):
+        assert a.dtype == np.float64 and a.tobytes() == b.astype(float).tobytes()
 
 
 def test_predictable_shape_validated():

@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import inspect
 import json
 
 import numpy as np
@@ -14,6 +16,7 @@ from bmolab import (
     check_operators,
     replay_characterization_case,
 )
+from bmolab import verify
 from bmolab.verify import CSV_COLUMNS, SEED_SCHEME, SUITES
 
 
@@ -190,6 +193,106 @@ def test_bench_rows():
         by_key.setdefault((r["depth"], r["op"]), []).append(r["value"])
     for vals in by_key.values():
         assert max(vals) == pytest.approx(min(vals), rel=1e-10)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"repeats": 0}, "repeats must be at least 1"),
+        ({"depths": []}, "depths must not be empty"),
+        ({"depths": range(0), "repeats": 0}, "depths must not be empty"),
+    ],
+)
+def test_bench_refuses_empty_depths_and_zero_repeats(kwargs, message, monkeypatch):
+    monkeypatch.setattr(verify, "build_dyadic", _no_work)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bench(**kwargs)
+
+
+# == the suite frame: arguments in, params out ================================
+
+
+# Comparison-mode sha256 prefixes measured before the suites shared one frame;
+# positional, range, numpy and non-default arguments all reach params.
+FRAME_PINS = [
+    (lambda: campaign([0.25, 0.5], [1, 2], 2, 3), "cf9b818bd8ee15e5"),
+    (lambda: campaign((0.25,), (2,), 2, 1, ps=[1.5, 3.0]), "b8d1e84685d94921"),
+    (lambda: campaign((0.25,), (2,), 2, 1, ps=np.array([])), "1ec20f48dd233e18"),
+    (lambda: campaign((0.25,), range(1, 3), 2), "58acb0e8f9a7ff2b"),
+    (lambda: check_characterization(3, (0.0, 0.5), 4, (1, 3), 2, range(1, 3)),
+     "c20205269e046185"),
+    (lambda: check_lemma_stopping_form(trials=3, max_count=20, tol=1e-11), "85a3a940724182e0"),
+    (lambda: check_carleson_inequality(2, [1.5], [0.25], 9, 2, 2, 20, 1e-8, 1e-9),
+     "ec1451b2f67559be"),
+    (lambda: check_operators(trials=2, depth_range=np.array([1, 2])), "052c445aa7c29e0a"),
+]
+
+
+@pytest.mark.parametrize("call, prefix", FRAME_PINS, ids=[p for _, p in FRAME_PINS])
+def test_suite_frame_bytes_are_pinned(call, prefix):
+    text = call().to_json(comparison=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
+
+
+def test_suite_frame_records_every_argument():
+    rep = campaign((0.25,), range(1, 3), np.int64(2), ps=np.array([1.5]))
+    assert list(rep.params) == ["alphas", "depths", "trials", "seed", "ps", "max_branch",
+                                "seed_scheme"]
+    assert rep.params["depths"] == [1, 2]
+    assert rep.params["ps"] == [1.5]
+    assert rep.params["seed"] == 0 and rep.params["max_branch"] == 3
+    rep = check_operators(1, seed=5)
+    assert rep.params == {"trials": 1, "alphas": [0.0, 0.25, 0.5, 1.0], "seed": 5,
+                          "depth_range": [1, 4], "max_branch": 3, "tol": 1e-9,
+                          "seed_scheme": SEED_SCHEME}
+
+
+def test_suite_frame_refuses_lists_before_counts(monkeypatch):
+    monkeypatch.setattr(verify, "_trial_seeds", _no_work)
+    with pytest.raises(ValueError, match="^alphas must not be empty$"):
+        check_carleson_inequality(trials=0, converse_trials=0, alphas=())
+    with pytest.raises(ValueError, match="^trials must be at least 1$"):
+        check_carleson_inequality(trials=0, converse_trials=0)
+    with pytest.raises(TypeError):
+        check_operators(1, no_such_argument=2)
+
+
+SIGNATURES = {
+    "check_characterization": [
+        ("trials", 200), ("alphas", (0.0, 0.25, 0.5, 0.9)), ("seed", 0),
+        ("depth_range", (1, 5)), ("max_branch", 3), ("dims", (1, 3)), ("tol", 1e-9),
+    ],
+    "check_lemma_stopping_form": [
+        ("trials", 100), ("alphas", (0.0, 0.25, 0.5)), ("seed", 1), ("max_count", 30),
+        ("tol", 1e-10),
+    ],
+    "check_carleson_inequality": [
+        ("trials", 500), ("ps", (1.5, 2.0, 3.0)), ("alphas", (0.1, 0.25, 0.45)),
+        ("seed", 2), ("depth", 3), ("converse_trials", 20), ("converse_max_count", 26),
+        ("slack", 1e-9), ("layer_tol", 1e-10),
+    ],
+    "check_operators": [
+        ("trials", 100), ("alphas", (0.0, 0.25, 0.5, 1.0)), ("seed", 3),
+        ("depth_range", (1, 4)), ("max_branch", 3), ("tol", 1e-9),
+    ],
+    "campaign": [
+        ("alphas", inspect.Parameter.empty), ("depths", inspect.Parameter.empty),
+        ("trials", inspect.Parameter.empty), ("seed", 0), ("ps", None), ("max_branch", 3),
+    ],
+}
+
+
+@pytest.mark.parametrize("fn", [*SUITES.values(), campaign], ids=lambda fn: fn.__name__)
+def test_suite_signatures_are_unchanged(fn):
+    sig = inspect.signature(fn)
+    assert [(p.name, p.default) for p in sig.parameters.values()] == SIGNATURES[fn.__name__]
+    assert {p.kind for p in sig.parameters.values()} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+    assert sig.return_annotation == "VerificationReport"
+    assert fn.__doc__ and fn.__module__ == "bmolab.verify"
 
 
 # == report object ===========================================================
