@@ -48,9 +48,9 @@ from .norms import (
     lp_norm,
     weak_lq_norm,
 )
-from .operators import maximal
+from .operators import _running_max, maximal
 from .process import AdaptedProcess, Martingale, _modulus, differences
-from .stopping import StoppingTime, chunks, prob_finite, stopping_time_table
+from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, stopping_time_table
 
 __all__ = [
     "CarlesonMeasure",
@@ -204,15 +204,17 @@ def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
     return mu.tent_mass(tau) * _float_power(tau.prob_finite, -(1.0 + 2.0 * alpha))
 
 
-def _product_space_lhs(mods: np.ndarray, mu: CarlesonMeasure, p: float) -> float:
-    """integral of |g_k|^p dmu from the per-level leaf moduli of g, levels
-    ascending, one masked sum per level.
+def _left_side(leaf_mods, mu: CarlesonMeasure, p: float):
+    """integral of |g_k|^p dmu from the per-level leaf moduli of g: levels
+    first, leaves on the last axis, any axes between holding independent
+    processes.  One sum per level, levels ascending, each over C-contiguous
+    rows, so every process adds the same floats in the same order as alone.
 
     Must stay in lockstep with CarlesonMeasure.tent_mass: see its docstring.
     """
     total = 0.0
-    for k, mod in enumerate(mods):
-        total += float(np.sum(mod**p * mu.weighted[k]))
+    for k, mod in enumerate(leaf_mods):
+        total += np.sum(np.ascontiguousarray(mod) ** p * mu.weighted[k], axis=-1)
     return total
 
 
@@ -270,7 +272,7 @@ def carleson_inequality_grid(
 
     grid = []
     for p in ps:
-        lhs = _product_space_lhs(mods, mu, p)
+        lhs = float(_left_side(mods, mu, p))
         lhs_layer = _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p)
         tail_term = lp_norm(mg, p - 1.0) ** (p - 1.0)
         constant = p / (p - 1.0)
@@ -304,29 +306,6 @@ def carleson_inequality_check(
     return carleson_inequality_grid(g, mu, (p,), (alpha,), slack)[0][0]
 
 
-def _indicator_lhs(
-    taus: np.ndarray, mu: CarlesonMeasure, p: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per table row: the inequality's left side for the indicator process
-    of {tau <= k}, and the final running maximum of that indicator.
-
-    The left side runs `_product_space_lhs` on each row at once: levels
-    ascending, |indicator| ** p * mu.weighted[k] summed over C-contiguous
-    (rows, leaves) arrays, so every row adds the same floats in the same
-    order as the single-process call.
-    """
-    tree = mu.tree
-    lhs = np.zeros(len(taus))
-    running = None
-    for k in range(tree.depth + 1):
-        ind = np.where(taus[:, tree.leaf_starts(k)] <= k, 1.0, 0.0)  # level-k atoms
-        mod = np.abs(ind)
-        running = mod if k == 0 else np.maximum(running[:, tree.parents(k)], mod)
-        leaf_mod = np.ascontiguousarray(mod[:, tree.leaf_ancestors(k)])
-        lhs += np.sum(leaf_mod**p * mu.weighted[k], axis=1)
-    return lhs, running
-
-
 def converse_extraction(
     mu: CarlesonMeasure, alpha: float, c_p: float, p: float,
     max_enum: int | None = None,
@@ -334,7 +313,8 @@ def converse_extraction(
     """Test whether the inequality's constant c_p dominates the measure norm.
 
     Runs every stopping time's indicator process through the inequality's
-    left side.  That left side must equal the tent mass bitwise (the
+    own left side and running maximum, a chunk of stopping-time table rows
+    at a time.  That left side must equal the tent mass bitwise (the
     indicator modulus is exactly 0 or 1, so the two computations perform
     identical float operations), and the running maximum of the indicator
     must equal the indicator of {tau finite} exactly; both facts are
@@ -355,7 +335,9 @@ def converse_extraction(
     maximal_identity = True
     for rows in chunks(len(taus) - 1):  # the last row never stops
         t = taus[rows]
-        lhs, running = _indicator_lhs(t, mu, p)
+        ind = _indicator_levels(tree, t)  # 0/1 values: each level is its own modulus
+        lhs = _left_side([m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)], mu, p)
+        running = _running_max(tree, ind)[-1]
         tent = mu.tent_masses(t)
         identity_exact = identity_exact and np.array_equal(lhs, tent)
         chi = np.where(t <= tree.depth, 1.0, 0.0)

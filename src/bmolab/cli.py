@@ -30,8 +30,20 @@ def _floats(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x.strip()]
 
 
+def _natural(text: str) -> int:
+    """A seed or a depth.  numpy refuses a negative seed with a message
+    that names no flag, so argparse refuses it here, naming the flag."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    return value
+
+
 def _ints(text: str) -> list[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+    return [_natural(x) for x in text.split(",") if x.strip()]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,13 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-tree", help="generate a filtration tree document")
     p.add_argument("--depth", type=int, required=True)
     p.add_argument("--random", action="store_true", help="random tree instead of dyadic")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--max-branch", type=int, default=3)
     p.add_argument("--out", help="output path (stdout when omitted)")
 
     p = sub.add_parser("gen-martingale", help="generate a random martingale document")
     p.add_argument("--tree", required=True, help="path to a tree/v1 document")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--dim", type=int, default=1)
     p.add_argument("--out")
 
@@ -72,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run a verification suite")
     p.add_argument("suite", choices=sorted(SUITES))
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_natural, default=None)
     p.add_argument("--alphas", type=_floats, default=None)
     p.add_argument("--ps", type=_floats, default=None)
     p.add_argument("--out", help="write the report JSON here")
@@ -87,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphas", type=_floats, required=True)
     p.add_argument("--depths", type=_ints, required=True)
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--ps", type=_floats, default=None)
     p.add_argument("--csv", help="CSV output path (stdout when omitted)")
     p.add_argument("--out", help="also write the report JSON here")
@@ -95,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="time fast paths against brute force")
     p.add_argument("--depths", type=_ints, default=[1, 2, 3])
     p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--repeats", type=int, default=3)
 
     return parser

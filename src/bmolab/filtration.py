@@ -119,19 +119,6 @@ def _first_atom(parents, flagged: list[np.ndarray]) -> tuple[list[int], int, int
     )
 
 
-def _walk_error(message: str, parents: list[list[int]], level: int, parent: int) -> SchemaError:
-    """A schema error at the node the walk is visiting.
-
-    The node is not in ``parents`` yet; its earlier siblings are.
-    """
-    steps = []
-    if level:
-        steps = _atom_steps(parents, level - 1, parent)
-        siblings = parents[level] if level < len(parents) else []
-        steps.append(len(siblings) - bisect.bisect_left(siblings, parent))
-    return SchemaError(message, _path(steps))
-
-
 def _levels_of(root: object) -> tuple[list[list[float]], list[list[int]]]:
     """Per-level masses and parent indices of a nested node document.
 
@@ -143,27 +130,26 @@ def _levels_of(root: object) -> tuple[list[list[float]], list[list[int]]]:
     stack = [(root, 0, -1)]
     while stack:
         node, level, parent = stack.pop()
-        if not isinstance(node, dict) or "mass" not in node:
-            raise _walk_error(
-                "atom must be an object with 'mass' and 'children'", parents, level, parent
-            )
-        mass = node["mass"]
-        if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-            raise _walk_error(
-                f"mass must be a number, got {type(mass).__name__}", parents, level, parent
-            )
-        mass = float(mass)
-        if not 0.0 < mass <= 1.0:
-            raise _walk_error(_MASS_RANGE.format(mass), parents, level, parent)
-        children = node.get("children", [])
-        if not isinstance(children, list):
-            raise _walk_error("'children' must be a list", parents, level, parent)
         if level == len(masses):
             masses.append([])
             parents.append([])
-        index = len(masses[level])
-        masses[level].append(mass)
+        index = len(parents[level])
         parents[level].append(parent)
+        try:
+            if not isinstance(node, dict) or "mass" not in node:
+                raise ValueError("atom must be an object with 'mass' and 'children'")
+            mass = node["mass"]
+            if not isinstance(mass, (int, float)) or isinstance(mass, bool):
+                raise ValueError(f"mass must be a number, got {type(mass).__name__}")
+            mass = float(mass)
+            if not 0.0 < mass <= 1.0:
+                raise ValueError(_MASS_RANGE.format(mass))
+            children = node.get("children", [])
+            if not isinstance(children, list):
+                raise ValueError("'children' must be a list")
+        except ValueError as exc:
+            raise SchemaError(str(exc), _path(_atom_steps(parents, level, index))) from None
+        masses[level].append(mass)
         if children:
             stack.extend([(child, level + 1, index) for child in reversed(children)])
     return masses, parents

@@ -305,7 +305,7 @@ def _stopping_integrals(
     additions in the same order as for one stopping time.
     """
     resid = final - before[taus, np.arange(tree.num_leaves)]
-    mod = np.abs(resid) if final.ndim == 1 else np.sqrt(np.sum(resid * resid, axis=-1))
+    mod = np.abs(resid) if final.ndim == 1 else _modulus(resid)
     return np.sum(mod**2 * tree.leaf_masses, axis=1)
 
 

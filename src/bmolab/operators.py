@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .filtration import FiltrationTree
 from .process import (
     AdaptedProcess,
     Martingale,
@@ -95,13 +96,16 @@ def square_function(f: Martingale) -> AdaptedProcess:
 
 def running_maximal(g: AdaptedProcess) -> AdaptedProcess:
     """M_n = max over k <= n of |g_k|, as a scalar adapted process."""
-    tree = g.tree
-    cur = _modulus(g.level(0))
-    levels = [cur]
-    for n in range(1, tree.depth + 1):
-        cur = np.maximum(cur[tree.parents(n)], _modulus(g.level(n)))
-        levels.append(cur)
-    return AdaptedProcess(tree, levels)
+    return AdaptedProcess(g.tree, _running_max(g.tree, map(_modulus, g.levels)))
+
+
+def _running_max(tree: FiltrationTree, mods) -> list[np.ndarray]:
+    """Running maxima of per-level moduli, levels ascending, atoms on the
+    last axis; any leading axes hold independent processes."""
+    levels = []
+    for n, mod in enumerate(mods):
+        levels.append(mod if n == 0 else np.maximum(levels[-1][..., tree.parents(n)], mod))
+    return levels
 
 
 def maximal(g: AdaptedProcess) -> RandomVariable:

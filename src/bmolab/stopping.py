@@ -53,18 +53,19 @@ CHUNK_ROWS = 1024
 
 
 def resolve_max_enum(max_enum: int | None) -> int:
-    """Explicit argument, else the BMO_LAB_MAX_ENUM variable, else default."""
-    if max_enum is not None:
-        return int(max_enum)
-    env = os.environ.get("BMO_LAB_MAX_ENUM")
-    if not env:
-        return DEFAULT_MAX_ENUM
+    """Explicit argument, else the BMO_LAB_MAX_ENUM variable, else default;
+    either must be a positive integer."""
+    name, value = "max_enum", max_enum
+    if max_enum is None:
+        name, value = "BMO_LAB_MAX_ENUM", os.environ.get("BMO_LAB_MAX_ENUM")
+        if not value:
+            return DEFAULT_MAX_ENUM
     try:
-        cap = int(env)
+        cap = int(value)
         if cap <= 0:
             raise ValueError
     except ValueError:
-        raise ValueError(f"BMO_LAB_MAX_ENUM must be a positive integer, got {env!r}") from None
+        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
     return cap
 
 
@@ -306,12 +307,15 @@ def indicator_process(tau: StoppingTime) -> AdaptedProcess:
     Values are exactly 0.0 or 1.0 and nondecreasing in the level along
     every path; the running maximum is the indicator of {tau finite}.
     """
-    tree = tau.tree
-    t = tau.tau_values()
-    levels = []
-    for n in range(tree.depth + 1):
-        levels.append(np.where(t[tree.leaf_starts(n)] <= n, 1.0, 0.0))
-    return AdaptedProcess(tree, levels)
+    return AdaptedProcess(tau.tree, _indicator_levels(tau.tree, tau.tau_values()))
+
+
+def _indicator_levels(tree: FiltrationTree, taus: np.ndarray) -> list[np.ndarray]:
+    """The levels of `indicator_process`, per-leaf tau values on the last
+    axis of ``taus``; any leading axes hold independent stopping times."""
+    return [
+        np.where(taus[..., tree.leaf_starts(n)] <= n, 1.0, 0.0) for n in range(tree.depth + 1)
+    ]
 
 
 def _before_table(f: AdaptedProcess) -> np.ndarray:

@@ -35,10 +35,11 @@ from .norms import bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
 from .process import (
     PredictableSequence,
+    _modulus,
     random_adapted_process,
     random_martingale,
 )
-from .stopping import count_stopping_times, first_passage, indicator_process
+from .stopping import _before_table, count_stopping_times, first_passage, indicator_process
 
 __all__ = [
     "VerificationReport",
@@ -457,23 +458,11 @@ def check_operators(
         sf = square_function(f)
         runmax = running_maximal(f)
 
-        final_s = sf.leaf_view(depth)
-        final_u = lift.leaf_view(depth)
-        triangle_ok = True
-        for n in range(depth + 1):
-            prev_s = np.zeros_like(final_s) if n == 0 else sf.leaf_view(n - 1)
-            prev_u = np.zeros_like(final_u) if n == 0 else lift.leaf_view(n - 1)
-            lhs_pt = np.abs(final_s - prev_s)
-            rhs_pt = np.sqrt(np.sum((final_u - prev_u) ** 2, axis=1))
-            if np.any(lhs_pt > rhs_pt + 1e-12):
-                triangle_ok = False
-
-        maximal_ok = True
-        for n in range(depth + 1):
-            if np.any(runmax.leaf_view(n) < np.abs(f.leaf_view(n)) - 1e-15):
-                maximal_ok = False
-            if n > 0 and np.any(runmax.leaf_view(n) < runmax.leaf_view(n - 1)):
-                maximal_ok = False
+        # Row n of a before table is the value one level up, 0 before level 0.
+        s, u = _before_table(sf), _before_table(lift)
+        triangle_ok = not np.any(np.abs(s[-1] - s) > _modulus(u[-1] - u) + 1e-12)
+        m, x = _before_table(runmax), _before_table(f)
+        maximal_ok = not (np.any(m < np.abs(x) - 1e-15) or np.any(m[1:] < m[:-1]))
         lam = float(np.random.default_rng(sub[4]).uniform(0.0, 1.2)) * float(
             np.max(runmax.level(depth))
         )

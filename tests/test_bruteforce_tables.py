@@ -19,6 +19,7 @@ from bmolab import (
     build_dyadic,
     build_random,
     carleson_alpha_norm,
+    carleson_inequality_check,
     converse_extraction,
     count_stopping_times,
     indicator_process,
@@ -27,9 +28,9 @@ from bmolab import (
     stopped_before,
 )
 from bmolab import stopping
-from bmolab.carleson import _indicator_lhs
+from bmolab.carleson import _left_side
 from bmolab.norms import _ArgMax, _bmo_blocks, _residual_integrals, _stopping_blocks
-from bmolab.operators import maximal
+from bmolab.operators import _running_max, maximal
 from bmolab.process import _modulus
 
 import oracles
@@ -317,10 +318,13 @@ def test_every_stopping_row_scores_bitwise(tree):
 def test_every_indicator_row_bitwise(tree, p):
     table = stopping.stopping_time_table(tree)[:-1]
     mu = _measure(tree)
-    lhs, running = _indicator_lhs(table, mu, p)
-    taus = reference_taus(tree)[:-1]
-    assert lhs.tolist() == [_lhs(indicator_process(tau), mu, p) for tau in taus]
-    assert np.array_equal(running, [maximal(indicator_process(tau)).values for tau in taus])
+    ind = stopping._indicator_levels(tree, table)
+    lhs = _left_side([m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)], mu, p)
+    running = _running_max(tree, ind)[-1]
+    processes = [indicator_process(tau) for tau in reference_taus(tree)[:-1]]
+    public = [carleson_inequality_check(g, mu, p, 0.25).lhs for g in processes]
+    assert lhs.tolist() == public == [_lhs(g, mu, p) for g in processes]
+    assert np.array_equal(running, [maximal(g).values for g in processes])
 
 
 @pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)

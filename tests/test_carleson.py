@@ -31,6 +31,7 @@ from bmolab import (
     stop_on_atoms,
     weak_lq_norm,
 )
+from bmolab import carleson, operators, stopping
 from bmolab.carleson import CARLESON_MODES
 from bmolab.norms import _layer_cake_arrays
 from bmolab.process import _modulus
@@ -396,6 +397,32 @@ def test_converse_left_side_is_bitwise_tent_mass():
         conv = converse_extraction(mu, 0.4, carleson_alpha_norm(mu, 0.4).value, 1.5)
         assert conv["identity_exact"]
         assert conv["maximal_identity"]
+
+
+@pytest.mark.parametrize("module, name, public", [
+    (carleson, "_left_side", lambda g, tau, mu: carleson_inequality_grid(g, mu, [2.0], [0.25])),
+    (operators, "_running_max", lambda g, tau, mu: operators.running_maximal(g)),
+    (stopping, "_indicator_levels", lambda g, tau, mu: indicator_process(tau)),
+])
+def test_converse_runs_the_public_primitives(monkeypatch, module, name, public):
+    """The converse checks the inequality's own left side, running maximum
+    and indicator levels, not copies of them."""
+    real = getattr(module, name)
+    assert getattr(carleson, name) is real
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    monkeypatch.setattr(carleson, name, spy)
+    tree = build_dyadic(2)
+    mu = random_measure(tree, 3)
+    public(random_adapted_process(tree, 4, 1), stop_on_atoms(tree, 1, [0]), mu)
+    assert len(calls) == 1
+    converse_extraction(mu, 0.25, 1.0, 2.0)
+    assert len(calls) == 2
 
 
 def test_converse_validation():

@@ -271,6 +271,39 @@ def test_bad_max_enum_env_var_exits_2(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: ") and "BMO_LAB_MAX_ENUM" in err and "'ten'" in err
 
 
+@pytest.mark.parametrize("command", ["norm", "carleson-norm"])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_non_positive_max_enum_exits_2(tmp_path, command, cap):
+    path = str(tmp_path / "doc.json")
+    f = random_martingale(build_dyadic(2), 1, 1)
+    (f if command == "norm" else from_martingale(f)).save(path)
+    proc = run_process(command, path, "--alpha", "0.5", "--mode", "stopping-bruteforce",
+                       "--max-enum", cap)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: max_enum must be a positive integer, got {cap}\n"
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv, flag, message", [
+    (["check", "operators", "--trials", "1", "--seed", "-1"], "--seed",
+     "expected a non-negative integer, got -1"),
+    (["gen-tree", "--depth", "2", "--random", "--seed", "-1"], "--seed",
+     "expected a non-negative integer, got -1"),
+    (["gen-martingale", "--tree", "t.json", "--seed", "-1"], "--seed",
+     "expected a non-negative integer, got -1"),
+    (["bench", "--seed", "-5"], "--seed", "expected a non-negative integer, got -5"),
+    (["campaign", "--alphas", "0.5", "--depths", "1,-1", "--trials", "1"], "--depths",
+     "expected a non-negative integer, got -1"),
+    (["check", "operators", "--seed", "1.5"], "--seed", "invalid int value: '1.5'"),
+])
+def test_bad_seed_or_depth_names_its_flag(argv, flag, message):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1].endswith(f": error: argument {flag}: {message}")
+    assert proc.stdout == ""
+
+
 def test_bad_alpha_exits_2(tmp_path, capsys):
     fpath = tmp_path / "f.json"
     random_martingale(build_dyadic(1), 1, 1).save(str(fpath))

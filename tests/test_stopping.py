@@ -248,3 +248,13 @@ def test_tau_schema_errors():
         StoppingTime.from_dict(tree, {"schema": "tau/v2", "stops": []})
     with pytest.raises(SchemaError):
         StoppingTime.from_dict(tree, {"schema": "tau/v1", "stops": [[1, 0], [2, 0]]})
+
+
+@pytest.mark.parametrize("value", [0, -3])
+def test_non_positive_max_enum_is_refused(monkeypatch, value):
+    # the same rule as for the variable, which an explicit value overrides
+    monkeypatch.setenv("BMO_LAB_MAX_ENUM", "10")
+    with pytest.raises(ValueError, match=f"^max_enum must be a positive integer, got {value}$"):
+        resolve_max_enum(value)
+    with pytest.raises(ValueError, match="max_enum"):
+        list(enumerate_stopping_times(build_dyadic(1), max_enum=value))
