@@ -306,6 +306,15 @@ def carleson_inequality_check(
     return carleson_inequality_grid(g, mu, (p,), (alpha,), slack)[0][0]
 
 
+def _indicator_sides(taus: np.ndarray, mu: CarlesonMeasure, p: float):
+    """Per table row, the left side and final running maximum of its
+    stopping time's indicator process (0/1 values: their own modulus)."""
+    tree = mu.tree
+    ind = _indicator_levels(tree, taus)
+    lhs = _left_side((m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)), mu, p)
+    return lhs, _running_max(tree, ind)[-1]
+
+
 def converse_extraction(
     mu: CarlesonMeasure, alpha: float, c_p: float, p: float,
     max_enum: int | None = None,
@@ -331,13 +340,10 @@ def converse_extraction(
     taus = stopping_time_table(tree, max_enum)
     best = _ArgMax()
     first_violation: dict | None = None
-    identity_exact = True
-    maximal_identity = True
+    identity_exact = maximal_identity = True
     for rows in chunks(len(taus) - 1):  # the last row never stops
         t = taus[rows]
-        ind = _indicator_levels(tree, t)  # 0/1 values: each level is its own modulus
-        lhs = _left_side([m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)], mu, p)
-        running = _running_max(tree, ind)[-1]
+        lhs, running = _indicator_sides(t, mu, p)
         tent = mu.tent_masses(t)
         identity_exact = identity_exact and np.array_equal(lhs, tent)
         chi = np.where(t <= tree.depth, 1.0, 0.0)

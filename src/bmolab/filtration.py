@@ -135,21 +135,19 @@ def _levels_of(root: object) -> tuple[list[list[float]], list[list[int]]]:
             parents.append([])
         index = len(parents[level])
         parents[level].append(parent)
-        try:
-            if not isinstance(node, dict) or "mass" not in node:
-                raise ValueError("atom must be an object with 'mass' and 'children'")
-            mass = node["mass"]
-            if not isinstance(mass, (int, float)) or isinstance(mass, bool):
-                raise ValueError(f"mass must be a number, got {type(mass).__name__}")
-            mass = float(mass)
-            if not 0.0 < mass <= 1.0:
-                raise ValueError(_MASS_RANGE.format(mass))
-            children = node.get("children", [])
-            if not isinstance(children, list):
-                raise ValueError("'children' must be a list")
-        except ValueError as exc:
-            raise SchemaError(str(exc), _path(_atom_steps(parents, level, index))) from None
-        masses[level].append(mass)
+        if not isinstance(node, dict) or "mass" not in node:
+            error = "atom must be an object with 'mass' and 'children'"
+        elif not isinstance(mass := node["mass"], (int, float)) or isinstance(mass, bool):
+            error = f"mass must be a number, got {type(mass).__name__}"
+        elif not 0.0 < float(mass) <= 1.0:
+            error = _MASS_RANGE.format(float(mass))
+        elif not isinstance(children := node.get("children", []), list):
+            error = "'children' must be a list"
+        else:
+            error = None
+        if error:
+            raise SchemaError(error, _path(_atom_steps(parents, level, index)))
+        masses[level].append(float(mass))
         if children:
             stack.extend([(child, level + 1, index) for child in reversed(children)])
     return masses, parents

@@ -468,9 +468,7 @@ def check_operators(
         )
         tau = first_passage(f, lam)
         chi = np.where(tau.finite_mask(), 1.0, 0.0)
-        indicator_ok = bool(
-            np.array_equal(maximal(indicator_process(tau)).values, chi)
-        )
+        indicator_ok = np.array_equal(maximal(indicator_process(tau)).values, chi)
 
         # One atom scan per process for all alphas; for the square function
         # and the running maximum it is the process norm's own scan.

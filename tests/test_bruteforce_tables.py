@@ -28,9 +28,9 @@ from bmolab import (
     stopped_before,
 )
 from bmolab import stopping
-from bmolab.carleson import _left_side
+from bmolab.carleson import _indicator_sides
 from bmolab.norms import _ArgMax, _bmo_blocks, _residual_integrals, _stopping_blocks
-from bmolab.operators import _running_max, maximal
+from bmolab.operators import maximal
 from bmolab.process import _modulus
 
 import oracles
@@ -318,9 +318,7 @@ def test_every_stopping_row_scores_bitwise(tree):
 def test_every_indicator_row_bitwise(tree, p):
     table = stopping.stopping_time_table(tree)[:-1]
     mu = _measure(tree)
-    ind = stopping._indicator_levels(tree, table)
-    lhs = _left_side([m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)], mu, p)
-    running = _running_max(tree, ind)[-1]
+    lhs, running = _indicator_sides(table, mu, p)
     processes = [indicator_process(tau) for tau in reference_taus(tree)[:-1]]
     public = [carleson_inequality_check(g, mu, p, 0.25).lhs for g in processes]
     assert lhs.tolist() == public == [_lhs(g, mu, p) for g in processes]
