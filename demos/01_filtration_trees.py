@@ -20,11 +20,11 @@ print("leaves:", tree.num_leaves)
 print("atoms per level:", [tree.atom_count(n) for n in range(tree.depth + 1)])
 print("level-2 masses:", tree.masses(2))
 
-# atoms are addressed as (level, index); the tree answers containment
-# and ancestry queries in constant time
+# atoms are addressed as (level, index); per-level index arrays answer
+# containment and ancestry: each leaf's level-n atom, each atom's parent
 leaf = AtomRef(3, 5)
-print("ancestor of leaf 5 at level 1:", tree.atom_containing(leaf, 1))
-print("children of the root:", tree.children_of(AtomRef(0, 0)))
+print("ancestor of leaf 5 at level 1:", AtomRef(1, int(tree.leaf_ancestors(1)[leaf.index])))
+print("children of the root:", [AtomRef(1, int(i)) for i in np.flatnonzero(tree.parents(1) == 0)])
 
 # a random tree is a pure function of (seed, depth, max_branch):
 # rebuilding with the same arguments gives the identical object

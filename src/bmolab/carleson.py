@@ -49,7 +49,7 @@ from .norms import (
     weak_lq_norm,
 )
 from .operators import _running_max, maximal
-from .process import AdaptedProcess, Martingale, _modulus, differences
+from .process import AdaptedProcess, Martingale, _leaf_moduli, _modulus, differences
 from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, stopping_time_table
 
 __all__ = [
@@ -156,7 +156,7 @@ def _node_blocks(mu: CarlesonMeasure):
     tree = mu.tree
     suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
     for n in range(tree.depth + 1):
-        c = np.add.reduceat(suffix[n], tree.leaf_starts(n))
+        c = tree.atom_sums(suffix[n], n)
         m = tree.masses(n)
         yield (lambda e: c * m**e), (lambda i: {"kind": "stopping-time", "stops": [[n, i]]})
 
@@ -263,7 +263,7 @@ def carleson_inequality_grid(
     if g.tree is not mu.tree and g.tree != mu.tree:
         raise ValueError("process and measure live on different trees")
 
-    mods = np.stack([_modulus(g.leaf_view(k)) for k in range(g.tree.depth + 1)])
+    mods = _leaf_moduli(g)
     mg = maximal(g)
     per_alpha = []
     for alpha, norm in zip(checked, carleson_alpha_norms(mu, checked, "node-fast")):

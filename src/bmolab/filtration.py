@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import json
 import os
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,12 +237,12 @@ class FiltrationTree:
             self._leaf_ancestor.append(np.repeat(np.arange(self.atom_count(n)), counts))
 
         for n in range(self._depth):
-            child_sums = np.add.reduceat(self._masses[n + 1], self._child_start[n])
-            bad = np.nonzero(np.abs(child_sums - self._masses[n]) > MASS_TOL)[0]
+            sums = self.child_sums(self._masses[n + 1], n)
+            bad = np.nonzero(np.abs(sums - self._masses[n]) > MASS_TOL)[0]
             if bad.size:
                 i = int(bad[0])
                 raise SchemaError(
-                    f"children masses sum to {float(child_sums[i])!r} but the atom mass "
+                    f"children masses sum to {float(sums[i])!r} but the atom mass "
                     f"is {float(self._masses[n][i])!r}",
                     _path(_atom_steps(self._parent, n, i)),
                 )
@@ -290,9 +290,6 @@ class FiltrationTree:
     def leaf_masses(self) -> np.ndarray:
         return self._masses[self._depth]
 
-    def atoms_at_level(self, n: int) -> list[AtomRef]:
-        return [AtomRef(n, i) for i in range(self.atom_count(n))]
-
     def parents(self, n: int) -> np.ndarray:
         """For each level-``n`` atom, the index of its level-``n-1`` parent."""
         if not 1 <= n <= self._depth:
@@ -302,20 +299,6 @@ class FiltrationTree:
     def mass_of(self, ref: AtomRef) -> float:
         self._check_ref(ref)
         return float(self._masses[ref.level][ref.index])
-
-    def parent_of(self, ref: AtomRef) -> AtomRef | None:
-        self._check_ref(ref)
-        if ref.level == 0:
-            return None
-        return AtomRef(ref.level - 1, int(self._parent[ref.level][ref.index]))
-
-    def children_of(self, ref: AtomRef) -> list[AtomRef]:
-        self._check_ref(ref)
-        if ref.level == self._depth:
-            return []
-        lo = int(self._child_start[ref.level][ref.index])
-        hi = int(self._child_stop[ref.level][ref.index])
-        return [AtomRef(ref.level + 1, i) for i in range(lo, hi)]
 
     def leaf_slice(self, ref: AtomRef) -> slice:
         """Contiguous range of leaf indices covered by the atom."""
@@ -334,37 +317,35 @@ class FiltrationTree:
         self._check_level(n)
         return self._leaf_ancestor[n]
 
-    def child_starts(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._depth:
-            raise ValueError(f"level {n} has no children (depth {self._depth})")
-        return self._child_start[n]
+    # Each atom's leaves, and each atom's children, form one contiguous run
+    # (atoms are stored in depth-first order), so a sum over them is one
+    # reduceat over the run starts; other modules sum through these methods.
 
-    def child_stops(self, n: int) -> np.ndarray:
-        if not 0 <= n < self._depth:
-            raise ValueError(f"level {n} has no children (depth {self._depth})")
-        return self._child_stop[n]
-
-    def atom_containing(self, leaf: AtomRef, n: int) -> AtomRef:
-        """Ancestor at level ``n`` of a leaf atom."""
-        if leaf.level != self._depth:
-            raise ValueError(f"expected a leaf (level {self._depth}), got level {leaf.level}")
-        self._check_ref(leaf)
+    def atom_sums(self, leaf_rows: np.ndarray, n: int) -> np.ndarray:
+        """Per level-``n`` atom, the sum of ``leaf_rows`` (one row per leaf,
+        leaves on axis 0) over the atom's leaves."""
         self._check_level(n)
-        return AtomRef(n, int(self._leaf_ancestor[n][leaf.index]))
+        return np.add.reduceat(self._rows(leaf_rows, self._depth), self._leaf_start[n], axis=0)
 
-    def is_ancestor(self, a: AtomRef, b: AtomRef) -> bool:
-        """True when atom ``a`` contains atom ``b`` (reflexively)."""
-        self._check_ref(a)
-        self._check_ref(b)
-        if a.level > b.level:
-            return False
-        sa, sb = self.leaf_slice(a), self.leaf_slice(b)
-        return sa.start <= sb.start and sb.stop <= sa.stop
+    def child_sums(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Per level-``n`` atom, the sum of ``rows`` (one row per level-``n + 1``
+        atom, atoms on axis 0) over the atom's children."""
+        self._check_parent_level(n)
+        return np.add.reduceat(self._rows(rows, n + 1), self._child_start[n], axis=0)
 
-    def iter_atoms(self) -> Iterator[AtomRef]:
-        for n in range(self._depth + 1):
-            for i in range(self.atom_count(n)):
-                yield AtomRef(n, i)
+    def child_slices(self, n: int) -> list[slice]:
+        """Per level-``n`` atom, the slice of level ``n + 1`` holding its children."""
+        self._check_parent_level(n)
+        return list(map(slice, self._child_start[n].tolist(), self._child_stop[n].tolist()))
+
+    def _rows(self, rows: np.ndarray, n: int) -> np.ndarray:
+        if len(rows) != len(self._masses[n]):
+            raise ValueError(f"expected {len(self._masses[n])} rows for level {n}, got {len(rows)}")
+        return rows
+
+    def _check_parent_level(self, n: int) -> None:
+        if not 0 <= n < self._depth:
+            raise ValueError(f"level {n} has no children (depth {self._depth})")
 
     def _check_level(self, n: int) -> None:
         if not 0 <= n <= self._depth:
@@ -384,10 +365,8 @@ class FiltrationTree:
             if n == self._depth:
                 nodes = [{"mass": m, "children": []} for m in masses]
             else:
-                starts = self._child_start[n].tolist()
-                stops = self._child_stop[n].tolist()
                 nodes = [
-                    {"mass": m, "children": nodes[a:b]} for m, a, b in zip(masses, starts, stops)
+                    {"mass": m, "children": nodes[s]} for m, s in zip(masses, self.child_slices(n))
                 ]
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
@@ -407,7 +386,7 @@ class FiltrationTree:
         depth = self._depth
         sizes = [np.ones(self.num_leaves, dtype=np.intp)]  # atoms per subtree
         for n in range(depth - 1, -1, -1):
-            sizes.append(1 + np.add.reduceat(sizes[-1], self._child_start[n]))
+            sizes.append(1 + self.child_sums(sizes[-1], n))
         sizes.reverse()
         # Slot 0 holds the text before the root, the last slot the text after.
         pieces = np.empty(2 * self.num_atoms + 2, dtype=object)

@@ -202,7 +202,7 @@ def _residual_integrals(
     tree = g.tree
     resid = g.level(g.depth) - _previous_leaf_values(g, n, previous)
     integrand = _modulus(resid) ** p * tree.leaf_masses
-    return np.add.reduceat(integrand, tree.leaf_starts(n))
+    return tree.atom_sums(integrand, n)
 
 
 class _ArgMax:

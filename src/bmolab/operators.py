@@ -22,6 +22,7 @@ from .process import (
     PredictableSequence,
     RandomVariable,
     _modulus,
+    _per_row,
     differences,
 )
 
@@ -49,14 +50,10 @@ def transform(f: Martingale, v: PredictableSequence) -> Martingale:
         raise ValueError("martingale and multiplier sequence live on different trees")
     tree = f.tree
     d = differences(f)
-
-    def scale(coeff: np.ndarray, term: np.ndarray) -> np.ndarray:
-        return coeff * term if term.ndim == 1 else coeff[:, None] * term
-
-    levels = [scale(v.values_on_level(0), d.term(0))]
+    levels = [_per_row(v.values_on_level(0), d.term(0)) * d.term(0)]
     for k in range(1, tree.depth + 1):
         lifted = levels[k - 1][tree.parents(k)]
-        levels.append(lifted + scale(v.values_on_level(k), d.term(k)))
+        levels.append(lifted + _per_row(v.values_on_level(k), d.term(k)) * d.term(k))
     return Martingale(tree, levels)
 
 

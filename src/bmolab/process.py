@@ -39,6 +39,11 @@ def _freeze(values: object, dtype=float) -> np.ndarray:
     return a
 
 
+def _per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``w``, one entry per row of ``x``, shaped to scale those rows."""
+    return w if x.ndim == 1 else w[:, None]
+
+
 def _modulus(values: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm; identity shape for scalar arrays."""
     if values.ndim == 1:
@@ -54,6 +59,11 @@ def _modulus(values: np.ndarray) -> np.ndarray:
         scale = np.max(rows, axis=-1, keepdims=True)
         mod[big] = scale[:, 0] * np.sqrt(np.sum((rows / scale) ** 2, axis=-1))
     return mod
+
+
+def _leaf_moduli(g: AdaptedProcess) -> np.ndarray:
+    """The modulus of every level of ``g`` spread onto the leaves, levels first."""
+    return np.stack([_modulus(g.leaf_view(n)) for n in range(g.depth + 1)])
 
 
 class RandomVariable(TreeDocument):
@@ -82,10 +92,8 @@ class RandomVariable(TreeDocument):
         return _modulus(self.values)
 
     def expectation(self):
-        w = self.tree.leaf_masses
-        if self.values.ndim == 1:
-            return float(np.sum(self.values * w))
-        return np.sum(self.values * w[:, None], axis=0)
+        total = np.sum(self.values * _per_row(self.tree.leaf_masses, self.values), axis=0)
+        return float(total) if self.values.ndim == 1 else total
 
     def _payload(self) -> dict:
         return {"dim": self.dim, "leaves": self.values.tolist()}
@@ -166,13 +174,9 @@ class Martingale(AdaptedProcess):
     def __init__(self, tree: FiltrationTree, levels, *, tol: float = MARTINGALE_TOL):
         super().__init__(tree, levels)
         for n in range(tree.depth):
-            child = self.levels[n + 1]
-            cm = tree.masses(n + 1)
-            weighted = child * cm if child.ndim == 1 else child * cm[:, None]
-            sums = np.add.reduceat(weighted, tree.child_starts(n), axis=0)
-            parent = self.levels[n]
-            pm = tree.masses(n)
-            expect = parent * pm if parent.ndim == 1 else parent * pm[:, None]
+            child, parent = self.levels[n + 1], self.levels[n]
+            sums = tree.child_sums(child * _per_row(tree.masses(n + 1), child), n)
+            expect = parent * _per_row(tree.masses(n), parent)
             err = float(np.max(np.abs(sums - expect))) if sums.size else 0.0
             if err > tol:
                 raise ValueError(
@@ -184,11 +188,8 @@ class Martingale(AdaptedProcess):
 def conditional_expectation(X: RandomVariable, n: int) -> np.ndarray:
     """Average of ``X`` over each level-``n`` atom (one value per atom)."""
     tree = X.tree
-    w = tree.leaf_masses
-    weighted = X.values * w if X.values.ndim == 1 else X.values * w[:, None]
-    sums = np.add.reduceat(weighted, tree.leaf_starts(n), axis=0)
-    m = tree.masses(n)
-    return sums / m if sums.ndim == 1 else sums / m[:, None]
+    sums = tree.atom_sums(X.values * _per_row(tree.leaf_masses, X.values), n)
+    return sums / _per_row(tree.masses(n), sums)
 
 
 def martingale_from_final(X: RandomVariable) -> Martingale:

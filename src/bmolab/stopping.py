@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SizeCapError
 from .filtration import AtomRef, FiltrationTree
-from .process import AdaptedProcess, RandomVariable, _modulus
+from .process import AdaptedProcess, RandomVariable, _leaf_moduli
 
 __all__ = [
     "StoppingTime",
@@ -96,10 +96,6 @@ class StoppingTime:
         self._tau = tau
         self.prob_finite = float(sum(tree.mass_of(r) for r in refs))
 
-    @property
-    def never_level(self) -> int:
-        return self.tree.depth + 1
-
     def tau_values(self) -> np.ndarray:
         return self._tau
 
@@ -113,18 +109,6 @@ class StoppingTime:
         """Boolean (depth+1, leaves) array of tent membership."""
         ks = np.arange(self.tree.depth + 1)
         return self._tau[None, :] <= ks[:, None]
-
-    def tent_member(self, leaf: int, k: int) -> bool:
-        return bool(self._tau[leaf] <= k)
-
-    def tent_atoms(self) -> Iterator[tuple[AtomRef, int]]:
-        """All (atom, level) pairs making up the tent, stop atoms split downward."""
-        for r in self.stops:
-            sl = self.tree.leaf_slice(r)
-            for k in range(r.level, self.tree.depth + 1):
-                anc = self.tree.leaf_ancestors(k)
-                for i in sorted(set(int(a) for a in anc[sl])):
-                    yield AtomRef(k, i), k
 
     def to_dict(self) -> dict:
         return {"schema": "tau/v1", "stops": [[r.level, r.index] for r in self.stops]}
@@ -190,8 +174,7 @@ def first_passage(g: AdaptedProcess, lam: float) -> StoppingTime:
     """
     tree = g.tree
     depth = tree.depth
-    mods = np.stack([_modulus(g.leaf_view(n)) for n in range(depth + 1)])
-    exceed = mods > lam
+    exceed = _leaf_moduli(g) > lam
     hit = exceed.any(axis=0)
     if not hit.any():
         return StoppingTime(tree, [])
@@ -208,9 +191,7 @@ def count_stopping_times(tree: FiltrationTree) -> int:
     """Exact number of stopping times (the never-stopping one included)."""
     counts = [2] * tree.atom_count(tree.depth)
     for n in reversed(range(tree.depth)):
-        lo = tree.child_starts(n)
-        hi = tree.child_stops(n)
-        counts = [1 + math.prod(counts[lo[i] : hi[i]]) for i in range(tree.atom_count(n))]
+        counts = [1 + math.prod(counts[s]) for s in tree.child_slices(n)]
     return counts[0]
 
 
@@ -236,10 +217,9 @@ def stopping_time_table(tree: FiltrationTree, max_enum: int | None = None) -> np
     dtype = np.int8 if depth < np.iinfo(np.int8).max else np.int16
     tables = [np.array([[depth], [depth + 1]], dtype=dtype)] * tree.atom_count(depth)
     for n in reversed(range(depth)):
-        lo, hi = tree.child_starts(n), tree.child_stops(n)
         parents = []
-        for i in range(tree.atom_count(n)):
-            kids = tables[lo[i] : hi[i]]
+        for s in tree.child_slices(n):
+            kids = tables[s]
             sizes = [len(t) for t in kids]
             combos = math.prod(sizes)
             width = sum(t.shape[1] for t in kids)

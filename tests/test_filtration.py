@@ -120,69 +120,63 @@ def test_single_atom_space():
 def test_leaf_slices_partition_leaves():
     tree = build_random(7, 3, 3)
     for n in range(tree.depth + 1):
-        edges = []
-        for ref in tree.atoms_at_level(n):
-            s = tree.leaf_slice(ref)
-            edges.append((s.start, s.stop))
-        assert edges[0][0] == 0
-        assert edges[-1][1] == tree.num_leaves
-        for (a, b), (c, d) in zip(edges, edges[1:]):
-            assert b == c
-            assert a < b
+        starts = tree.leaf_starts(n)
+        stops = np.append(starts[1:], tree.num_leaves)
+        assert starts[0] == 0
+        assert np.all(starts < stops)
+        slices = [tree.leaf_slice(AtomRef(n, i)) for i in range(tree.atom_count(n))]
+        assert slices == list(map(slice, starts.tolist(), stops.tolist()))
 
 
 def test_parent_child_roundtrip():
     tree = build_random(11, 3, 3)
-    assert tree.parent_of(AtomRef(0, 0)) is None
+    with pytest.raises(ValueError):
+        tree.parents(0)
     for n in range(1, tree.depth + 1):
-        for ref in tree.atoms_at_level(n):
-            parent = tree.parent_of(ref)
-            assert ref in tree.children_of(parent)
+        kids = tree.child_slices(n - 1)
+        for i, parent in enumerate(tree.parents(n).tolist()):
+            assert i in range(kids[parent].start, kids[parent].stop)
 
 
 def test_children_masses_sum_to_parent():
     tree = build_random(13, 4, 3)
     for n in range(tree.depth):
-        for ref in tree.atoms_at_level(n):
-            kids = tree.children_of(ref)
-            assert kids
-            total = sum(tree.mass_of(c) for c in kids)
-            assert abs(total - tree.mass_of(ref)) <= 1e-12
+        for i, kids in enumerate(tree.child_slices(n)):
+            assert kids.stop > kids.start
+            total = sum(tree.masses(n + 1)[kids].tolist())
+            assert abs(total - tree.masses(n)[i]) <= 1e-12
 
 
-def test_atom_containing_and_is_ancestor():
+def test_leaf_ancestors_and_leaf_slices_nest():
     tree = build_dyadic(3)
-    leaf = AtomRef(3, 5)
-    assert tree.atom_containing(leaf, 0) == AtomRef(0, 0)
-    assert tree.atom_containing(leaf, 1) == AtomRef(1, 1)
-    assert tree.atom_containing(leaf, 2) == AtomRef(2, 2)
-    assert tree.atom_containing(leaf, 3) == leaf
-    assert tree.is_ancestor(AtomRef(1, 1), leaf)
-    assert not tree.is_ancestor(AtomRef(1, 0), leaf)
-    assert tree.is_ancestor(leaf, leaf)
+    leaf = 5
+    assert [int(tree.leaf_ancestors(n)[leaf]) for n in range(4)] == [0, 1, 2, 5]
+    # an atom contains another exactly when its leaf slice covers the other's
+    assert tree.leaf_slice(AtomRef(1, 1)) == slice(4, 8)
+    assert tree.leaf_slice(AtomRef(1, 0)) == slice(0, 4)
+    assert tree.leaf_slice(AtomRef(3, leaf)) == slice(5, 6)
 
 
 def test_leaf_ancestors_matches_slices():
     tree = build_random(17, 3, 3)
     for n in range(tree.depth + 1):
         anc = tree.leaf_ancestors(n)
-        for ref in tree.atoms_at_level(n):
-            s = tree.leaf_slice(ref)
-            assert np.all(anc[s] == ref.index)
+        for i in range(tree.atom_count(n)):
+            assert np.all(anc[tree.leaf_slice(AtomRef(n, i))] == i)
 
 
-def test_iter_atoms_covers_everything_in_order():
-    tree = build_dyadic(2)
-    refs = list(tree.iter_atoms())
-    assert refs == [
-        AtomRef(0, 0),
-        AtomRef(1, 0),
-        AtomRef(1, 1),
-        AtomRef(2, 0),
-        AtomRef(2, 1),
-        AtomRef(2, 2),
-        AtomRef(2, 3),
-    ]
+def test_atoms_are_stored_in_depth_first_order():
+    # the layout the level sums rely on: each level's parent indices never
+    # decrease, so every atom's children are one run of the next level
+    tree = build_random(19, 4, 4)
+    for n in range(tree.depth):
+        parents = tree.parents(n + 1)
+        assert np.all(np.diff(parents) >= 0)
+        kids = tree.child_slices(n)
+        assert [s.start for s in kids[1:]] == [s.stop for s in kids[:-1]]
+        assert (kids[0].start, kids[-1].stop) == (0, tree.atom_count(n + 1))
+        for i, s in enumerate(kids):
+            assert np.all(parents[s] == i)
 
 
 def test_arrays_are_read_only():
@@ -224,8 +218,7 @@ def test_random_tree_is_a_pure_function_of_its_arguments():
 def test_random_tree_respects_branch_limit():
     tree = build_random(5, 4, 3)
     for n in range(tree.depth):
-        for ref in tree.atoms_at_level(n):
-            assert 1 <= len(tree.children_of(ref)) <= 3
+        assert {s.stop - s.start for s in tree.child_slices(n)} <= {1, 2, 3}
 
 
 def test_random_atom_cap():
@@ -242,8 +235,8 @@ def test_leaf_masses_match_oracle():
     assert np.allclose(tree.leaf_masses, oracles.leaf_masses(doc), rtol=0, atol=0)
     layers = oracles.atom_layers(doc)
     for n in range(tree.depth + 1):
-        got = [(tree.leaf_slice(r).start, tree.leaf_slice(r).stop, tree.mass_of(r))
-               for r in tree.atoms_at_level(n)]
+        refs = [AtomRef(n, i) for i in range(tree.atom_count(n))]
+        got = [(tree.leaf_slice(r).start, tree.leaf_slice(r).stop, tree.mass_of(r)) for r in refs]
         assert got == [(s, e, m) for s, e, m in layers[n]]
 
 

@@ -99,7 +99,8 @@ def test_tower_property():
         # averaging level n+1 over level-n atoms reproduces level n
         w = tree.masses(n + 1)
         vals = f.level(n + 1) * w[:, None]
-        sums = np.add.reduceat(vals, tree.child_starts(n), axis=0)
+        sums = np.zeros_like(f.level(n))
+        np.add.at(sums, tree.parents(n + 1), vals)
         assert np.allclose(sums / tree.masses(n)[:, None], f.level(n), atol=1e-12)
 
 

@@ -40,8 +40,8 @@ def test_overlapping_stops_rejected():
 def test_tau_values_and_sentinel():
     tree = build_dyadic(2)
     tau = StoppingTime(tree, [(1, 0), (2, 2)])
-    assert tau.never_level == 3
     assert np.array_equal(tau.tau_values(), [1, 1, 2, 3])
+    assert tau.tau_values()[3] == tree.depth + 1  # the never-stopping sentinel
     assert np.array_equal(tau.finite_mask(), [True, True, True, False])
     assert tau.prob_finite == 0.75
 
@@ -73,20 +73,17 @@ def test_tent_mask_and_membership():
     assert np.array_equal(mask[0], [False, False, False, False])
     assert np.array_equal(mask[1], [True, True, False, False])
     assert np.array_equal(mask[2], [True, True, False, False])
-    assert tau.tent_member(0, 1)
-    assert not tau.tent_member(0, 0)
-    assert not tau.tent_member(2, 2)
+    # leaf 0 is in the tent from level 1 on; leaf 2 never is
+    assert np.array_equal(tau.tau_values(), [1, 1, 3, 3])
 
 
-def test_tent_atoms_lists_the_region():
+def test_tent_covers_the_atoms_below_its_stops():
     tree = build_dyadic(2)
-    tau = stop_on_atoms(tree, 1, [0])
-    got = list(tau.tent_atoms())
-    assert got == [
-        (AtomRef(1, 0), 1),
-        (AtomRef(2, 0), 2),
-        (AtomRef(2, 1), 2),
+    mask = stop_on_atoms(tree, 1, [0]).tent_mask()
+    got = [
+        (k, sorted(set(tree.leaf_ancestors(k)[mask[k]].tolist()))) for k in range(tree.depth + 1)
     ]
+    assert got == [(0, []), (1, [0]), (2, [0, 1])]
 
 
 # == counting and enumeration ================================================

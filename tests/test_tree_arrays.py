@@ -2,14 +2,17 @@
 the recursive reference builders, bit for bit, and the tree/v1 text
 against the standard library's ``json.dumps``, byte for byte."""
 
+import ast
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import bmolab
 from bmolab import (
     FiltrationTree,
     RandomVariable,
@@ -303,3 +306,77 @@ def test_fuzzed_tree_errors_are_pinned():
             lines.append(f"{type(exc).__name__}: {exc} @ {getattr(exc, 'path', '')}")
     text = "\n".join(lines)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "1cf3065812b2f42c"
+
+
+# == level sums: the tree keeps its layout to itself =========================
+
+
+def test_only_the_tree_calls_reduceat():
+    """Each atom's leaves, and its children, form one contiguous run; only
+    filtration.py may sum over those runs with ``reduceat``."""
+    package = Path(bmolab.__file__).parent
+    calls = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "reduceat"
+    ]
+    assert calls
+    assert [c for c in calls if not c.startswith("filtration.py:")] == []
+
+
+@st.composite
+def wide_roots(draw):
+    """Trees whose root has 8 to 12 children, where numpy's add switches to
+    pairwise summation, and whose deeper atoms have 1 to 10."""
+    depth = draw(st.integers(1, 3))
+
+    def node(level, mass):
+        if level == depth:
+            return {"mass": mass, "children": []}
+        k = draw(st.integers(8, 12) if level == 0 else st.integers(1, 10))
+        return {"mass": mass, "children": [node(level + 1, mass / k) for _ in range(k)]}
+
+    return node(0, 1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(wide_roots(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_level_sums_match_a_loop(root, dim, seed):
+    tree = FiltrationTree(root)
+    layers, parents = oracles.atom_layers(root), oracles.levels(root)
+    rng = np.random.default_rng(seed)
+
+    def shape(n):
+        return (tree.atom_count(n),) if dim == 1 else (tree.atom_count(n), dim)
+
+    leaf_rows = rng.standard_normal(shape(tree.depth))
+    for n in range(tree.depth + 1):
+        want = np.zeros(shape(n))
+        for i, (start, stop, _) in enumerate(layers[n]):
+            for j in range(start, stop):
+                want[i] += leaf_rows[j]
+        got = tree.atom_sums(leaf_rows, n)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+    for n in range(tree.depth):
+        rows = rng.standard_normal(shape(n + 1))
+        want = np.zeros(shape(n))
+        for j, (_, parent) in enumerate(parents[n + 1]):
+            want[parent] += rows[j]
+        got = tree.child_sums(rows, n)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_level_sums_refuse_wrong_rows_and_levels():
+    tree = build_dyadic(2)
+    with pytest.raises(ValueError, match="expected 4 rows"):
+        tree.atom_sums(np.ones(3), 1)
+    with pytest.raises(ValueError, match="expected 2 rows"):
+        tree.child_sums(np.ones(4), 0)
+    with pytest.raises(ValueError, match="no children"):
+        tree.child_sums(np.ones(4), 2)
+    with pytest.raises(ValueError, match="no children"):
+        tree.child_slices(-1)
+    assert tree.child_slices(1) == [slice(0, 2), slice(2, 4)]
