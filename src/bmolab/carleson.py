@@ -49,7 +49,7 @@ from .norms import (
     weak_lq_norm,
 )
 from .operators import _running_max, maximal
-from .process import AdaptedProcess, Martingale, _leaf_moduli, _modulus, differences
+from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, _modulus, differences
 from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, stopping_time_table
 
 __all__ = [
@@ -75,7 +75,7 @@ class CarlesonMeasure(TreeDocument):
     FIELD = "densities"
 
     def __init__(self, tree: FiltrationTree, densities):
-        d = np.array(densities, dtype=float)
+        d = _freeze(densities)
         if d.shape != (tree.depth + 1, tree.num_leaves):
             raise ValueError(
                 f"densities must have shape {(tree.depth + 1, tree.num_leaves)}, "
@@ -85,7 +85,6 @@ class CarlesonMeasure(TreeDocument):
             raise ValueError("densities must be finite")
         if np.any(d < 0):
             raise ValueError("densities must be nonnegative")
-        d.flags.writeable = False
         self.tree = tree
         self.densities = d
         w = d * tree.leaf_masses

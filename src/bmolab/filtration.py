@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import bisect
 import json
+import math
 import os
 from typing import NamedTuple
 
@@ -86,6 +87,14 @@ def _in_range(masses: np.ndarray) -> np.ndarray:
     return (masses > 0.0) & (masses <= 1.0)
 
 
+def _float(x: int | float) -> float:
+    """``float(x)``, or inf of its sign for an integer beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _atom_steps(parents, level: int, index: int) -> list[int]:
     """Child positions on the way from the root down to an atom.
 
@@ -139,8 +148,8 @@ def _levels_of(root: object) -> tuple[list[list[float]], list[list[int]]]:
             error = "atom must be an object with 'mass' and 'children'"
         elif not isinstance(mass := node["mass"], (int, float)) or isinstance(mass, bool):
             error = f"mass must be a number, got {type(mass).__name__}"
-        elif not 0.0 < float(mass) <= 1.0:
-            error = _MASS_RANGE.format(float(mass))
+        elif not 0.0 < mass <= 1.0:
+            error = _MASS_RANGE.format(_float(mass))
         elif not isinstance(children := node.get("children", []), list):
             error = "'children' must be a list"
         else:

@@ -34,7 +34,10 @@ MARTINGALE_TOL = 1e-10
 
 
 def _freeze(values: object, dtype=float) -> np.ndarray:
-    a = np.array(values, dtype=dtype)
+    try:
+        a = np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError("values must be finite, got an integer too large for a float") from None
     a.flags.writeable = False
     return a
 

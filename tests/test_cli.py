@@ -238,6 +238,30 @@ def test_malformed_tree_exits_2(tmp_path, capsys):
     assert "root" in err
 
 
+def _huge_mass(path):
+    doc = build_dyadic(1).to_dict()
+    doc["root"]["children"][0]["mass"] = 10**400
+    path.write_text(json.dumps(doc))
+    return ("gen-martingale", "--tree", str(path)), "root/children/0: mass must lie in (0, 1]"
+
+
+def _huge_level_value(path):
+    doc = random_martingale(build_dyadic(1), 1).to_dict()
+    doc["levels"][1][0] = 10**400
+    path.write_text(json.dumps(doc))
+    return ("norm", str(path), "--alpha", "0.25"), "levels: values must be finite"
+
+
+@pytest.mark.parametrize("write", [_huge_mass, _huge_level_value])
+def test_integer_too_large_for_a_float_exits_2(tmp_path, write):
+    argv, message = write(tmp_path / "doc.json")
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith(f"input error: {message}")
+    assert proc.stdout == ""
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

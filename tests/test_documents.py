@@ -59,6 +59,13 @@ def _not_a_martingale(doc, field):
     doc[field][0] = [doc[field][0][0] + 1.0]
 
 
+def _huge_integer(doc, field):
+    row = doc[field]
+    while isinstance(row[0], list):
+        row = row[0]
+    row[0] = 10**400  # an integer too large for a float
+
+
 BROKEN = {
     "wrong-schema": (_wrong_schema, "$"),
     "not-an-object": (_not_an_object, "$"),
@@ -66,6 +73,7 @@ BROKEN = {
     "missing-field": (_missing_field, "$"),
     "wrong-length": (_wrong_length, None),  # None: the field's own name
     "not-a-martingale": (_not_a_martingale, "levels"),
+    "huge-integer": (_huge_integer, None),
 }
 
 CASES = [
