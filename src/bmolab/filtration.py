@@ -454,8 +454,9 @@ class FiltrationTree:
             for a, b in zip(self._masses, other._masses)
         ) and all(bool(np.all(a == b)) for a, b in zip(self._parent, other._parent))
 
-    def __hash__(self) -> int:  # identity hash; trees are mutable-free but large
-        return id(self)
+    def __hash__(self) -> int:
+        # only what __eq__ compares: equal trees have the same level sizes
+        return hash((self._depth, tuple(map(len, self._masses))))
 
     def __repr__(self) -> str:
         return f"FiltrationTree(depth={self._depth}, leaves={self.num_leaves})"
@@ -514,9 +515,13 @@ class TreeDocument:
         if not isinstance(doc.get(cls.FIELD), list):
             raise SchemaError(f"missing '{cls.FIELD}' list", "$")
         try:
-            return cls(tree, doc[cls.FIELD])
+            obj = cls(tree, doc[cls.FIELD])
         except ValueError as exc:
             raise SchemaError(str(exc), cls.FIELD) from exc
+        dim = getattr(obj, "dim", None)  # rv/v1 and process/v1 state their values' width
+        if dim is not None and (type(doc.get("dim")) is not int or doc["dim"] != dim):
+            raise SchemaError(f"expected the integer {dim}, the width of the values", "dim")
+        return obj
 
     @classmethod
     def load(cls, path: str):

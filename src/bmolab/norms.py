@@ -455,12 +455,16 @@ def process_bmo_alpha_norm(
 def bmo_ratio_at(
     f: AdaptedProcess, alpha: float, level: int, atoms, p: float = 2.0
 ) -> float:
-    """Re-evaluate the defining ratio at one union of same-level atoms."""
+    """Re-evaluate the defining ratio at one union of same-level atoms;
+    an atom listed twice counts once."""
     alpha = _check_alpha(alpha)
     r = _residual_integrals(f, level, p)
-    idx = sorted(int(i) for i in atoms)
+    idx = sorted({int(i) for i in atoms})
     if not idx:
         raise ValueError("need at least one atom")
+    for i in (idx[0], idx[-1]):
+        if not 0 <= i < len(r):
+            raise ValueError(f"atom index {i} out of range at level {level}")
     return float(
         np.sum(r[idx]) ** (1.0 / p) * np.sum(f.tree.masses(level)[idx]) ** (-1.0 / p - alpha)
     )

@@ -97,6 +97,30 @@ def test_from_dict_error_paths(kind, breakage):
 
 
 @pytest.mark.parametrize("kind", ["rv", "martingale"])
+@pytest.mark.parametrize("dim", [3, "1", 1.0, True, None, 10**400, "missing"])
+def test_dim_must_be_the_width_of_the_values(kind, dim):
+    cls, make, _ = DOCUMENTS[kind]
+    doc = make(build_dyadic(2)).to_dict()
+    if dim == "missing":
+        del doc["dim"]
+    else:
+        doc["dim"] = dim
+    with pytest.raises(SchemaError, match="the width of the values") as info:
+        cls.from_dict(doc)
+    assert info.value.path == "dim"
+
+
+def test_vector_dim_is_checked_and_kept():
+    f = random_adapted_process(build_dyadic(2), 13, 3)
+    text = f.to_json()
+    assert type(f).from_dict(json.loads(text)).to_json() == text
+    doc = f.to_dict()
+    doc["dim"] = 1
+    with pytest.raises(SchemaError, match="expected the integer 3"):
+        type(f).from_dict(doc)
+
+
+@pytest.mark.parametrize("kind", ["rv", "martingale"])
 def test_zero_width_document_is_refused(kind):
     cls, make, field = DOCUMENTS[kind]
     doc = make(build_dyadic(2)).to_dict()

@@ -179,6 +179,16 @@ def test_atoms_are_stored_in_depth_first_order():
             assert np.all(parents[s] == i)
 
 
+def test_equal_trees_hash_alike():
+    for build in (lambda: build_dyadic(3), lambda: build_random(7, 3, 3)):
+        a = build()
+        same = [build(), FiltrationTree.from_dict(json.loads(a.to_json())),
+                FiltrationTree(a.to_dict()["root"])]
+        assert all(t == a for t in same)
+        assert len({a, *same}) == 1
+    assert len({build_dyadic(2), build_dyadic(3), build_random(7, 3, 3)}) == 3
+
+
 def test_arrays_are_read_only():
     tree = build_dyadic(2)
     with pytest.raises(ValueError):

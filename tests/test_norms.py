@@ -318,6 +318,16 @@ def test_ratio_at_reproduces_the_witness(depth2_example):
     )
 
 
+def test_ratio_at_scores_a_set_of_atoms():
+    f = random_martingale(build_dyadic(2), 1)
+    once = bmo_ratio_at(f, 0.25, 1, [0])
+    assert bmo_ratio_at(f, 0.25, 1, [0, 0]) == once
+    assert bmo_ratio_at(f, 0.25, 1, [1, 0, 1]) == bmo_ratio_at(f, 0.25, 1, [0, 1])
+    for atom in (-1, 2, 3):
+        with pytest.raises(ValueError, match=f"atom index {atom} out of range at level 1"):
+            bmo_ratio_at(f, 0.25, 1, [0, atom])
+
+
 def test_replay_every_mode(depth2_example):
     _, f = depth2_example
     for mode in BMO_MODES:
