@@ -348,8 +348,9 @@ class FiltrationTree:
         return list(map(slice, self._child_start[n].tolist(), self._child_stop[n].tolist()))
 
     def _rows(self, rows: np.ndarray, n: int) -> np.ndarray:
-        if len(rows) != len(self._masses[n]):
-            raise ValueError(f"expected {len(self._masses[n])} rows for level {n}, got {len(rows)}")
+        count = len(self._masses[n])
+        if len(rows) != count:
+            raise ValueError(f"expected {count} rows for level {n}, got {len(rows)}")
         return rows
 
     def _check_parent_level(self, n: int) -> None:
@@ -374,8 +375,10 @@ class FiltrationTree:
             if n == self._depth:
                 nodes = [{"mass": m, "children": []} for m in masses]
             else:
+                starts = self._child_start[n].tolist()
+                stops = self._child_stop[n].tolist()
                 nodes = [
-                    {"mass": m, "children": nodes[s]} for m, s in zip(masses, self.child_slices(n))
+                    {"mass": m, "children": nodes[a:b]} for m, a, b in zip(masses, starts, stops)
                 ]
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
