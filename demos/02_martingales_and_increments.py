@@ -31,15 +31,16 @@ f = martingale_from_final(X)
 for n in range(f.depth + 1):
     print(f"f_{n} =", f.level(n))
 
-# increments d_k = f_k - f_(k-1), with d_0 the starting value itself
+# increments d_k = f_k - f_(k-1), with d_0 the starting value itself: an
+# adapted process, since d_k lives on the level-k atoms
 d = differences(f)
-for k in range(len(d)):
-    print(f"d_{k} =", d.term(k))
+for k in range(d.depth + 1):
+    print(f"d_{k} =", d.level(k))
 
 # distinct increments are orthogonal: the cross terms vanish, so the
 # squared L2 norm of the final value splits into a sum over levels
 w = tree.leaf_masses
 total = float(np.sum(f.leaf_view(2) ** 2 * w))
-parts = [float(np.sum(d.leaf_term(k) ** 2 * w)) for k in range(len(d))]
+parts = [float(np.sum(d.leaf_view(k) ** 2 * w)) for k in range(d.depth + 1)]
 print("\n||f_2||^2 =", total)
 print("sum of ||d_k||^2 =", sum(parts), "=", parts)

@@ -49,7 +49,7 @@ from .norms import (
     weak_lq_norm,
 )
 from .operators import _running_max, maximal
-from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, _modulus, differences
+from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, differences
 from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, stopping_time_table
 
 __all__ = [
@@ -127,9 +127,7 @@ def from_martingale(f: Martingale) -> CarlesonMeasure:
     """Density row k is the squared modulus of the k-th increment of f."""
     tree = f.tree
     d = differences(f)
-    rows = [
-        (_modulus(d.term(k)) ** 2)[tree.leaf_ancestors(k)] for k in range(tree.depth + 1)
-    ]
+    rows = [(d.modulus_level(k) ** 2)[tree.leaf_ancestors(k)] for k in range(tree.depth + 1)]
     return CarlesonMeasure(tree, np.stack(rows))
 
 
@@ -146,6 +144,13 @@ def _check_alpha_carleson(alpha: float) -> float:
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     return alpha
+
+
+def _check_p(p: float) -> None:
+    if not p > 1:
+        raise ValueError(f"p must exceed 1, got {p}")
+    if p == np.inf:
+        raise ValueError(f"p must be finite, got {p}")
 
 
 def _node_blocks(mu: CarlesonMeasure):
@@ -251,8 +256,7 @@ def carleson_inequality_grid(
     per p.  The results in one column share their measure-norm result.
     """
     for p in ps:
-        if not p > 1:
-            raise ValueError(f"p must exceed 1, got {p}")
+        _check_p(p)
     checked = []
     for alpha in alphas:
         alpha = _check_alpha_carleson(alpha)
@@ -329,8 +333,7 @@ def converse_extraction(
     checked, not assumed.  The verdict compares every ratio
     mu(tent)/P^(1+2 alpha) against c_p with hairline float slack.
     """
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+    _check_p(p)
     alpha = _check_alpha_carleson(alpha)
     expo = -(1.0 + 2.0 * alpha)
     slack = 1e-12 * max(1.0, float(c_p))

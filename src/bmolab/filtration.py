@@ -212,38 +212,27 @@ class FiltrationTree:
             )
 
         # Children of consecutive parents are consecutive (DFS order), so the
-        # child block of each atom is a contiguous range in the next level.
-        self._child_start: list[np.ndarray] = []
-        self._child_stop: list[np.ndarray] = []
-        for n in range(self._depth):
-            idx = np.arange(self.atom_count(n))
-            self._child_start.append(np.searchsorted(self._parent[n + 1], idx, side="left"))
-            self._child_stop.append(np.searchsorted(self._parent[n + 1], idx, side="right"))
-        if self._depth and not (
-            np.concatenate(self._child_stop) > np.concatenate(self._child_start)
-        ).all():
-            childless = [
-                np.flatnonzero(a == b) for a, b in zip(self._child_start, self._child_stop)
-            ]
-            steps, n, _ = _first_atom(self._parent, childless)
+        # children of atom i form the run b[i]:b[i + 1] of the next level,
+        # and so do its leaves; a level's runs are kept as one bounds array b.
+        self._child_bounds = [
+            np.searchsorted(self._parent[n + 1], np.arange(self.atom_count(n) + 1))
+            for n in range(self._depth)
+        ]
+        sizes = [np.diff(b) for b in self._child_bounds]
+        if self._depth and not np.concatenate(sizes).all():
+            steps, n, _ = _first_atom(self._parent, [np.flatnonzero(s == 0) for s in sizes])
             raise SchemaError(
                 f"leaf at level {n}, but all leaves must sit at level {self._depth}",
                 _path(steps),
             )
 
-        num_leaves = self.atom_count(self._depth)
-        self._leaf_start: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * (self._depth + 1)
-        self._leaf_stop: list[np.ndarray] = [np.empty(0, dtype=np.intp)] * (self._depth + 1)
-        self._leaf_start[self._depth] = np.arange(num_leaves, dtype=np.intp)
-        self._leaf_stop[self._depth] = np.arange(1, num_leaves + 1, dtype=np.intp)
-        for n in range(self._depth - 1, -1, -1):
-            self._leaf_start[n] = self._leaf_start[n + 1][self._child_start[n]]
-            self._leaf_stop[n] = self._leaf_stop[n + 1][self._child_stop[n] - 1]
-
-        self._leaf_ancestor: list[np.ndarray] = []
-        for n in range(self._depth + 1):
-            counts = self._leaf_stop[n] - self._leaf_start[n]
-            self._leaf_ancestor.append(np.repeat(np.arange(self.atom_count(n)), counts))
+        self._leaf_bounds = [np.arange(self.num_leaves + 1)]
+        for b in reversed(self._child_bounds):
+            self._leaf_bounds.append(self._leaf_bounds[-1][b])
+        self._leaf_bounds.reverse()
+        self._leaf_ancestor = [
+            np.repeat(np.arange(len(b) - 1), np.diff(b)) for b in self._leaf_bounds
+        ]
 
         for n in range(self._depth):
             sums = self.child_sums(self._masses[n + 1], n)
@@ -263,10 +252,8 @@ class FiltrationTree:
         for arrays in (
             self._masses,
             self._parent,
-            self._child_start,
-            self._child_stop,
-            self._leaf_start,
-            self._leaf_stop,
+            self._child_bounds,
+            self._leaf_bounds,
             self._leaf_ancestor,
         ):
             for a in arrays:
@@ -312,14 +299,12 @@ class FiltrationTree:
     def leaf_slice(self, ref: AtomRef) -> slice:
         """Contiguous range of leaf indices covered by the atom."""
         self._check_ref(ref)
-        return slice(
-            int(self._leaf_start[ref.level][ref.index]),
-            int(self._leaf_stop[ref.level][ref.index]),
-        )
+        b = self._leaf_bounds[ref.level]
+        return slice(int(b[ref.index]), int(b[ref.index + 1]))
 
     def leaf_starts(self, n: int) -> np.ndarray:
         self._check_level(n)
-        return self._leaf_start[n]
+        return self._leaf_bounds[n][:-1]
 
     def leaf_ancestors(self, n: int) -> np.ndarray:
         """For each leaf, the index of the level-``n`` atom containing it."""
@@ -334,18 +319,19 @@ class FiltrationTree:
         """Per level-``n`` atom, the sum of ``leaf_rows`` (one row per leaf,
         leaves on axis 0) over the atom's leaves."""
         self._check_level(n)
-        return np.add.reduceat(self._rows(leaf_rows, self._depth), self._leaf_start[n], axis=0)
+        return np.add.reduceat(self._rows(leaf_rows, self._depth), self._leaf_bounds[n][:-1], axis=0)
 
     def child_sums(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Per level-``n`` atom, the sum of ``rows`` (one row per level-``n + 1``
         atom, atoms on axis 0) over the atom's children."""
         self._check_parent_level(n)
-        return np.add.reduceat(self._rows(rows, n + 1), self._child_start[n], axis=0)
+        return np.add.reduceat(self._rows(rows, n + 1), self._child_bounds[n][:-1], axis=0)
 
     def child_slices(self, n: int) -> list[slice]:
         """Per level-``n`` atom, the slice of level ``n + 1`` holding its children."""
         self._check_parent_level(n)
-        return list(map(slice, self._child_start[n].tolist(), self._child_stop[n].tolist()))
+        b = self._child_bounds[n].tolist()
+        return list(map(slice, b[:-1], b[1:]))
 
     def _rows(self, rows: np.ndarray, n: int) -> np.ndarray:
         count = len(self._masses[n])
@@ -375,11 +361,8 @@ class FiltrationTree:
             if n == self._depth:
                 nodes = [{"mass": m, "children": []} for m in masses]
             else:
-                starts = self._child_start[n].tolist()
-                stops = self._child_stop[n].tolist()
-                nodes = [
-                    {"mass": m, "children": nodes[a:b]} for m, a, b in zip(masses, starts, stops)
-                ]
+                b = self._child_bounds[n].tolist()
+                nodes = [{"mass": m, "children": nodes[i:j]} for m, i, j in zip(masses, b, b[1:])]
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
     def to_json(self) -> str:
@@ -412,9 +395,9 @@ class FiltrationTree:
                 # two pieces of every atom in its earlier siblings' subtrees.
                 parent = self._parent[n]
                 before = np.cumsum(sizes[n]) - sizes[n]
-                first = self._child_start[n - 1][parent]
+                first = self._child_bounds[n - 1][parent]
                 opens = opens[parent] + 1 + 2 * (before - before[first])
-                last = np.arange(len(parent)) == self._child_stop[n - 1][parent] - 1
+                last = np.append(parent[1:] != parent[:-1], True)
             keys = margin + " " * (4 * n + 4)
             brace = keys[:-2]
             if n == depth:

@@ -431,8 +431,8 @@ def bmo_alpha_p_norm(
     `subset-bruteforce` for experiments; the two are not asserted equal.
     Nondecreasing in p by the power-mean inequality.
     """
-    if p < 1:
-        raise ValueError(f"p must be at least 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
     if mode not in ("atom-fast", "subset-bruteforce"):
         raise ValueError("p-variant supports atom-fast and subset-bruteforce modes")
     return _bmo_sups(f, [_check_alpha(alpha)], float(p), mode, max_enum)[0].value

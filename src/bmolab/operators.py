@@ -50,10 +50,10 @@ def transform(f: Martingale, v: PredictableSequence) -> Martingale:
         raise ValueError("martingale and multiplier sequence live on different trees")
     tree = f.tree
     d = differences(f)
-    levels = [_per_row(v.values_on_level(0), d.term(0)) * d.term(0)]
+    levels = [_per_row(v.values_on_level(0), d.level(0)) * d.level(0)]
     for k in range(1, tree.depth + 1):
         lifted = levels[k - 1][tree.parents(k)]
-        levels.append(lifted + _per_row(v.values_on_level(k), d.term(k)) * d.term(k))
+        levels.append(lifted + _per_row(v.values_on_level(k), d.level(k)) * d.level(k))
     return Martingale(tree, levels)
 
 
@@ -66,11 +66,11 @@ def l2_lift(f: Martingale) -> Martingale:
     depth = tree.depth
     d = differences(f)
     cur = np.zeros((1, depth + 1))
-    cur[:, 0] = d.term(0)
+    cur[:, 0] = d.level(0)
     levels = [cur]
     for n in range(1, depth + 1):
         nxt = levels[n - 1][tree.parents(n)].copy()
-        nxt[:, n] = d.term(n)
+        nxt[:, n] = d.level(n)
         levels.append(nxt)
     return Martingale(tree, levels)
 
@@ -83,10 +83,10 @@ def square_function(f: Martingale) -> AdaptedProcess:
     """
     tree = f.tree
     d = differences(f)
-    sq = _modulus(d.term(0)) ** 2
+    sq = d.modulus_level(0) ** 2
     levels = [np.sqrt(sq)]
     for n in range(1, tree.depth + 1):
-        sq = sq[tree.parents(n)] + _modulus(d.term(n)) ** 2
+        sq = sq[tree.parents(n)] + d.modulus_level(n) ** 2
         levels.append(np.sqrt(sq))
     return AdaptedProcess(tree, levels)
 

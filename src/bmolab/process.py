@@ -20,7 +20,6 @@ __all__ = [
     "RandomVariable",
     "AdaptedProcess",
     "Martingale",
-    "DifferenceSequence",
     "PredictableSequence",
     "conditional_expectation",
     "martingale_from_final",
@@ -174,14 +173,14 @@ class Martingale(AdaptedProcess):
     componentwise, within ``MARTINGALE_TOL`` absolute.
     """
 
-    def __init__(self, tree: FiltrationTree, levels, *, tol: float = MARTINGALE_TOL):
+    def __init__(self, tree: FiltrationTree, levels):
         super().__init__(tree, levels)
         for n in range(tree.depth):
             child, parent = self.levels[n + 1], self.levels[n]
             sums = tree.child_sums(child * _per_row(tree.masses(n + 1), child), n)
             expect = parent * _per_row(tree.masses(n), parent)
             err = float(np.max(np.abs(sums - expect))) if sums.size else 0.0
-            if err > tol:
+            if err > MARTINGALE_TOL:
                 raise ValueError(
                     f"martingale property fails between levels {n} and {n + 1} "
                     f"(max error {err:.3e})"
@@ -201,37 +200,18 @@ def martingale_from_final(X: RandomVariable) -> Martingale:
     return Martingale(tree, [conditional_expectation(X, n) for n in range(tree.depth + 1)])
 
 
-class DifferenceSequence:
-    """One-step increments of a martingale, indexed by level.
+def differences(f: AdaptedProcess) -> AdaptedProcess:
+    """One-step increments of ``f``, the k-th on level-k atoms.
 
-    ``term(k)`` lives on level-k atoms; the zeroth term is the starting
-    value itself (the process before time zero is zero), so the terms
-    telescope back to the process: summing lifted terms through level n
-    reproduces the level-n values.
+    The zeroth increment is the starting value itself (the process before
+    time zero is zero), so the increments telescope back to the process:
+    summing lifted increments through level n reproduces the level-n values.
     """
-
-    def __init__(self, tree: FiltrationTree, terms, dim: int):
-        self.tree = tree
-        self.terms = tuple(terms)
-        self.dim = dim
-
-    def term(self, k: int) -> np.ndarray:
-        return self.terms[k]
-
-    def leaf_term(self, k: int) -> np.ndarray:
-        return self.terms[k][self.tree.leaf_ancestors(k)]
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-
-def differences(f: AdaptedProcess) -> DifferenceSequence:
     tree = f.tree
-    terms = [f.level(0)]
+    levels = [f.level(0)]
     for k in range(1, tree.depth + 1):
-        lifted = f.level(k - 1)[tree.parents(k)]
-        terms.append(_freeze(f.level(k) - lifted))
-    return DifferenceSequence(tree, terms, f.dim)
+        levels.append(f.level(k) - f.level(k - 1)[tree.parents(k)])
+    return AdaptedProcess(tree, levels)
 
 
 class PredictableSequence:

@@ -121,11 +121,12 @@ class StoppingTime:
             raise SchemaError("expected a tau/v1 document", "$")
         stops = doc.get("stops")
         if not isinstance(stops, list) or any(
-            not isinstance(s, list) or len(s) != 2 for s in stops
+            not isinstance(s, list) or len(s) != 2 or any(type(x) is not int for x in s)
+            for s in stops
         ):
-            raise SchemaError("'stops' must be a list of [level, index] pairs", "stops")
+            raise SchemaError("'stops' must be a list of [level, index] integer pairs", "stops")
         try:
-            return cls(tree, [AtomRef(int(l), int(i)) for l, i in stops])
+            return cls(tree, [AtomRef(l, i) for l, i in stops])
         except ValueError as exc:
             raise SchemaError(str(exc), "stops") from exc
 
@@ -173,18 +174,9 @@ def first_passage(g: AdaptedProcess, lam: float) -> StoppingTime:
     the never-stopping time.
     """
     tree = g.tree
-    depth = tree.depth
     exceed = _leaf_moduli(g) > lam
-    hit = exceed.any(axis=0)
-    if not hit.any():
-        return StoppingTime(tree, [])
-    fp = np.argmax(exceed, axis=0)
-    ancestors = np.stack([tree.leaf_ancestors(n) for n in range(depth + 1)])
-    leaves = np.flatnonzero(hit)
-    pairs = np.unique(
-        np.stack([fp[leaves], ancestors[fp[leaves], leaves]], axis=1), axis=0
-    )
-    return StoppingTime(tree, [AtomRef(int(l), int(i)) for l, i in pairs])
+    row = np.where(exceed.any(axis=0), np.argmax(exceed, axis=0), tree.depth + 1)
+    return StoppingTime(tree, row_stops(tree, row))
 
 
 def count_stopping_times(tree: FiltrationTree) -> int:

@@ -11,8 +11,10 @@ recursive nested-dict builders the package used before it built trees
 as level arrays, kept verbatim; ``build_random`` needs numpy's generator
 to make the same draws.  The reference tree/v1 text is the standard
 library's ``json.dumps`` of their output.  The reference per-alpha norm
-scans at the end are the package's norms before it scanned all alphas
-at once, kept verbatim on the package's tree and stopping primitives.
+scans and the reference first passage at the end are the package's code
+before it scanned all alphas at once and before first passage read its
+stops off its tau row, kept verbatim on the package's tree and stopping
+primitives.
 """
 
 import itertools
@@ -547,3 +549,36 @@ def reference_carleson_alpha_norm(mu, alpha, mode="node-fast", max_enum=None):
         raise ValueError(f"unknown mode {mode!r}")
 
     return NormResult(best.value, best.witness, mode)
+
+
+# == reference first passage: the package's pair-based form ==================
+#
+# ``first_passage`` as the package computed it before it read its stops
+# off the tau row, kept verbatim: every hit leaf's (first level, ancestor
+# at that level) pair, deduplicated by ``np.unique``.
+
+from bmolab.filtration import AtomRef  # noqa: E402
+from bmolab.process import _leaf_moduli  # noqa: E402
+from bmolab.stopping import StoppingTime  # noqa: E402
+
+
+def first_passage(g, lam):
+    """First level at which the modulus of the process exceeds ``lam``.
+
+    Exceeding is strict, so the stop set is exactly the set of minimal
+    atoms where |g_n| > lam; a threshold at or above the running sup gives
+    the never-stopping time.
+    """
+    tree = g.tree
+    depth = tree.depth
+    exceed = _leaf_moduli(g) > lam
+    hit = exceed.any(axis=0)
+    if not hit.any():
+        return StoppingTime(tree, [])
+    fp = np.argmax(exceed, axis=0)
+    ancestors = np.stack([tree.leaf_ancestors(n) for n in range(depth + 1)])
+    leaves = np.flatnonzero(hit)
+    pairs = np.unique(
+        np.stack([fp[leaves], ancestors[fp[leaves], leaves]], axis=1), axis=0
+    )
+    return StoppingTime(tree, [AtomRef(int(l), int(i)) for l, i in pairs])

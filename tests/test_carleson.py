@@ -369,6 +369,19 @@ def test_inequality_grid_validates_every_p_then_every_alpha_then_the_tree():
         carleson_inequality_grid(g, other, (2.0,), (0.25, 1.0))
 
 
+@pytest.mark.parametrize("p", [float("inf"), 1e400, float("nan")])
+def test_a_non_finite_p_is_refused(p):
+    tree = build_dyadic(2)
+    g, mu = random_adapted_process(tree, 5, 1), random_measure(tree, 6)
+    message = "^p must exceed 1, got nan$" if p != p else "^p must be finite, got inf$"
+    with pytest.raises(ValueError, match=message):
+        carleson_inequality_grid(g, mu, (2.0, p), (0.25,))
+    with pytest.raises(ValueError, match=message):
+        carleson_inequality_check(g, mu, p, 0.25)
+    with pytest.raises(ValueError, match=message):
+        converse_extraction(mu, 0.25, 1.0, p)
+
+
 # == the converse extraction =================================================
 
 

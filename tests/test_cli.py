@@ -91,6 +91,29 @@ def test_norm_command_p_variant(tmp_path, capsys):
     assert "witness" not in doc
 
 
+@pytest.mark.parametrize("p", ["nan", "inf", "1e400"])
+def test_norm_command_refuses_a_non_finite_p(tmp_path, p):
+    fpath = tmp_path / "f.json"
+    random_martingale(build_dyadic(2), 3, 1).save(str(fpath))
+    proc = run_process("norm", str(fpath), "--alpha", "0.25", "--p", p)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: p must be finite")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "carleson-inequality", "--ps", "inf", "--trials", "1"],
+    ["check", "carleson-inequality", "--ps", "2,1e400", "--trials", "1"],
+    ["campaign", "--alphas", "0.25", "--depths", "1", "--trials", "1", "--ps", "inf"],
+])
+def test_suites_refuse_a_non_finite_p(argv):
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: p must be finite, got inf\n"
+    assert proc.stdout == ""
+
+
 def test_carleson_norm_command(tmp_path, capsys):
     f = random_martingale(build_dyadic(2), 4, 1)
     mpath = tmp_path / "mu.json"

@@ -275,6 +275,13 @@ def test_p_variant_rejects_bad_arguments(rademacher_pair):
         bmo_alpha_p_norm(f, 0.5, 2.0, "stopping-bruteforce")
 
 
+@pytest.mark.parametrize("p", [float("nan"), float("inf"), 1e400])
+def test_p_variant_refuses_a_non_finite_p(rademacher_pair, p):
+    _, f = rademacher_pair
+    with pytest.raises(ValueError, match=r"^p must be finite and at least 1, got (nan|inf)$"):
+        bmo_alpha_p_norm(f, 0.25, p)
+
+
 # == general adapted processes ===============================================
 
 

@@ -41,9 +41,9 @@ def test_transform_scales_each_increment(depth2_example):
     v = PredictableSequence.from_level_scalars(tree, [2.0, -1.0, 3.0])
     tf = transform(f, v)
     d, dt = differences(f), differences(tf)
-    assert np.array_equal(dt.term(0), 2.0 * d.term(0))
-    assert np.array_equal(dt.term(1), -1.0 * d.term(1))
-    assert np.array_equal(dt.term(2), 3.0 * d.term(2))
+    assert np.array_equal(dt.level(0), 2.0 * d.level(0))
+    assert np.array_equal(dt.level(1), -1.0 * d.level(1))
+    assert np.array_equal(dt.level(2), 3.0 * d.level(2))
 
 
 def test_transform_result_is_a_martingale():
@@ -95,11 +95,11 @@ def test_lift_shapes_and_coordinates(depth2_example):
     lift = l2_lift(f)
     assert lift.dim == 3
     d = differences(f)
-    assert np.array_equal(lift.level(0)[:, 0], d.term(0))
-    assert np.array_equal(lift.level(1)[:, 1], d.term(1))
-    assert np.array_equal(lift.level(2)[:, 2], d.term(2))
+    assert np.array_equal(lift.level(0)[:, 0], d.level(0))
+    assert np.array_equal(lift.level(1)[:, 1], d.level(1))
+    assert np.array_equal(lift.level(2)[:, 2], d.level(2))
     # coordinate k freezes once level k has passed
-    assert np.array_equal(lift.leaf_view(2)[:, 1], d.leaf_term(1))
+    assert np.array_equal(lift.leaf_view(2)[:, 1], d.leaf_view(1))
 
 
 def test_lift_modulus_is_the_square_function(depth2_example):

@@ -17,6 +17,8 @@ from bmolab import (
     random_martingale,
 )
 
+from bmolab.process import MARTINGALE_TOL
+
 import oracles
 
 
@@ -152,10 +154,10 @@ def test_martingale_from_final_reproduces_final(depth2_example):
 def test_differences_depth2(depth2_example):
     _, f = depth2_example
     d = differences(f)
-    assert len(d) == 3
-    assert np.array_equal(d.term(0), [0.0])
-    assert np.array_equal(d.term(1), [1.0, -1.0])
-    assert np.array_equal(d.term(2), [1.0, -1.0, 0.0, 0.0])
+    assert d.depth + 1 == 3
+    assert np.array_equal(d.level(0), [0.0])
+    assert np.array_equal(d.level(1), [1.0, -1.0])
+    assert np.array_equal(d.level(2), [1.0, -1.0, 0.0, 0.0])
 
 
 def test_differences_telescope():
@@ -164,7 +166,7 @@ def test_differences_telescope():
     d = differences(f)
     acc = np.zeros_like(f.leaf_view(0))
     for k in range(tree.depth + 1):
-        acc = acc + d.leaf_term(k)
+        acc = acc + d.leaf_view(k)
         assert np.allclose(acc, f.leaf_view(k), atol=1e-12)
 
 
@@ -176,7 +178,7 @@ def test_increments_are_orthogonal():
     w = tree.leaf_masses
     for j in range(tree.depth + 1):
         for k in range(j + 1, tree.depth + 1):
-            inner = float(np.sum(d.leaf_term(j) * d.leaf_term(k) * w))
+            inner = float(np.sum(d.leaf_view(j) * d.leaf_view(k) * w))
             assert abs(inner) <= 1e-12
 
 
@@ -186,8 +188,28 @@ def test_squared_norm_splits_over_increments():
     d = differences(f)
     w = tree.leaf_masses
     total = float(np.sum(f.leaf_view(tree.depth) ** 2 * w))
-    parts = sum(float(np.sum(d.leaf_term(k) ** 2 * w)) for k in range(tree.depth + 1))
+    parts = sum(float(np.sum(d.leaf_view(k) ** 2 * w)) for k in range(tree.depth + 1))
     assert abs(total - parts) <= 1e-12 * max(1.0, total)
+
+
+def test_martingale_checks_against_the_package_tolerance():
+    tree = build_dyadic(1)
+    Martingale(tree, [[0.0], [MARTINGALE_TOL, MARTINGALE_TOL]])
+    with pytest.raises(ValueError, match="martingale property fails"):
+        Martingale(tree, [[0.0], [2 * MARTINGALE_TOL, 2 * MARTINGALE_TOL]])
+    with pytest.raises(TypeError):
+        Martingale(tree, [[0.0], [1.0, 1.0]], tol=1.0)
+
+
+def test_differences_are_an_adapted_process_that_refuses_an_overflow():
+    tree = build_dyadic(1)
+    d = differences(AdaptedProcess(tree, [[1.0], [3.0, -1.0]]))
+    assert isinstance(d, AdaptedProcess)
+    assert d.level(1).tolist() == [2.0, -2.0]
+    g = AdaptedProcess(tree, [[-1e308], [1.7e308, -1.7e308]])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="^level 1 has non-finite values$"):
+            differences(g)
 
 
 # == predictable sequences ===================================================

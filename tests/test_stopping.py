@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bmolab import (
+    AdaptedProcess,
     AtomRef,
+    FiltrationTree,
     SchemaError,
     SizeCapError,
     StoppingTime,
@@ -17,6 +20,7 @@ from bmolab import (
     stopped_before,
 )
 
+from bmolab.process import _leaf_moduli
 from bmolab.stopping import resolve_max_enum
 
 import oracles
@@ -184,6 +188,47 @@ def test_first_passage_matches_per_leaf_scan():
         assert t[leaf] == want
 
 
+@st.composite
+def fanned_processes(draw):
+    """An adapted process of dim 1 to 3 on a tree of depth 1 to 3 whose
+    root has 8 to 12 children and whose deeper atoms have 1 to 9, with
+    uneven masses; values are small integers, so moduli tie across atoms
+    and levels."""
+    depth = draw(st.integers(1, 3))
+    dim = draw(st.integers(1, 3))
+
+    def node(level, mass):
+        if level == depth:
+            return {"mass": mass, "children": []}
+        weights = draw(st.lists(st.integers(1, 4), min_size=8 if level == 0 else 1,
+                                max_size=12 if level == 0 else 9))
+        total = sum(weights)
+        return {"mass": mass,
+                "children": [node(level + 1, mass * w / total) for w in weights]}
+
+    tree = FiltrationTree(node(0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = [
+        rng.integers(-2, 3, (tree.atom_count(n),) if dim == 1 else (tree.atom_count(n), dim))
+        for n in range(depth + 1)
+    ]
+    return AdaptedProcess(tree, levels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fanned_processes())
+def test_first_passage_matches_the_pair_based_reference(g):
+    """The stop set read off the tau row equals the one built from every
+    hit leaf's (level, ancestor) pair, at a threshold below every modulus
+    and at each distinct modulus (a tie there does not stop: exceeding is
+    strict)."""
+    for lam in [-1.0, *np.unique(_leaf_moduli(g)).tolist()]:
+        got, want = first_passage(g, lam), oracles.first_passage(g, lam)
+        assert got.stops == want.stops
+        assert np.array_equal(got.tau_values(), want.tau_values())
+        assert got.prob_finite == want.prob_finite
+
+
 # == derived processes =======================================================
 
 
@@ -245,6 +290,16 @@ def test_tau_schema_errors():
         StoppingTime.from_dict(tree, {"schema": "tau/v2", "stops": []})
     with pytest.raises(SchemaError):
         StoppingTime.from_dict(tree, {"schema": "tau/v1", "stops": [[1, 0], [2, 0]]})
+
+
+@pytest.mark.parametrize(
+    "stop", [[1.5, 0], [True, 0], ["1", "0"], [1, 0.0], [1, False], [1, None]]
+)
+def test_tau_stops_must_be_integers(stop):
+    tree = build_dyadic(2)
+    with pytest.raises(SchemaError) as exc:
+        StoppingTime.from_dict(tree, {"schema": "tau/v1", "stops": [[2, 3], stop]})
+    assert exc.value.path == "stops"
 
 
 @pytest.mark.parametrize("value", [0, -3])

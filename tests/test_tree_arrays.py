@@ -4,6 +4,7 @@ against the standard library's ``json.dumps``, byte for byte."""
 
 import ast
 import hashlib
+import importlib
 import json
 import random
 from pathlib import Path
@@ -326,6 +327,40 @@ def test_only_the_tree_calls_reduceat():
     ]
     assert calls
     assert [c for c in calls if not c.startswith("filtration.py:")] == []
+
+
+def test_only_the_tree_reads_its_private_attributes():
+    """No module outside filtration.py reads a ``_``-prefixed attribute of
+    a tree, so the tree's layout can change behind its methods."""
+    package = Path(bmolab.__file__).parent
+    private = {
+        name for name in dir(build_dyadic(2)) if name.startswith("_") and not name.endswith("__")
+    }
+    assert {"_parent", "_child_bounds", "_leaf_bounds", "_check_level"} <= private
+    reads = [
+        f"{path.relative_to(package)}:{node.lineno}:{node.attr}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "filtration.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr in private
+    ]
+    assert reads == []
+
+
+def test_every_exported_name_resolves():
+    modules = [bmolab, *(
+        importlib.import_module(f"bmolab.{path.stem}")
+        for path in sorted(Path(bmolab.__file__).parent.glob("*.py"))
+        if path.stem != "__init__"
+    )]
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", [])
+        if not hasattr(module, name)
+    ]
+    assert "bmolab.process" in {module.__name__ for module in modules}
+    assert missing == []
 
 
 @st.composite
