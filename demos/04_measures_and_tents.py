@@ -15,13 +15,13 @@ makes the identity exact, not approximate.
 import numpy as np
 
 from bmolab import (
+    StoppingTime,
     bmo_alpha_norm,
     build_random,
     carleson_alpha_norm,
     from_martingale,
     random_martingale,
     random_measure,
-    stop_on_atoms,
 )
 
 tree = build_random(seed=12, depth=3, max_branch=3)
@@ -29,7 +29,7 @@ f = random_martingale(tree, seed=1)
 mu = from_martingale(f)
 
 # the tent below "stop on the first level-1 atom"
-tau = stop_on_atoms(tree, 1, [0])
+tau = StoppingTime(tree, [(1, 0)])
 print("tent mass:", mu.tent_mass(tau))
 print("stopped probability:", tau.prob_finite)
 

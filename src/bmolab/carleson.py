@@ -91,12 +91,6 @@ class CarlesonMeasure(TreeDocument):
         w.flags.writeable = False
         self.weighted = w
 
-    def density(self, k: int) -> np.ndarray:
-        return self.densities[k]
-
-    def total_mass(self) -> float:
-        return float(sum(float(np.sum(row)) for row in self.weighted))
-
     def tent_mass(self, tau: StoppingTime) -> float:
         """mu of the tent over tau.
 

@@ -31,8 +31,9 @@ def _floats(text: str) -> list[float]:
 
 
 def _natural(text: str) -> int:
-    """A seed or a depth.  numpy refuses a negative seed with a message
-    that names no flag, so argparse refuses it here, naming the flag."""
+    """A seed, a depth or a width.  numpy refuses a negative one with a
+    message that names no flag, so argparse refuses it here, naming the
+    flag."""
     try:
         value = int(text)
     except ValueError:
@@ -63,7 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-martingale", help="generate a random martingale document")
     p.add_argument("--tree", required=True, help="path to a tree/v1 document")
     p.add_argument("--seed", type=_natural, default=0)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=_natural, default=1)
     p.add_argument("--out")
 
     p = sub.add_parser("norm", help="oscillation norm of a serialized martingale")

@@ -33,7 +33,6 @@ __all__ = [
     "write_text",
     "build_dyadic",
     "build_random",
-    "omega_weight",
     "MASS_TOL",
     "MAX_DYADIC_DEPTH",
 ]
@@ -292,10 +291,6 @@ class FiltrationTree:
             raise ValueError(f"level {n} has no parent level (depth {self._depth})")
         return self._parent[n]
 
-    def mass_of(self, ref: AtomRef) -> float:
-        self._check_ref(ref)
-        return float(self._masses[ref.level][ref.index])
-
     def leaf_slice(self, ref: AtomRef) -> slice:
         """Contiguous range of leaf indices covered by the atom."""
         self._check_ref(ref)
@@ -490,14 +485,12 @@ class TreeDocument:
         write_text(path, self.to_json())
 
     @classmethod
-    def from_dict(cls, doc: dict, *, tree: FiltrationTree | None = None,
-                  base_dir: str | None = None):
+    def from_dict(cls, doc: dict, *, base_dir: str | None = None):
         if not isinstance(doc, dict) or doc.get("schema") != cls.SCHEMA:
             raise SchemaError(f"expected a {cls.SCHEMA} document", "$")
-        if tree is None:
-            if "tree" not in doc:
-                raise SchemaError("missing 'tree'", "$")
-            tree = resolve_tree_field(doc["tree"], base_dir)
+        if "tree" not in doc:
+            raise SchemaError("missing 'tree'", "$")
+        tree = resolve_tree_field(doc["tree"], base_dir)
         if not isinstance(doc.get(cls.FIELD), list):
             raise SchemaError(f"missing '{cls.FIELD}' list", "$")
         try:
@@ -572,12 +565,3 @@ def build_random(
         stack.extend([(p, level + 1, index) for p in reversed(parts)])
 
     return FiltrationTree._from_levels(masses, parents, depth)
-
-
-def omega_weight(tree: FiltrationTree, n: int):
-    """Leaf function whose value is the mass of the containing level-``n`` atom."""
-    from .process import RandomVariable
-
-    tree._check_level(n)
-    values = tree.masses(n)[tree.leaf_ancestors(n)]
-    return RandomVariable(tree, values)

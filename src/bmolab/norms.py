@@ -38,13 +38,9 @@ import numpy as np
 
 from .errors import SizeCapError
 from .filtration import FiltrationTree
-from .process import (
-    AdaptedProcess,
-    RandomVariable,
-    _modulus,
-    conditional_expectation,
-)
+from .process import AdaptedProcess, RandomVariable, _modulus
 from .stopping import (
+    StoppingTime,
     _before_table,
     chunks,
     prob_finite,
@@ -182,25 +178,13 @@ def _check_alpha(alpha: float) -> float:
     return alpha
 
 
-def _previous_leaf_values(g: AdaptedProcess, n: int, previous: str) -> np.ndarray:
-    """g_{n-1} spread onto leaves; zero array for n = 0."""
-    final = g.level(g.depth)
-    if n == 0:
-        return np.zeros_like(final)
-    if previous == "own":
-        return g.leaf_view(n - 1)
-    if previous == "conditional":
-        ce = conditional_expectation(RandomVariable(g.tree, final), n - 1)
-        return ce[g.tree.leaf_ancestors(n - 1)]
-    raise ValueError(f"unknown previous-value rule {previous!r}")
-
-
-def _residual_integrals(
-    g: AdaptedProcess, n: int, p: float, previous: str = "own"
-) -> np.ndarray:
-    """Per level-n atom: integral over the atom of |g_N - g_{n-1}|^p dP."""
+def _residual_integrals(g: AdaptedProcess, n: int, p: float) -> np.ndarray:
+    """Per level-n atom: integral over the atom of |g_N - g_{n-1}|^p dP,
+    with g_{-1} = 0."""
     tree = g.tree
-    resid = g.level(g.depth) - _previous_leaf_values(g, n, previous)
+    resid = g.level(g.depth)
+    if n:
+        resid = resid - g.leaf_view(n - 1)
     integrand = _modulus(resid) ** p * tree.leaf_masses
     return tree.atom_sums(integrand, n)
 
@@ -330,9 +314,7 @@ def _check_mode(mode: str, modes: tuple) -> None:
         raise ValueError(f"unknown mode {mode!r}; choose one of {modes}")
 
 
-def _bmo_blocks(
-    f: AdaptedProcess, p: float, mode: str, max_enum: int | None, previous: str = "own"
-):
+def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int | None):
     """The candidate blocks of one scan of ``f``, scored at a mass
     exponent: ``(integral) ** (1/p) * (mass) ** e`` per atom, union or
     stopping time (``omega-form``: ``(mean) ** (1/p) * (mass) ** e``).
@@ -356,7 +338,7 @@ def _bmo_blocks(
                 f"use atom-fast or raise BMO_LAB_MAX_ENUM"
             )
     for n in range(tree.depth + 1):
-        r = _residual_integrals(f, n, p, previous)
+        r = _residual_integrals(f, n, p)
         m = tree.masses(n)
         if mode == "subset-bruteforce":
             k = tree.atom_count(n)
@@ -376,12 +358,7 @@ def _bmo_blocks(
 
 
 def _bmo_sups(
-    f: AdaptedProcess,
-    alphas: list[float],
-    p: float,
-    mode: str,
-    max_enum: int | None,
-    previous: str = "own",
+    f: AdaptedProcess, alphas: list[float], p: float, mode: str, max_enum: int | None
 ) -> list[NormResult]:
     """The norm at every (validated) alpha, one scan of ``f`` for all; each
     alpha takes its own powers and argmax, the same floats in the same
@@ -392,7 +369,7 @@ def _bmo_sups(
     if not alphas:
         return []
     exps = [-alpha if mode == "omega-form" else -1.0 / p - alpha for alpha in alphas]
-    return _argmaxes(_bmo_blocks(f, p, mode, max_enum, previous), exps, mode)
+    return _argmaxes(_bmo_blocks(f, p, mode, max_enum), exps, mode)
 
 
 def bmo_alpha_norms(
@@ -438,18 +415,17 @@ def bmo_alpha_p_norm(
     return _bmo_sups(f, [_check_alpha(alpha)], float(p), mode, max_enum)[0].value
 
 
-def process_bmo_alpha_norm(
-    g: AdaptedProcess, alpha: float, previous: str = "own"
-) -> float:
-    """Oscillation norm of a general adapted process.
+def process_bmo_alpha_norm(g: AdaptedProcess, alpha: float) -> float:
+    """Oscillation norm of a general adapted process: the atom scan, with
+    the process's own value one level up as the previous value.
 
-    ``previous="own"`` subtracts the process's own value one level up
-    (for a martingale that is the same thing as the conditional
-    expectation, so this extends the martingale norm); ``"conditional"``
-    subtracts the conditional expectation of the final value instead.
-    The single-atom reduction applies verbatim, so this is an atom scan.
+    For a martingale that value is the conditional expectation of the
+    final value, so this extends the martingale norm.  To compare against
+    the conditional expectation of a general process's final value
+    instead, take ``bmo_alpha_norm(martingale_from_final(g.final_value()),
+    alpha)``.
     """
-    return _bmo_sups(g, [_check_alpha(alpha)], 2.0, "atom-fast", None, previous)[0].value
+    return _bmo_sups(g, [_check_alpha(alpha)], 2.0, "atom-fast", None)[0].value
 
 
 def bmo_ratio_at(
@@ -479,8 +455,6 @@ def replay_bmo_witness(
     if witness["kind"] == "stopping-time":
         if p != 2.0:
             raise ValueError("stopping-time witnesses exist for p = 2 only")
-        from .stopping import StoppingTime
-
         alpha = _check_alpha(alpha)
         tau = StoppingTime(f.tree, [tuple(s) for s in witness["stops"]])
         resid = f.level(f.depth) - stopped_before(f, tau).values

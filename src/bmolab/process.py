@@ -209,8 +209,9 @@ def differences(f: AdaptedProcess) -> AdaptedProcess:
     """
     tree = f.tree
     levels = [f.level(0)]
-    for k in range(1, tree.depth + 1):
-        levels.append(f.level(k) - f.level(k - 1)[tree.parents(k)])
+    with np.errstate(over="ignore"):  # an overflow is refused as non-finite
+        for k in range(1, tree.depth + 1):
+            levels.append(f.level(k) - f.level(k - 1)[tree.parents(k)])
     return AdaptedProcess(tree, levels)
 
 
@@ -266,18 +267,22 @@ class PredictableSequence:
         return self.coeffs[k][self.tree.parents(k)]
 
 
+def _normal_shape(count: int, dim: int) -> tuple:
+    """The shape of ``count`` values of width ``dim``; scalar for dim 1."""
+    if dim < 1:
+        raise ValueError("vector values must have at least one component")
+    return (count,) if dim == 1 else (count, dim)
+
+
 def random_martingale(tree: FiltrationTree, seed: int, dim: int = 1) -> Martingale:
     """Martingale of a standard-normal leaf variable; pure in (seed, dim)."""
     rng = np.random.default_rng(seed)
-    shape = (tree.num_leaves,) if dim == 1 else (tree.num_leaves, dim)
-    return martingale_from_final(RandomVariable(tree, rng.standard_normal(shape)))
+    values = rng.standard_normal(_normal_shape(tree.num_leaves, dim))
+    return martingale_from_final(RandomVariable(tree, values))
 
 
 def random_adapted_process(tree: FiltrationTree, seed: int, dim: int = 1) -> AdaptedProcess:
     """Adapted process with independent standard-normal atom values."""
     rng = np.random.default_rng(seed)
-    levels = []
-    for n in range(tree.depth + 1):
-        shape = (tree.atom_count(n),) if dim == 1 else (tree.atom_count(n), dim)
-        levels.append(rng.standard_normal(shape))
-    return AdaptedProcess(tree, levels)
+    shapes = [_normal_shape(tree.atom_count(n), dim) for n in range(tree.depth + 1)]
+    return AdaptedProcess(tree, [rng.standard_normal(shape) for shape in shapes])

@@ -27,13 +27,12 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import SizeCapError
+from .errors import SchemaError, SizeCapError
 from .filtration import AtomRef, FiltrationTree
 from .process import AdaptedProcess, RandomVariable, _leaf_moduli
 
 __all__ = [
     "StoppingTime",
-    "stop_on_atoms",
     "first_passage",
     "count_stopping_times",
     "enumerate_stopping_times",
@@ -94,7 +93,7 @@ class StoppingTime:
             tau[tree.leaf_slice(r)] = r.level
         tau.flags.writeable = False
         self._tau = tau
-        self.prob_finite = float(sum(tree.mass_of(r) for r in refs))
+        self.prob_finite = float(sum(tree.masses(r.level)[r.index] for r in refs))
 
     def tau_values(self) -> np.ndarray:
         return self._tau
@@ -115,8 +114,6 @@ class StoppingTime:
 
     @classmethod
     def from_dict(cls, tree: FiltrationTree, doc: dict) -> "StoppingTime":
-        from .errors import SchemaError
-
         if not isinstance(doc, dict) or doc.get("schema") != "tau/v1":
             raise SchemaError("expected a tau/v1 document", "$")
         stops = doc.get("stops")
@@ -144,26 +141,6 @@ class StoppingTime:
         if not self.stops:
             return "StoppingTime(never)"
         return f"StoppingTime(stops={[tuple(r) for r in self.stops]})"
-
-
-def stop_on_atoms(tree: FiltrationTree, level: int, atoms: Iterable) -> StoppingTime:
-    """Stop at the given level-``level`` atoms, never elsewhere.
-
-    ``atoms`` may contain atom indices or AtomRefs; refs at a different
-    level are rejected.
-    """
-    refs = []
-    for a in atoms:
-        if isinstance(a, AtomRef) or (isinstance(a, tuple) and len(a) == 2):
-            r = AtomRef(int(a[0]), int(a[1]))
-            if r.level != level:
-                raise ValueError(f"atom {tuple(r)} is not at level {level}")
-        else:
-            r = AtomRef(level, int(a))
-        refs.append(r)
-    if not refs:
-        raise ValueError("need at least one stop atom")
-    return StoppingTime(tree, refs)
 
 
 def first_passage(g: AdaptedProcess, lam: float) -> StoppingTime:

@@ -34,6 +34,7 @@ from bmolab import (
     check_lemma_stopping_form,
     check_operators,
     from_martingale,
+    martingale_from_final,
     process_bmo_alpha_norm,
     random_adapted_process,
     random_martingale,
@@ -112,15 +113,31 @@ def test_batched_norms_equal_the_per_alpha_reference(
 @settings(max_examples=40, deadline=None)
 def test_process_and_p_norms_equal_the_per_alpha_reference(tree, dim, seed, alpha, p):
     g = random_adapted_process(tree, seed, dim)
-    for previous in ("own", "conditional"):
-        assert process_bmo_alpha_norm(g, alpha, previous) == (
-            oracles.reference_process_bmo_alpha_norm(g, alpha, previous)
-        )
+    assert process_bmo_alpha_norm(g, alpha) == oracles.reference_process_bmo_alpha_norm(g, alpha)
     f = random_martingale(tree, seed, dim)
     for mode in ("atom-fast", "subset-bruteforce"):
         assert bmo_alpha_p_norm(f, alpha, p, mode) == (
             oracles.reference_bmo_alpha_p_norm(f, alpha, p, mode)
         )
+
+
+@given(
+    tree=trees(),
+    dim=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+    alpha=st.floats(0.0, 1.0, allow_nan=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_conditional_rule_is_the_norm_of_the_final_values_martingale(tree, dim, seed, alpha):
+    """A process's norm against the conditional expectation of its final
+    value is the martingale norm of that final value; its own-rule norm
+    is the atom scan of `bmo_alpha_norm`, bitwise."""
+    g = random_adapted_process(tree, seed, dim)
+    f = martingale_from_final(g.final_value())
+    assert bmo_alpha_norm(f, alpha).value == pytest.approx(
+        oracles.reference_process_bmo_alpha_norm(g, alpha, "conditional"), rel=1e-12
+    )
+    assert process_bmo_alpha_norm(g, alpha) == bmo_alpha_norm(g, alpha).value
 
 
 def test_batched_results_do_not_share_witnesses():

@@ -28,7 +28,6 @@ from bmolab import (
     random_adapted_process,
     random_martingale,
     random_measure,
-    stop_on_atoms,
     weak_lq_norm,
 )
 from bmolab import carleson, operators, stopping
@@ -53,34 +52,28 @@ def test_measure_validation():
         CarlesonMeasure(tree, [[0.0, 0.0], [float("inf"), 2.0]])
 
 
-def test_total_mass():
-    tree = build_dyadic(1)
-    mu = CarlesonMeasure(tree, [[1.0, 1.0], [4.0, 0.0]])
-    assert mu.total_mass() == 1.0 + 2.0
-
-
 def test_from_martingale_rows(depth2_example):
     _, f = depth2_example
     mu = from_martingale(f)
-    assert np.array_equal(mu.density(0), [0.0, 0.0, 0.0, 0.0])
-    assert np.array_equal(mu.density(1), [1.0, 1.0, 1.0, 1.0])
-    assert np.array_equal(mu.density(2), [1.0, 1.0, 0.0, 0.0])
+    assert np.array_equal(mu.densities[0], [0.0, 0.0, 0.0, 0.0])
+    assert np.array_equal(mu.densities[1], [1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(mu.densities[2], [1.0, 1.0, 0.0, 0.0])
 
 
 def test_tent_mass(depth2_example):
     tree, f = depth2_example
     mu = from_martingale(f)
-    assert mu.tent_mass(stop_on_atoms(tree, 0, [0])) == pytest.approx(1.5, abs=1e-15)
-    assert mu.tent_mass(stop_on_atoms(tree, 1, [0])) == pytest.approx(1.0, abs=1e-15)
+    assert mu.tent_mass(StoppingTime(tree, [(0, 0)])) == pytest.approx(1.5, abs=1e-15)
+    assert mu.tent_mass(StoppingTime(tree, [(1, 0)])) == pytest.approx(1.0, abs=1e-15)
     assert mu.tent_mass(StoppingTime(tree, [])) == 0.0
-    assert mu.tent_mass(stop_on_atoms(tree, 2, [2, 3])) == 0.0
+    assert mu.tent_mass(StoppingTime(tree, [(2, 2), (2, 3)])) == 0.0
 
 
 def test_tent_mass_matches_oracle():
     tree = build_random(105, 3, 2)
     mu = random_measure(tree, 4)
     doc = tree.to_dict()["root"]
-    dens = [mu.density(k).tolist() for k in range(tree.depth + 1)]
+    dens = [mu.densities[k].tolist() for k in range(tree.depth + 1)]
     for stops in ([(0, 0)], [(1, 0)], [(tree.depth, 0)]):
         tau = StoppingTime(tree, stops)
         want = oracles.tent_mass(doc, dens, stops)
@@ -123,7 +116,7 @@ def test_norm_modes_agree_with_oracle():
         tree = build_random(110 + seed, 2, 2)
         mu = random_measure(tree, seed)
         doc = tree.to_dict()["root"]
-        dens = [mu.density(k).tolist() for k in range(tree.depth + 1)]
+        dens = [mu.densities[k].tolist() for k in range(tree.depth + 1)]
         for alpha in (0.0, 0.3):
             want = oracles.carleson_sup(doc, dens, alpha)
             fast = carleson_alpha_norm(mu, alpha, "node-fast").value
@@ -180,11 +173,11 @@ def test_inequality_zero_measure():
 
 def test_inequality_indicator_process():
     tree = build_dyadic(2)
-    tau = stop_on_atoms(tree, 0, [0])
+    tau = StoppingTime(tree, [(0, 0)])
     g = indicator_process(tau)
     mu = random_measure(tree, 7)
     res = carleson_inequality_check(g, mu, 2.0, 0.25)
-    assert res.lhs == pytest.approx(mu.total_mass(), rel=1e-12)
+    assert res.lhs == pytest.approx(float(np.sum(mu.weighted)), rel=1e-12)
     assert res.maximal_strong_norm == pytest.approx(1.0, rel=1e-14)
     assert res.holds
 
@@ -432,7 +425,7 @@ def test_converse_runs_the_public_primitives(monkeypatch, module, name, public):
     monkeypatch.setattr(carleson, name, spy)
     tree = build_dyadic(2)
     mu = random_measure(tree, 3)
-    public(random_adapted_process(tree, 4, 1), stop_on_atoms(tree, 1, [0]), mu)
+    public(random_adapted_process(tree, 4, 1), StoppingTime(tree, [(1, 0)]), mu)
     assert len(calls) == 1
     converse_extraction(mu, 0.25, 1.0, 2.0)
     assert len(calls) == 2

@@ -68,6 +68,17 @@ def test_gen_martingale_refuses_zero_width_values(tmp_path, capsys):
     assert not fpath.exists()
 
 
+def test_gen_martingale_negative_dim_names_its_flag(tmp_path):
+    tpath = tmp_path / "t.json"
+    build_dyadic(1).save(str(tpath))
+    proc = run_process("gen-martingale", "--tree", str(tpath), "--dim", "-1")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines()[-1].endswith(
+        ": error: argument --dim: expected a non-negative integer, got -1"
+    )
+    assert proc.stdout == ""
+
+
 # == norms ===================================================================
 
 

@@ -10,7 +10,6 @@ from bmolab import (
     SizeCapError,
     build_dyadic,
     build_random,
-    omega_weight,
 )
 from bmolab.filtration import MAX_DYADIC_DEPTH, resolve_tree_field
 
@@ -111,7 +110,7 @@ def test_single_atom_space():
     tree = build_dyadic(0)
     assert tree.depth == 0
     assert tree.num_leaves == 1
-    assert tree.mass_of(AtomRef(0, 0)) == 1.0
+    assert tree.masses(0)[0] == 1.0
 
 
 # == navigation ==============================================================
@@ -202,7 +201,7 @@ def test_level_bounds_checked():
     with pytest.raises(ValueError):
         tree.masses(3)
     with pytest.raises(ValueError):
-        tree.mass_of(AtomRef(1, 5))
+        tree.leaf_slice(AtomRef(1, 5))
 
 
 # == builders ================================================================
@@ -246,7 +245,10 @@ def test_leaf_masses_match_oracle():
     layers = oracles.atom_layers(doc)
     for n in range(tree.depth + 1):
         refs = [AtomRef(n, i) for i in range(tree.atom_count(n))]
-        got = [(tree.leaf_slice(r).start, tree.leaf_slice(r).stop, tree.mass_of(r)) for r in refs]
+        got = [
+            (tree.leaf_slice(r).start, tree.leaf_slice(r).stop, tree.masses(n)[r.index])
+            for r in refs
+        ]
         assert got == [(s, e, m) for s, e, m in layers[n]]
 
 
@@ -282,23 +284,3 @@ def test_resolve_tree_field(tmp_path):
 def test_json_rejects_wrong_schema():
     with pytest.raises(SchemaError):
         FiltrationTree.from_dict({"schema": "nope/v1", "root": {}})
-
-
-# == the level weight function ===============================================
-
-
-def test_omega_weight_values():
-    tree = build_dyadic(2)
-    w0 = omega_weight(tree, 0)
-    w1 = omega_weight(tree, 1)
-    w2 = omega_weight(tree, 2)
-    assert np.all(w0.values == 1.0)
-    assert np.all(w1.values == 0.5)
-    assert np.all(w2.values == 0.25)
-
-
-def test_omega_weight_on_uneven_tree():
-    tree = build_random(37, 2, 3)
-    w = omega_weight(tree, 1)
-    anc = tree.leaf_ancestors(1)
-    assert np.array_equal(w.values, tree.masses(1)[anc])

@@ -303,16 +303,6 @@ def test_process_norm_of_square_function(rademacher_pair):
         )
 
 
-def test_process_norm_conditional_variant_matches_on_martingales():
-    tree = build_random(103, 3, 2)
-    f = random_martingale(tree, 13, 1)
-    a = process_bmo_alpha_norm(f, 0.25, previous="own")
-    b = process_bmo_alpha_norm(f, 0.25, previous="conditional")
-    assert a == pytest.approx(b, rel=1e-12)
-    with pytest.raises(ValueError):
-        process_bmo_alpha_norm(f, 0.25, previous="nope")
-
-
 # == witnesses ===============================================================
 
 

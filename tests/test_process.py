@@ -70,6 +70,13 @@ def test_zero_width_values_are_refused():
         random_adapted_process(tree, 3, 0)
 
 
+def test_negative_widths_are_refused_as_zero_width():
+    tree = build_dyadic(1)
+    for make in (random_martingale, random_adapted_process):
+        with pytest.raises(ValueError, match="^vector values must have at least one component$"):
+            make(tree, 3, -1)
+
+
 # == conditional expectation =================================================
 
 
@@ -210,6 +217,14 @@ def test_differences_are_an_adapted_process_that_refuses_an_overflow():
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="^level 1 has non-finite values$"):
             differences(g)
+
+
+def test_differences_refuses_an_overflow_without_a_warning():
+    # the test run turns RuntimeWarnings into errors, so a warning raised
+    # before the refusal fails here
+    g = AdaptedProcess(build_dyadic(1), [[-1e308], [1.7e308, -1.7e308]])
+    with pytest.raises(ValueError, match="^level 1 has non-finite values$"):
+        differences(g)
 
 
 # == predictable sequences ===================================================

@@ -16,7 +16,6 @@ from bmolab import (
     first_passage,
     indicator_process,
     random_martingale,
-    stop_on_atoms,
     stopped_before,
 )
 
@@ -58,20 +57,9 @@ def test_never_stopping_time():
     assert np.all(tau.tau_values() == 3)
 
 
-def test_stop_on_atoms_accepts_indices_and_refs():
-    tree = build_dyadic(2)
-    a = stop_on_atoms(tree, 1, [0])
-    b = stop_on_atoms(tree, 1, [AtomRef(1, 0)])
-    assert a == b
-    with pytest.raises(ValueError):
-        stop_on_atoms(tree, 1, [AtomRef(2, 0)])
-    with pytest.raises(ValueError):
-        stop_on_atoms(tree, 1, [])
-
-
 def test_tent_mask_and_membership():
     tree = build_dyadic(2)
-    tau = stop_on_atoms(tree, 1, [0])
+    tau = StoppingTime(tree, [(1, 0)])
     mask = tau.tent_mask()
     assert mask.shape == (3, 4)
     assert np.array_equal(mask[0], [False, False, False, False])
@@ -83,7 +71,7 @@ def test_tent_mask_and_membership():
 
 def test_tent_covers_the_atoms_below_its_stops():
     tree = build_dyadic(2)
-    mask = stop_on_atoms(tree, 1, [0]).tent_mask()
+    mask = StoppingTime(tree, [(1, 0)]).tent_mask()
     got = [
         (k, sorted(set(tree.leaf_ancestors(k)[mask[k]].tolist()))) for k in range(tree.depth + 1)
     ]
@@ -234,7 +222,7 @@ def test_first_passage_matches_the_pair_based_reference(g):
 
 def test_indicator_process_values(depth2_example):
     tree, _ = depth2_example
-    tau = stop_on_atoms(tree, 1, [0])
+    tau = StoppingTime(tree, [(1, 0)])
     ind = indicator_process(tau)
     assert np.array_equal(ind.level(0), [0.0])
     assert np.array_equal(ind.level(1), [1.0, 0.0])
@@ -255,9 +243,9 @@ def test_indicator_values_are_exact_and_monotone():
 
 def test_stopped_before_values(depth2_example):
     tree, f = depth2_example
-    tau = stop_on_atoms(tree, 1, [0])
+    tau = StoppingTime(tree, [(1, 0)])
     assert np.array_equal(stopped_before(f, tau).values, [0.0, 0.0, -1.0, -1.0])
-    root = stop_on_atoms(tree, 0, [0])
+    root = StoppingTime(tree, [(0, 0)])
     assert np.array_equal(stopped_before(f, root).values, [0.0, 0.0, 0.0, 0.0])
     never = StoppingTime(tree, [])
     assert np.array_equal(stopped_before(f, never).values, f.level(2))

@@ -347,6 +347,20 @@ def test_only_the_tree_reads_its_private_attributes():
     assert reads == []
 
 
+def test_no_function_imports():
+    """Every module imports at its top, so its dependencies show there."""
+    package = Path(bmolab.__file__).parent
+    sites = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert sites == []
+
+
 def test_every_exported_name_resolves():
     modules = [bmolab, *(
         importlib.import_module(f"bmolab.{path.stem}")
