@@ -30,7 +30,7 @@ so any constant the inequality holds with must dominate the norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,11 +232,6 @@ class CarlesonInequalityResult:
     maximal_tail_term: float
     maximal_weak_norm: float
 
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["carleson_norm"] = self.carleson_norm.as_dict()
-        return out
-
 
 def carleson_inequality_grid(
     g: AdaptedProcess, mu: CarlesonMeasure, ps, alphas, slack: float = 1e-9,
@@ -257,7 +252,7 @@ def carleson_inequality_grid(
         if alpha == 0.0:
             raise ValueError("alpha must be positive here (the exponent 1/(2 alpha))")
         checked.append(alpha)
-    if g.tree is not mu.tree and g.tree != mu.tree:
+    if g.tree != mu.tree:
         raise ValueError("process and measure live on different trees")
 
     mods = _leaf_moduli(g)
@@ -325,10 +320,12 @@ def converse_extraction(
     identical float operations), and the running maximum of the indicator
     must equal the indicator of {tau finite} exactly; both facts are
     checked, not assumed.  The verdict compares every ratio
-    mu(tent)/P^(1+2 alpha) against c_p with hairline float slack.
+    mu(tent)/P^(1+2 alpha) against a non-NaN c_p with hairline slack.
     """
     _check_p(p)
     alpha = _check_alpha_carleson(alpha)
+    if c_p != c_p:
+        raise ValueError(f"c_p must be a number, got {c_p}")
     expo = -(1.0 + 2.0 * alpha)
     slack = 1e-12 * max(1.0, float(c_p))
 

@@ -79,6 +79,13 @@ class AtomRef(NamedTuple):
     index: int
 
 
+def _atom_position(x: object) -> int:
+    """An atom level or index as an int: Python and numpy integers only."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"atom levels and indices must be integers, got {x!r}")
+    return int(x)
+
+
 _MASS_RANGE = "mass must lie in (0, 1], got {!r}"
 
 
@@ -430,7 +437,7 @@ class FiltrationTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiltrationTree):
             return NotImplemented
-        return self._depth == other._depth and all(
+        return self is other or self._depth == other._depth and all(
             a.shape == b.shape and bool(np.all(a == b))
             for a, b in zip(self._masses, other._masses)
         ) and all(bool(np.all(a == b)) for a, b in zip(self._parent, other._parent))
@@ -507,12 +514,12 @@ class TreeDocument:
         return cls.from_dict(read_json(path), base_dir=os.path.dirname(os.path.abspath(path)))
 
 
-def build_dyadic(depth: int, *, max_depth: int = MAX_DYADIC_DEPTH) -> FiltrationTree:
+def build_dyadic(depth: int) -> FiltrationTree:
     """Uniform binary tree: every level-``n`` atom has mass ``2**-n``."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if depth > max_depth:
-        raise SizeCapError(f"dyadic depth {depth} exceeds the cap {max_depth}")
+    if depth > MAX_DYADIC_DEPTH:
+        raise SizeCapError(f"dyadic depth {depth} exceeds the cap {MAX_DYADIC_DEPTH}")
 
     masses = [np.full(1 << n, 0.5**n) for n in range(depth + 1)]
     parents = [np.full(1, -1, dtype=np.intp)]

@@ -37,7 +37,7 @@ from operator import mul
 import numpy as np
 
 from .errors import SizeCapError
-from .filtration import FiltrationTree
+from .filtration import FiltrationTree, _atom_position
 from .process import AdaptedProcess, RandomVariable, _modulus
 from .stopping import (
     StoppingTime,
@@ -88,10 +88,13 @@ def lp_norm(X: RandomVariable, p: float) -> float:
 
     Valid for every p > 0; below 1 this is the usual quasi-norm, which the
     inequality machinery needs for exponents like 1/(2 alpha) and p - 1.
+    At p = inf it is max |X| (every atom has positive mass).
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
     mod = _modulus(X.values)
+    if p == math.inf:
+        return float(np.max(mod))
     w = X.tree.leaf_masses
     with np.errstate(over="ignore"):
         total = np.sum(mod**p * w)
@@ -110,7 +113,7 @@ def weak_lq_norm(X: RandomVariable, q: float) -> float:
     v of |X|, where P(|X| > lam) jumps to P(|X| >= v), so it equals the
     max of v * P(|X| >= v)^(1/q) over distinct values v > 0.
     """
-    if q <= 0:
+    if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     vals, tails = _tails(_modulus(X.values), X.tree.leaf_masses)
     if not vals.size:
@@ -136,36 +139,23 @@ def _layer_cake_arrays(mod: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(np.sum((vals**p - prev**p) * tails))
 
 
-def _density_weights(X: RandomVariable, density) -> np.ndarray:
-    w = X.tree.leaf_masses
-    if density is None:
-        return w
-    d = density.values if isinstance(density, RandomVariable) else np.asarray(density, dtype=float)
-    if d.shape != w.shape:
-        raise ValueError("density must assign one value per leaf")
-    if np.any(d < 0):
-        raise ValueError("density must be nonnegative")
-    return d * w
-
-
-def layer_cake(X: RandomVariable, p: float, density=None) -> float:
-    """p * integral over lam of lam^(p-1) * mu(|X| > lam), evaluated in
+def layer_cake(X: RandomVariable, p: float) -> float:
+    """p * integral over lam of lam^(p-1) * P(|X| > lam), evaluated in
     closed form between consecutive distinct values of |X|.
 
-    mu is density * P (uniform density when none is given).  Equals the
-    direct sum of |X|^p against mu for every p > 0; the pair is the
-    standard cross-check used throughout the verification suites.
+    Equals the direct sum of |X|^p against P for every p > 0; the pair is
+    the standard cross-check used throughout the verification suites.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return _layer_cake_arrays(_modulus(X.values), _density_weights(X, density), p)
+    return _layer_cake_arrays(_modulus(X.values), X.tree.leaf_masses, p)
 
 
-def power_integral(X: RandomVariable, p: float, density=None) -> float:
-    """Direct sum form of the same integral: sum of |X|^p * density * mass."""
-    if p <= 0:
+def power_integral(X: RandomVariable, p: float) -> float:
+    """Direct sum form of the same integral: sum of |X|^p * mass."""
+    if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    return float(np.sum(_modulus(X.values) ** p * _density_weights(X, density)))
+    return float(np.sum(_modulus(X.values) ** p * X.tree.leaf_masses))
 
 
 # == oscillation norm ========================================================
@@ -428,33 +418,27 @@ def process_bmo_alpha_norm(g: AdaptedProcess, alpha: float) -> float:
     return _bmo_sups(g, [_check_alpha(alpha)], 2.0, "atom-fast", None)[0].value
 
 
-def bmo_ratio_at(
-    f: AdaptedProcess, alpha: float, level: int, atoms, p: float = 2.0
-) -> float:
+def bmo_ratio_at(f: AdaptedProcess, alpha: float, level: int, atoms) -> float:
     """Re-evaluate the defining ratio at one union of same-level atoms;
     an atom listed twice counts once."""
     alpha = _check_alpha(alpha)
-    r = _residual_integrals(f, level, p)
-    idx = sorted({int(i) for i in atoms})
+    level = _atom_position(level)
+    idx = sorted({_atom_position(i) for i in atoms})
     if not idx:
         raise ValueError("need at least one atom")
+    m = f.tree.masses(level)
     for i in (idx[0], idx[-1]):
-        if not 0 <= i < len(r):
+        if not 0 <= i < len(m):
             raise ValueError(f"atom index {i} out of range at level {level}")
-    return float(
-        np.sum(r[idx]) ** (1.0 / p) * np.sum(f.tree.masses(level)[idx]) ** (-1.0 / p - alpha)
-    )
+    r = _residual_integrals(f, level, 2.0)
+    return float(np.sum(r[idx]) ** 0.5 * np.sum(m[idx]) ** (-0.5 - alpha))
 
 
-def replay_bmo_witness(
-    f: AdaptedProcess, alpha: float, witness: dict, p: float = 2.0
-) -> float:
+def replay_bmo_witness(f: AdaptedProcess, alpha: float, witness: dict) -> float:
     """Recompute the ratio a NormResult witness claims to achieve."""
     if witness["kind"] == "level-set":
-        return bmo_ratio_at(f, alpha, witness["level"], witness["atoms"], p)
+        return bmo_ratio_at(f, alpha, witness["level"], witness["atoms"])
     if witness["kind"] == "stopping-time":
-        if p != 2.0:
-            raise ValueError("stopping-time witnesses exist for p = 2 only")
         alpha = _check_alpha(alpha)
         tau = StoppingTime(f.tree, [tuple(s) for s in witness["stops"]])
         resid = f.level(f.depth) - stopped_before(f, tau).values

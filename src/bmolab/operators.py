@@ -35,10 +35,6 @@ __all__ = [
 ]
 
 
-def _same_tree(a, b) -> bool:
-    return a.tree is b.tree or a.tree == b.tree
-
-
 def transform(f: Martingale, v: PredictableSequence) -> Martingale:
     """Sum of v_k times the k-th increment, accumulated level by level.
 
@@ -46,7 +42,7 @@ def transform(f: Martingale, v: PredictableSequence) -> Martingale:
     it scales averages to zero, so the result is again a martingale (the
     constructor re-checks that).
     """
-    if not _same_tree(f, v):
+    if f.tree != v.tree:
         raise ValueError("martingale and multiplier sequence live on different trees")
     tree = f.tree
     d = differences(f)

@@ -90,13 +90,6 @@ class RandomVariable(TreeDocument):
         self.values = values
         self.dim = 1 if values.ndim == 1 else values.shape[1]
 
-    def modulus(self) -> np.ndarray:
-        return _modulus(self.values)
-
-    def expectation(self):
-        total = np.sum(self.values * _per_row(self.tree.leaf_masses, self.values), axis=0)
-        return float(total) if self.values.ndim == 1 else total
-
     def _payload(self) -> dict:
         return {"dim": self.dim, "leaves": self.values.tolist()}
 

@@ -7,8 +7,8 @@ representation makes {time <= n} a union of level-n atoms by construction
 and keeps P(time < infinity) an exact sum of stop-atom masses.
 
 The tent over a stopping time tau is the set of pairs (omega, k) with
-k >= tau(omega) and tau(omega) finite; `tent_mask` materializes it as a
-boolean (levels x leaves) array.
+k >= tau(omega) and tau(omega) finite: the cells where ``tau_values() <=
+k``, the sentinel keeping the never-stopping part out.
 
 Exhaustive enumeration of all stopping times of a tree is the oracle
 behind every "supremum over stopping times" in the package.  The count
@@ -28,7 +28,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import SchemaError, SizeCapError
-from .filtration import AtomRef, FiltrationTree
+from .filtration import AtomRef, FiltrationTree, _atom_position
 from .process import AdaptedProcess, RandomVariable, _leaf_moduli
 
 __all__ = [
@@ -80,7 +80,7 @@ class StoppingTime:
     """
 
     def __init__(self, tree: FiltrationTree, stops: Iterable[AtomRef]):
-        refs = sorted({AtomRef(int(l), int(i)) for (l, i) in stops})
+        refs = sorted({AtomRef(_atom_position(l), _atom_position(i)) for (l, i) in stops})
         ranges = sorted((tree.leaf_slice(r).start, tree.leaf_slice(r).stop) for r in refs)
         for (_, a_stop), (b_start, _) in zip(ranges, ranges[1:]):
             if b_start < a_stop:
@@ -104,11 +104,6 @@ class StoppingTime:
     def is_never(self) -> bool:
         return not self.stops
 
-    def tent_mask(self) -> np.ndarray:
-        """Boolean (depth+1, leaves) array of tent membership."""
-        ks = np.arange(self.tree.depth + 1)
-        return self._tau[None, :] <= ks[:, None]
-
     def to_dict(self) -> dict:
         return {"schema": "tau/v1", "stops": [[r.level, r.index] for r in self.stops]}
 
@@ -130,9 +125,7 @@ class StoppingTime:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StoppingTime):
             return NotImplemented
-        return self.stops == other.stops and (
-            self.tree is other.tree or self.tree == other.tree
-        )
+        return self.stops == other.stops and self.tree == other.tree
 
     def __hash__(self) -> int:
         return hash(self.stops)

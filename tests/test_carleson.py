@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -199,7 +200,7 @@ def test_inequality_result_fields():
     g = random_adapted_process(tree, 3, 1)
     mu = random_measure(tree, 4)
     res = carleson_inequality_check(g, mu, 2.0, 0.25)
-    d = res.as_dict()
+    d = dataclasses.asdict(res)
     for key in (
         "lhs",
         "lhs_layer_cake",
@@ -292,8 +293,9 @@ def _assert_grid_matches(g, mu, ps, alphas):
     assert [len(row) for row in grid] == [len(alphas)] * len(ps)
     for i, p in enumerate(ps):
         for j, alpha in enumerate(alphas):
-            got = grid[i][j].as_dict()
-            _assert_same_fields(got, carleson_inequality_check(g, mu, p, alpha).as_dict())
+            got = dataclasses.asdict(grid[i][j])
+            want = dataclasses.asdict(carleson_inequality_check(g, mu, p, alpha))
+            _assert_same_fields(got, want)
             _assert_same_fields(got, _inequality_reference(g, mu, p, alpha))
 
 
@@ -438,6 +440,21 @@ def test_converse_validation():
         converse_extraction(mu, 0.25, 1.0, 1.0)
     with pytest.raises(ValueError):
         converse_extraction(mu, 1.0, 1.0, 2.0)
+
+
+def test_converse_refuses_a_nan_constant():
+    mu = random_measure(build_dyadic(2), 1)
+    with pytest.raises(ValueError, match="^c_p must be a number, got nan$"):
+        converse_extraction(mu, 0.25, math.nan, 2.0)
+    assert converse_extraction(mu, 0.25, math.inf, 2.0)["norm_bound_satisfied"]
+    assert not converse_extraction(mu, 0.25, -math.inf, 2.0)["norm_bound_satisfied"]
+
+
+def test_ratio_at_takes_integer_stops_only():
+    mu = random_measure(build_dyadic(2), 1)
+    for stops, bad in (([[1.5, 0]], "1.5"), ([[1, True]], "True")):
+        with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+            carleson_ratio_at(mu, 0.25, stops)
 
 
 def test_converse_cap_propagates():

@@ -182,7 +182,7 @@ def test_inequality_result_is_a_frozen_dataclass():
         "carleson_norm", "maximal_strong_norm", "maximal_tail_term", "maximal_weak_norm",
     ]
     assert [f.name for f in dataclasses.fields(res)] == names
-    d = res.as_dict()
+    d = dataclasses.asdict(res)
     assert list(d) == names
     assert d["carleson_norm"] == res.carleson_norm.as_dict()
     with pytest.raises(dataclasses.FrozenInstanceError):

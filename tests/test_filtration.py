@@ -210,9 +210,6 @@ def test_level_bounds_checked():
 def test_dyadic_depth_cap():
     with pytest.raises(SizeCapError):
         build_dyadic(MAX_DYADIC_DEPTH + 1)
-    build_dyadic(3, max_depth=3)
-    with pytest.raises(SizeCapError):
-        build_dyadic(4, max_depth=3)
 
 
 def test_random_tree_is_a_pure_function_of_its_arguments():

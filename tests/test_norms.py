@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from bmolab import (
     square_function,
     weak_lq_norm,
 )
-from bmolab.norms import BMO_MODES
+from bmolab.norms import BMO_MODES, _layer_cake_arrays
 from bmolab.process import _modulus
 
 import oracles
@@ -60,8 +62,8 @@ def test_vector_modulus_does_not_overflow():
     assert weak_lq_norm(X, 2.0) == 7.071067811865476e299
     # rows that do not overflow keep their bits
     Y = RandomVariable(build_dyadic(1), [[3.0, 4.0], [1e300, 1e300]])
-    assert Y.modulus()[0] == 5.0
-    assert Y.modulus()[1] == pytest.approx(1e300 * np.sqrt(2.0), rel=1e-15)
+    assert _modulus(Y.values)[0] == 5.0
+    assert _modulus(Y.values)[1] == pytest.approx(1e300 * np.sqrt(2.0), rel=1e-15)
     # a residual can hold an inf component; its modulus stays inf, not NaN
     assert _modulus(np.array([[np.inf, 1.0], [1e300, 0.0]])).tolist() == [np.inf, 1e300]
 
@@ -71,6 +73,22 @@ def test_lp_rejects_nonpositive_p():
     X = RandomVariable(tree, [1.0, 2.0])
     with pytest.raises(ValueError):
         lp_norm(X, 0.0)
+
+
+def test_lp_norm_at_infinity_is_the_max_modulus():
+    tree = build_dyadic(2)
+    X = RandomVariable(tree, [0.5, 0.1, -0.2, 0.3])
+    assert lp_norm(X, math.inf) == 0.5 == weak_lq_norm(X, math.inf)
+    assert lp_norm(RandomVariable(tree, np.zeros(4)), math.inf) == 0.0
+    Y = RandomVariable(build_dyadic(1), [[3.0, 4.0], [0.0, -1.0]])
+    assert lp_norm(Y, math.inf) == 5.0
+
+
+@pytest.mark.parametrize("integral", [lp_norm, weak_lq_norm, layer_cake, power_integral])
+def test_plain_integrals_refuse_a_nan_exponent(integral):
+    X = RandomVariable(build_dyadic(1), [1.0, 2.0])
+    with pytest.raises(ValueError, match=r"^[pq] must be positive, got nan$"):
+        integral(X, math.nan)
 
 
 def test_weak_norm_indicator():
@@ -118,10 +136,12 @@ def test_layer_cake_example():
 def test_layer_cake_with_density():
     tree = build_dyadic(2)
     X = RandomVariable(tree, [2.0, 0.0, -1.0, -1.0])
-    dens = [4.0, 1.0, 0.0, 2.0]
-    direct = power_integral(X, 2.0, density=dens)
+    dens = np.array([4.0, 1.0, 0.0, 2.0])
+    weights = dens * tree.leaf_masses
+    direct = float(np.sum(_modulus(X.values) ** 2.0 * weights))
     assert direct == pytest.approx(4.0 * 0.25 * 4 + 2.0 * 0.25, rel=1e-14)
-    assert layer_cake(X, 2.0, density=dens) == pytest.approx(direct, rel=1e-12)
+    layered = _layer_cake_arrays(_modulus(X.values), weights, 2.0)
+    assert layered == pytest.approx(direct, rel=1e-12)
 
 
 @given(
@@ -133,9 +153,11 @@ def test_layer_cake_with_density():
 def test_layer_cake_equals_direct_sum_hypothesis(vals, dens, p):
     tree = build_dyadic(3)
     X = RandomVariable(tree, vals)
-    a = layer_cake(X, p, density=dens)
-    b = power_integral(X, p, density=dens)
+    weights = np.array(dens) * tree.leaf_masses
+    a = _layer_cake_arrays(_modulus(X.values), weights, p)
+    b = float(np.sum(_modulus(X.values) ** p * weights))
     assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
+    assert layer_cake(X, p) == pytest.approx(power_integral(X, p), rel=1e-10, abs=1e-12)
 
 
 # == oscillation norm: closed forms ==========================================
@@ -323,6 +345,23 @@ def test_ratio_at_scores_a_set_of_atoms():
     for atom in (-1, 2, 3):
         with pytest.raises(ValueError, match=f"atom index {atom} out of range at level 1"):
             bmo_ratio_at(f, 0.25, 1, [0, atom])
+    assert bmo_ratio_at(f, 0.25, np.int64(1), [np.int32(0)]) == once
+    for level in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^level {level} out of range \[0, 2\]$"):
+            bmo_ratio_at(f, 0.25, level, [0])
+
+
+@pytest.mark.parametrize("level, atoms, bad", [
+    (1, [0.9], "0.9"), (1.0, [0], "1.0"), (True, [0], "True"), (1, [0, False], "False"),
+])
+def test_ratio_at_takes_integer_positions_only(level, atoms, bad):
+    f = random_martingale(build_dyadic(2), 1)
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+        bmo_ratio_at(f, 0.25, level, atoms)
+    with pytest.raises(ValueError, match=f"must be integers, got {bad}$"):
+        replay_bmo_witness(f, 0.25, {"kind": "level-set", "level": level, "atoms": atoms})
+    with pytest.raises(ValueError, match="must be integers, got 1.5$"):
+        replay_bmo_witness(f, 0.25, {"kind": "stopping-time", "stops": [[1.5, 0]]})
 
 
 def test_replay_every_mode(depth2_example):
@@ -337,8 +376,6 @@ def test_replay_rejects_unknown_kind(rademacher_pair):
     _, f = rademacher_pair
     with pytest.raises(ValueError):
         replay_bmo_witness(f, 0.5, {"kind": "mystery"})
-    with pytest.raises(ValueError):
-        replay_bmo_witness(f, 0.5, {"kind": "stopping-time", "stops": [[0, 0]]}, p=3.0)
 
 
 def test_norm_result_as_dict(rademacher_pair):

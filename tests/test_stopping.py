@@ -57,10 +57,18 @@ def test_never_stopping_time():
     assert np.all(tau.tau_values() == 3)
 
 
+@pytest.mark.parametrize("stop", [(1.5, 0), (True, 0), (1, 0.0), (1, np.bool_(False))])
+def test_stop_positions_must_be_integers(stop):
+    tree = build_dyadic(2)
+    with pytest.raises(ValueError, match="^atom levels and indices must be integers, got "):
+        StoppingTime(tree, [stop])
+    assert StoppingTime(tree, [(np.int8(1), np.uint64(0))]).stops == (AtomRef(1, 0),)
+
+
 def test_tent_mask_and_membership():
     tree = build_dyadic(2)
     tau = StoppingTime(tree, [(1, 0)])
-    mask = tau.tent_mask()
+    mask = tau.tau_values()[None, :] <= np.arange(tree.depth + 1)[:, None]
     assert mask.shape == (3, 4)
     assert np.array_equal(mask[0], [False, False, False, False])
     assert np.array_equal(mask[1], [True, True, False, False])
@@ -71,7 +79,8 @@ def test_tent_mask_and_membership():
 
 def test_tent_covers_the_atoms_below_its_stops():
     tree = build_dyadic(2)
-    mask = StoppingTime(tree, [(1, 0)]).tent_mask()
+    tau = StoppingTime(tree, [(1, 0)])
+    mask = tau.tau_values()[None, :] <= np.arange(tree.depth + 1)[:, None]
     got = [
         (k, sorted(set(tree.leaf_ancestors(k)[mask[k]].tolist()))) for k in range(tree.depth + 1)
     ]

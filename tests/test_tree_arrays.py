@@ -361,6 +361,24 @@ def test_no_function_imports():
     assert sites == []
 
 
+def test_no_tree_is_compared_by_identity():
+    """Trees compare with ``==``, which is cheap for the same object, so no
+    module writes its own ``.tree is`` shortcut."""
+    package = Path(bmolab.__file__).parent
+    sites = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and any(
+            isinstance(side, ast.Attribute) and side.attr == "tree"
+            for side in (node.left, *node.comparators)
+        )
+    ]
+    assert sites == []
+
+
 def test_every_exported_name_resolves():
     modules = [bmolab, *(
         importlib.import_module(f"bmolab.{path.stem}")
