@@ -10,6 +10,7 @@ path; size-cap refusals suggest the fast modes).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import inspect
 import json
@@ -133,7 +134,7 @@ def _cmd_gen_martingale(args) -> int:
 def _cmd_norm(args) -> int:
     f = Martingale.load(args.input)
     if args.p == 2.0:
-        doc = bmo_alpha_norm(f, args.alpha, args.mode, args.max_enum).as_dict()
+        doc = dataclasses.asdict(bmo_alpha_norm(f, args.alpha, args.mode, args.max_enum))
     else:
         value = bmo_alpha_p_norm(f, args.alpha, args.p, args.mode, args.max_enum)
         doc = {"value": value, "mode": args.mode, "p": args.p}
@@ -144,7 +145,7 @@ def _cmd_norm(args) -> int:
 def _cmd_carleson_norm(args) -> int:
     mu = CarlesonMeasure.load(args.input)
     result = carleson_alpha_norm(mu, args.alpha, args.mode, args.max_enum)
-    write_text(args.out, dump_json(result.as_dict()))
+    write_text(args.out, dump_json(dataclasses.asdict(result)))
     return 0
 
 

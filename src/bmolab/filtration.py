@@ -134,38 +134,44 @@ def _first_atom(parents, flagged: list[np.ndarray]) -> tuple[list[int], int, int
     )
 
 
-def _levels_of(root: object) -> tuple[list[list[float]], list[list[int]]]:
-    """Per-level masses and parent indices of a nested node document.
+def _walk(root: object, expand) -> tuple[list[list[float]], list[list[int]]]:
+    """Per-level masses and parent indices of a tree, atoms in depth-first order.
 
-    An explicit-stack depth-first walk, so no recursion limit applies; it
-    raises at the first malformed node in depth-first order.
+    ``expand(item, level, parents)`` gives an item's mass and its child
+    items, with ``parents`` the parent lists so far, ending at the item's
+    own entry.  An explicit-stack walk, so no recursion limit applies.
     """
     masses: list[list[float]] = []
     parents: list[list[int]] = []
     stack = [(root, 0, -1)]
     while stack:
-        node, level, parent = stack.pop()
+        item, level, parent = stack.pop()
         if level == len(masses):
             masses.append([])
             parents.append([])
         index = len(parents[level])
         parents[level].append(parent)
-        if not isinstance(node, dict) or "mass" not in node:
-            error = "atom must be an object with 'mass' and 'children'"
-        elif not isinstance(mass := node["mass"], (int, float)) or isinstance(mass, bool):
-            error = f"mass must be a number, got {type(mass).__name__}"
-        elif not 0.0 < mass <= 1.0:
-            error = _MASS_RANGE.format(_float(mass))
-        elif not isinstance(children := node.get("children", []), list):
-            error = "'children' must be a list"
-        else:
-            error = None
-        if error:
-            raise SchemaError(error, _path(_atom_steps(parents, level, index)))
-        masses[level].append(float(mass))
+        mass, children = expand(item, level, parents)
+        masses[level].append(mass)
         if children:
             stack.extend([(child, level + 1, index) for child in reversed(children)])
     return masses, parents
+
+
+def _read_node(node: object, level: int, parents: list) -> tuple[float, object]:
+    """A node's mass and children for `_walk`; the first malformed node in
+    depth-first order raises, naming its path."""
+    if not isinstance(node, dict) or "mass" not in node:
+        error = "atom must be an object with 'mass' and 'children'"
+    elif not isinstance(mass := node["mass"], (int, float)) or isinstance(mass, bool):
+        error = f"mass must be a number, got {type(mass).__name__}"
+    elif not 0.0 < mass <= 1.0:
+        error = _MASS_RANGE.format(_float(mass))
+    elif not isinstance(children := node.get("children", []), list):
+        error = "'children' must be a list"
+    else:
+        return float(mass), children
+    raise SchemaError(error, _path(_atom_steps(parents, level, len(parents[level]) - 1)))
 
 
 class FiltrationTree:
@@ -182,7 +188,7 @@ class FiltrationTree:
     """
 
     def __init__(self, root: dict, depth: int | None = None):
-        self._set_levels(*_levels_of(root), depth)
+        self._set_levels(*_walk(root, _read_node), depth)
 
     @classmethod
     def _from_levels(cls, masses: list, parents: list, depth: int | None = None) -> FiltrationTree:
@@ -541,34 +547,24 @@ def build_random(
     if max_branch < 1:
         raise ValueError("max_branch must be at least 1")
     rng = np.random.default_rng(seed)
-    masses: list[list[float]] = []
-    parents: list[list[int]] = []
-    # Depth-first with an explicit stack: the atoms are visited, counted and
-    # split in the same order as a recursive walk, so the RNG draws match.
-    stack = [(1.0, 0, -1)]
     count = 0
-    while stack:
-        mass, level, parent = stack.pop()
+
+    def split(mass: float, level: int, parents: list) -> tuple[float, list[float]]:
+        nonlocal count
         count += 1
         if count > max_atoms:
             raise SizeCapError(f"random tree exceeds the atom cap {max_atoms}")
-        if level == len(masses):
-            masses.append([])
-            parents.append([])
-        index = len(masses[level])
-        masses[level].append(mass)
-        parents[level].append(parent)
         if level == depth:
-            continue
+            return mass, []
         branches = int(rng.integers(1, max_branch + 1))
         if branches == 1:
-            parts = [mass]
-        else:
+            return mass, [mass]
+        weights = rng.dirichlet(np.ones(branches))
+        while float(weights.min()) < 1e-6:
             weights = rng.dirichlet(np.ones(branches))
-            while float(weights.min()) < 1e-6:
-                weights = rng.dirichlet(np.ones(branches))
-            parts = [mass * float(w) for w in weights[:-1]]
-            parts.append(mass - sum(parts))
-        stack.extend([(p, level + 1, index) for p in reversed(parts)])
+        parts = [mass * float(w) for w in weights[:-1]]
+        parts.append(mass - sum(parts))
+        return mass, parts
 
-    return FiltrationTree._from_levels(masses, parents, depth)
+    # Atoms are counted and split in depth-first order, so the RNG draws match.
+    return FiltrationTree._from_levels(*_walk(1.0, split), depth)

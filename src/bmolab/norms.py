@@ -76,9 +76,6 @@ class NormResult:
     witness: dict | None
     mode: str
 
-    def as_dict(self) -> dict:
-        return {"value": self.value, "witness": self.witness, "mode": self.mode}
-
 
 # == plain norms =============================================================
 
@@ -354,8 +351,6 @@ def _bmo_sups(
     alpha takes its own powers and argmax, the same floats in the same
     order as a scan for it alone."""
     _check_mode(mode, BMO_MODES)
-    if mode == "stopping-bruteforce" and p != 2.0:
-        raise ValueError("the stopping-time form is defined for the p = 2 norm only")
     if not alphas:
         return []
     exps = [-alpha if mode == "omega-form" else -1.0 / p - alpha for alpha in alphas]

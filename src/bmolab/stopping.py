@@ -81,17 +81,15 @@ class StoppingTime:
 
     def __init__(self, tree: FiltrationTree, stops: Iterable[AtomRef]):
         refs = sorted({AtomRef(_atom_position(l), _atom_position(i)) for (l, i) in stops})
-        ranges = sorted((tree.leaf_slice(r).start, tree.leaf_slice(r).stop) for r in refs)
-        for (_, a_stop), (b_start, _) in zip(ranges, ranges[1:]):
-            if b_start < a_stop:
+        leaves = [tree.leaf_slice(r) for r in refs]  # a bad position raises here
+        tau = np.full(tree.num_leaves, tree.depth + 1, dtype=np.int64)
+        for r, s in zip(refs, leaves):
+            if (tau[s] <= tree.depth).any():
                 raise ValueError("stop atoms must form an antichain (found overlap)")
+            tau[s] = r.level
+        tau.flags.writeable = False
         self.tree = tree
         self.stops: tuple[AtomRef, ...] = tuple(refs)
-
-        tau = np.full(tree.num_leaves, tree.depth + 1, dtype=np.int64)
-        for r in refs:
-            tau[tree.leaf_slice(r)] = r.level
-        tau.flags.writeable = False
         self._tau = tau
         self.prob_finite = float(sum(tree.masses(r.level)[r.index] for r in refs))
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .carleson import (
+    CARLESON_MODES,
     carleson_alpha_norm,
     carleson_alpha_norms,
     carleson_inequality_grid,
@@ -31,7 +32,7 @@ from .carleson import (
     random_measure,
 )
 from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
-from .norms import bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
+from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
 from .process import (
     PredictableSequence,
@@ -568,19 +569,14 @@ def bench(depths=(1, 2, 3), alpha: float = 0.25, seed: int = 0, repeats: int = 3
         tree = build_dyadic(depth)
         f = random_martingale(tree, seed + depth, 1)
         mu = from_martingale(f)
-        jobs = [
-            ("bmo", "atom-fast", lambda: bmo_alpha_norm(f, alpha, "atom-fast")),
-            ("bmo", "subset-bruteforce", lambda: bmo_alpha_norm(f, alpha, "subset-bruteforce")),
-            ("bmo", "stopping-bruteforce", lambda: bmo_alpha_norm(f, alpha, "stopping-bruteforce")),
-            ("carleson", "node-fast", lambda: carleson_alpha_norm(mu, alpha, "node-fast")),
-            ("carleson", "stopping-bruteforce", lambda: carleson_alpha_norm(mu, alpha, "stopping-bruteforce")),
-        ]
-        for op, mode, job in jobs:
+        jobs = [("bmo", bmo_alpha_norm, f, m) for m in BMO_MODES if m != "omega-form"]
+        jobs += [("carleson", carleson_alpha_norm, mu, m) for m in CARLESON_MODES]
+        for op, norm, obj, mode in jobs:
             best = None
             value = None
             for _ in range(repeats):
                 t0 = time.perf_counter()
-                value = job().value
+                value = norm(obj, alpha, mode).value
                 dt = time.perf_counter() - t0
                 best = dt if best is None else min(best, dt)
             rows.append(

@@ -270,7 +270,7 @@ def _inequality_reference(g, mu, p, alpha, slack=1e-9):
         "p": float(p),
         "alpha": float(alpha),
         "constant": constant,
-        "carleson_norm": norm.as_dict(),
+        "carleson_norm": dataclasses.asdict(norm),
         "maximal_strong_norm": strong,
         "maximal_tail_term": tail,
         "maximal_weak_norm": weak_lq_norm(mg, 1.0 / (2.0 * alpha)),

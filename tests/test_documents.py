@@ -184,6 +184,6 @@ def test_inequality_result_is_a_frozen_dataclass():
     assert [f.name for f in dataclasses.fields(res)] == names
     d = dataclasses.asdict(res)
     assert list(d) == names
-    assert d["carleson_norm"] == res.carleson_norm.as_dict()
+    assert d["carleson_norm"] == dataclasses.asdict(res.carleson_norm)
     with pytest.raises(dataclasses.FrozenInstanceError):
         res.lhs = 0.0

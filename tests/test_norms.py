@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -380,6 +381,6 @@ def test_replay_rejects_unknown_kind(rademacher_pair):
 
 def test_norm_result_as_dict(rademacher_pair):
     _, f = rademacher_pair
-    d = bmo_alpha_norm(f, 0.5).as_dict()
+    d = dataclasses.asdict(bmo_alpha_norm(f, 0.5))
     assert set(d) == {"value", "witness", "mode"}
     assert d["mode"] == "atom-fast"
