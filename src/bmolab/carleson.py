@@ -196,7 +196,7 @@ def carleson_alpha_norm(
 def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
     """Re-evaluate the defining ratio at one stop set."""
     alpha = _check_alpha_carleson(alpha)
-    tau = StoppingTime(mu.tree, [tuple(s) for s in stops])
+    tau = StoppingTime(mu.tree, stops)
     if tau.is_never():
         raise ValueError("the never-stopping time has no ratio")
     return mu.tent_mass(tau) * _float_power(tau.prob_finite, -(1.0 + 2.0 * alpha))

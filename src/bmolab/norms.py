@@ -136,22 +136,28 @@ def _layer_cake_arrays(mod: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(np.sum((vals**p - prev**p) * tails))
 
 
+def _check_finite_p(p: float) -> None:
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    if p == math.inf:
+        raise ValueError(f"p must be finite, got {p}")
+
+
 def layer_cake(X: RandomVariable, p: float) -> float:
     """p * integral over lam of lam^(p-1) * P(|X| > lam), evaluated in
     closed form between consecutive distinct values of |X|.
 
-    Equals the direct sum of |X|^p against P for every p > 0; the pair is
-    the standard cross-check used throughout the verification suites.
+    Equals the direct sum of |X|^p against P for every finite p > 0; the
+    pair is the standard cross-check used throughout the verification
+    suites.
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_finite_p(p)
     return _layer_cake_arrays(_modulus(X.values), X.tree.leaf_masses, p)
 
 
 def power_integral(X: RandomVariable, p: float) -> float:
     """Direct sum form of the same integral: sum of |X|^p * mass."""
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    _check_finite_p(p)
     return float(np.sum(_modulus(X.values) ** p * X.tree.leaf_masses))
 
 
@@ -418,6 +424,8 @@ def bmo_ratio_at(f: AdaptedProcess, alpha: float, level: int, atoms) -> float:
     an atom listed twice counts once."""
     alpha = _check_alpha(alpha)
     level = _atom_position(level)
+    if not np.iterable(atoms):
+        raise ValueError(f"atoms must be a list of atom indices, got {atoms!r}")
     idx = sorted({_atom_position(i) for i in atoms})
     if not idx:
         raise ValueError("need at least one atom")
@@ -426,17 +434,35 @@ def bmo_ratio_at(f: AdaptedProcess, alpha: float, level: int, atoms) -> float:
         if not 0 <= i < len(m):
             raise ValueError(f"atom index {i} out of range at level {level}")
     r = _residual_integrals(f, level, 2.0)
-    return float(np.sum(r[idx]) ** 0.5 * np.sum(m[idx]) ** (-0.5 - alpha))
+    return _ratio(np.sum(r[idx]), float(np.sum(m[idx])), alpha)
+
+
+def _ratio(integral: np.float64, mass: float, alpha: float) -> float:
+    """integral ** (1/2) * mass ** (-1/2 - alpha) in Python floats, so a
+    mass power that overflows gives inf (or NaN times a zero integral)
+    without a numpy warning.  Where numpy's scalar power is finite,
+    Python's gives the same bits."""
+    return float(integral**0.5) * _float_power(mass, -0.5 - alpha)
+
+
+def _witness_field(witness: object, key: str) -> object:
+    if not isinstance(witness, dict):
+        raise ValueError(f"a witness must be a dict, got {type(witness).__name__}")
+    if key not in witness:
+        raise ValueError(f"the witness has no {key!r}")
+    return witness[key]
 
 
 def replay_bmo_witness(f: AdaptedProcess, alpha: float, witness: dict) -> float:
     """Recompute the ratio a NormResult witness claims to achieve."""
-    if witness["kind"] == "level-set":
-        return bmo_ratio_at(f, alpha, witness["level"], witness["atoms"])
-    if witness["kind"] == "stopping-time":
+    kind = _witness_field(witness, "kind")
+    if kind == "level-set":
+        level, atoms = _witness_field(witness, "level"), _witness_field(witness, "atoms")
+        return bmo_ratio_at(f, alpha, level, atoms)
+    if kind == "stopping-time":
         alpha = _check_alpha(alpha)
-        tau = StoppingTime(f.tree, [tuple(s) for s in witness["stops"]])
+        tau = StoppingTime(f.tree, _witness_field(witness, "stops"))
         resid = f.level(f.depth) - stopped_before(f, tau).values
         integral = np.sum(_modulus(resid) ** 2 * f.tree.leaf_masses)
-        return float(integral**0.5 * _float_power(tau.prob_finite, -0.5 - alpha))
-    raise ValueError(f"unknown witness kind {witness.get('kind')!r}")
+        return _ratio(integral, tau.prob_finite, alpha)
+    raise ValueError(f"unknown witness kind {kind!r}")

@@ -68,6 +68,14 @@ def resolve_max_enum(max_enum: int | None) -> int:
     return cap
 
 
+def _stop_ref(stop: object) -> AtomRef:
+    try:
+        level, index = stop
+    except (TypeError, ValueError):
+        raise ValueError(f"a stop must be a [level, index] pair, got {stop!r}") from None
+    return AtomRef(_atom_position(level), _atom_position(index))
+
+
 class StoppingTime:
     """Antichain of stop atoms; infinite off their union.
 
@@ -80,7 +88,9 @@ class StoppingTime:
     """
 
     def __init__(self, tree: FiltrationTree, stops: Iterable[AtomRef]):
-        refs = sorted({AtomRef(_atom_position(l), _atom_position(i)) for (l, i) in stops})
+        if not np.iterable(stops):
+            raise ValueError(f"stops must be a list of [level, index] pairs, got {stops!r}")
+        refs = sorted(set(map(_stop_ref, stops)))
         leaves = [tree.leaf_slice(r) for r in refs]  # a bad position raises here
         tau = np.full(tree.num_leaves, tree.depth + 1, dtype=np.int64)
         for r, s in zip(refs, leaves):

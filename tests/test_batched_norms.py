@@ -23,6 +23,7 @@ from bmolab import (
     bmo_alpha_norm,
     bmo_alpha_norms,
     bmo_alpha_p_norm,
+    bmo_ratio_at,
     build_dyadic,
     build_random,
     campaign,
@@ -235,6 +236,20 @@ def test_stopping_bruteforce_measure_norm_is_inf_where_the_power_overflows():
         assert brute.value == math.inf
         assert brute.value == carleson_alpha_norm(mu, 0.25, "node-fast").value
         assert carleson_ratio_at(mu, 0.25, brute.witness["stops"]) == math.inf
+
+
+def test_replays_overflow_without_a_warning():
+    # No errstate: the test configuration turns any RuntimeWarning into an
+    # error, and numpy's scalar power warned on the overflowing mass here.
+    f = _tiny_atom_martingale()
+    assert bmo_ratio_at(f, 0.9, 1, [0]) == math.inf
+    level_set = {"kind": "level-set", "level": 1, "atoms": [0]}
+    assert replay_bmo_witness(f, 0.9, level_set) == math.inf
+    # A zero integral times the overflowing power is NaN, and quiet too.
+    chain = _zero_residual_chain(True)
+    assert math.isnan(bmo_ratio_at(chain, 0.9, 2, [0]))
+    stops = {"kind": "stopping-time", "stops": [[2, 0]]}
+    assert math.isnan(replay_bmo_witness(chain, 0.9, stops))
 
 
 def test_carleson_norm_cli_survives_an_overflowing_power(tmp_path):

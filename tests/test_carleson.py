@@ -457,6 +457,18 @@ def test_ratio_at_takes_integer_stops_only():
             carleson_ratio_at(mu, 0.25, stops)
 
 
+@pytest.mark.parametrize("stops, message", [
+    (None, r"stops must be a list of \[level, index\] pairs, got None"),
+    ([[1]], r"a stop must be a \[level, index\] pair, got \[1\]"),
+    ([1], r"a stop must be a \[level, index\] pair, got 1"),
+    ([[0, 0, 0]], r"a stop must be a \[level, index\] pair, got \[0, 0, 0\]"),
+])
+def test_ratio_at_names_a_malformed_stop(stops, message):
+    mu = random_measure(build_dyadic(2), 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        carleson_ratio_at(mu, 0.25, stops)
+
+
 def test_converse_cap_propagates():
     tree = build_dyadic(3)
     mu = random_measure(tree, 14)

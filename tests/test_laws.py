@@ -1,0 +1,121 @@
+"""Laws the norms obey by their definitions, checked with no oracle.
+
+Each law tests one mode alone, so it reaches trees past the enumeration
+cap that no second computation can check:
+
+- alpha-monotonicity: P(A) <= 1, so every candidate, and the supremum,
+  is nondecreasing in alpha;
+- homogeneity: scaling a martingale by c scales every oscillation-norm
+  candidate by c, and scaling a measure's densities by c scales every
+  measure-norm candidate by c.
+
+Seeded probes with c = 2**k (random trees of depth 1-3 for all six
+modes, depth 1-8 and up to 6,561 leaves for the fast modes; dims 1-3)
+found:
+
+- no value ever fell as alpha grew, so monotonicity is asserted exactly;
+- the fast modes and both measure modes scaled bitwise, so their
+  homogeneity is asserted bitwise, witness included;
+- the two brute-force oscillation modes scaled bitwise in all but 13 of
+  48,000 (tree, alpha) pairs, off by at most 2.37e-16 relative (one ulp).
+  They take the square root as Python's ``x ** 0.5``, one candidate at a
+  time, which is not always the correctly rounded root that numpy's
+  array power gives, so ``(4**k x) ** 0.5`` can miss ``2**k x ** 0.5`` by
+  an ulp.  They are gated at 4.5e-16 relative, about one ulp more than
+  the worst seen.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bmolab import (
+    CarlesonMeasure,
+    Martingale,
+    bmo_alpha_norms,
+    build_random,
+    carleson_alpha_norms,
+    random_martingale,
+    random_measure,
+)
+from bmolab.carleson import CARLESON_MODES
+from bmolab.norms import BMO_MODES
+
+FAST_BMO_MODES = ("atom-fast", "omega-form")
+FAST_MEASURE_MODES = ("node-fast",)
+# Relative gate on homogeneity per oscillation mode; 0 means bitwise.
+SCALING_GATE = {"atom-fast": 0.0, "omega-form": 0.0,
+                "subset-bruteforce": 4.5e-16, "stopping-bruteforce": 4.5e-16}
+
+seeds = st.integers(0, 2**32 - 1)
+bmo_alphas = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6).map(sorted)
+measure_alphas = st.lists(
+    st.floats(0.0, 1.0, exclude_max=True), min_size=2, max_size=6
+).map(sorted)
+
+
+@st.composite
+def trees_and_modes(draw):
+    """``(tree, bmo_modes, measure_modes)``: a tree small enough for both
+    brute-force oracles (at most 677 stopping times and 255 unions on a
+    level) with every mode, or one up to 3**8 leaves with the fast modes."""
+    seed = draw(seeds)
+    if draw(st.booleans()):
+        depth = draw(st.integers(1, 3))
+        tree = build_random(seed, depth, 2 if depth == 3 else 3)
+        return tree, BMO_MODES, CARLESON_MODES
+    tree = build_random(seed, draw(st.integers(1, 8)), 3)
+    return tree, FAST_BMO_MODES, FAST_MEASURE_MODES
+
+
+def _nondecreasing(values):
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+@given(trees_and_modes(), seeds, st.integers(1, 3), bmo_alphas, measure_alphas)
+@settings(max_examples=40, deadline=None)
+def test_every_mode_is_nondecreasing_in_alpha(case, seed, dim, alphas, measure_alphas):
+    tree, bmo_modes, measure_modes = case
+    f = random_martingale(tree, seed, dim)
+    mu = random_measure(tree, seed)
+    for mode in bmo_modes:
+        values = [r.value for r in bmo_alpha_norms(f, alphas, mode)]
+        assert _nondecreasing(values), (mode, alphas, values)
+    for mode in measure_modes:
+        values = [r.value for r in carleson_alpha_norms(mu, measure_alphas, mode)]
+        assert _nondecreasing(values), (mode, measure_alphas, values)
+
+
+@given(trees_and_modes(), seeds, st.integers(1, 3), st.integers(-40, 10), bmo_alphas)
+@settings(max_examples=40, deadline=None)
+def test_scaling_a_martingale_scales_every_oscillation_norm(case, seed, dim, k, alphas):
+    # k stops at 10: Martingale checks its property to an absolute 1e-10,
+    # which a valid martingale scaled much further up can exceed.
+    tree, bmo_modes, _ = case
+    c = math.ldexp(1.0, k)
+    f = random_martingale(tree, seed, dim)
+    scaled = Martingale(tree, [level * c for level in f.levels])
+    for mode in bmo_modes:
+        gate = SCALING_GATE[mode]
+        for r, s in zip(bmo_alpha_norms(f, alphas, mode), bmo_alpha_norms(scaled, alphas, mode)):
+            if not gate:
+                assert s.value == c * r.value, (mode, k, r.value, s.value)
+                assert s.witness == r.witness
+            assert abs(s.value - c * r.value) <= gate * c * r.value, (mode, k, r.value, s.value)
+
+
+@given(trees_and_modes(), seeds, st.integers(-40, 40), measure_alphas)
+@settings(max_examples=40, deadline=None)
+def test_scaling_a_measure_scales_both_measure_norms(case, seed, k, alphas):
+    tree, _, measure_modes = case
+    c = math.ldexp(1.0, k)
+    mu = random_measure(tree, seed)
+    scaled = CarlesonMeasure(tree, np.asarray(mu.densities) * c)
+    for mode in measure_modes:
+        for r, s in zip(
+            carleson_alpha_norms(mu, alphas, mode), carleson_alpha_norms(scaled, alphas, mode)
+        ):
+            assert s.value == c * r.value, (mode, k, r.value, s.value)
+            assert s.witness == r.witness

@@ -92,6 +92,15 @@ def test_plain_integrals_refuse_a_nan_exponent(integral):
         integral(X, math.nan)
 
 
+@pytest.mark.parametrize("integral", [layer_cake, power_integral])
+def test_plain_integrals_refuse_an_infinite_exponent(integral):
+    """The two forms of the same integral, which at p = inf had disagreed:
+    NaN (with a warning) from the layer cake, inf from the direct sum."""
+    X = RandomVariable(build_dyadic(2), [0.5, 2.0, -3.0, 0.25])
+    with pytest.raises(ValueError, match=r"^p must be finite, got inf$"):
+        integral(X, math.inf)
+
+
 def test_weak_norm_indicator():
     tree = build_dyadic(2)
     chi = RandomVariable(tree, [1.0, 1.0, 0.0, 0.0])
@@ -377,6 +386,24 @@ def test_replay_rejects_unknown_kind(rademacher_pair):
     _, f = rademacher_pair
     with pytest.raises(ValueError):
         replay_bmo_witness(f, 0.5, {"kind": "mystery"})
+
+
+@pytest.mark.parametrize("witness, message", [
+    ({}, "the witness has no 'kind'"),
+    ([], "a witness must be a dict, got list"),
+    (None, "a witness must be a dict, got NoneType"),
+    ({"kind": "level-set"}, "the witness has no 'level'"),
+    ({"kind": "level-set", "level": 1}, "the witness has no 'atoms'"),
+    ({"kind": "level-set", "level": 1, "atoms": None}, "atoms must be a list of atom indices, got None"),
+    ({"kind": "stopping-time"}, "the witness has no 'stops'"),
+    ({"kind": "stopping-time", "stops": None}, r"stops must be a list of \[level, index\] pairs, got None"),
+    ({"kind": "stopping-time", "stops": [[1]]}, r"a stop must be a \[level, index\] pair, got \[1\]"),
+    ({"kind": "stopping-time", "stops": [5]}, r"a stop must be a \[level, index\] pair, got 5"),
+])
+def test_replay_names_what_a_malformed_witness_lacks(witness, message):
+    f = random_martingale(build_dyadic(2), 1)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        replay_bmo_witness(f, 0.25, witness)
 
 
 def test_norm_result_as_dict(rademacher_pair):

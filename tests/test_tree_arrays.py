@@ -329,6 +329,35 @@ def test_only_the_tree_calls_reduceat():
     assert [c for c in calls if not c.startswith("filtration.py:")] == []
 
 
+def _pops_in_while_loops(node, func=None, in_while=False):
+    """The innermost function around each ``.pop()`` call inside a
+    ``while`` loop, once per call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _pops_in_while_loops(child, child.name, False)
+            continue
+        if (
+            in_while
+            and isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Attribute)
+            and child.func.attr == "pop"
+        ):
+            yield func
+        yield from _pops_in_while_loops(child, func, in_while or isinstance(child, ast.While))
+
+
+def test_only_the_walk_pops_a_stack():
+    """Every tree, read or drawn, comes from one depth-first walk; no other
+    function keeps its own explicit stack."""
+    package = Path(bmolab.__file__).parent
+    sites = [
+        f"{path.relative_to(package)}:{func}"
+        for path in sorted(package.rglob("*.py"))
+        for func in _pops_in_while_loops(ast.parse(path.read_text()))
+    ]
+    assert sites == ["filtration.py:_walk"]
+
+
 def test_only_the_tree_reads_its_private_attributes():
     """No module outside filtration.py reads a ``_``-prefixed attribute of
     a tree, so the tree's layout can change behind its methods."""
