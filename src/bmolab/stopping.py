@@ -94,7 +94,9 @@ class StoppingTime:
         leaves = [tree.leaf_slice(r) for r in refs]  # a bad position raises here
         tau = np.full(tree.num_leaves, tree.depth + 1, dtype=np.int64)
         for r, s in zip(refs, leaves):
-            if (tau[s] <= tree.depth).any():
+            # an earlier stop that overlaps this one sits no lower, so it
+            # covers all of this one's leaves, the first among them
+            if tau[s.start] <= tree.depth:
                 raise ValueError("stop atoms must form an antichain (found overlap)")
             tau[s] = r.level
         tau.flags.writeable = False
