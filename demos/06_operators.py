@@ -32,11 +32,11 @@ print("||f|| =", nf)
 # the transform multiplies increment k by a coefficient fixed one level
 # earlier; its norm is bounded by the largest coefficient modulus, with
 # equality when all moduli agree
-v = PredictableSequence.from_level_scalars(tree, [1.0, -1.0, 1.0])
+v = PredictableSequence(tree, [[1.0], [-1.0], [1.0, 1.0]])
 tf = transform(f, v)
 print("sign-flipped transform norm:", bmo_alpha_norm(tf, alpha).value)
 
-half = PredictableSequence.constant(tree, 0.5)
+half = PredictableSequence(tree, [[0.5], [0.5], [0.5, 0.5]])
 print("half-scale transform norm :", bmo_alpha_norm(transform(f, half), alpha).value)
 
 # the lift sends f to a vector martingale carrying increment k in

@@ -119,10 +119,7 @@ class CarlesonMeasure(TreeDocument):
 
 def from_martingale(f: Martingale) -> CarlesonMeasure:
     """Density row k is the squared modulus of the k-th increment of f."""
-    tree = f.tree
-    d = differences(f)
-    rows = [(d.modulus_level(k) ** 2)[tree.leaf_ancestors(k)] for k in range(tree.depth + 1)]
-    return CarlesonMeasure(tree, np.stack(rows))
+    return CarlesonMeasure(f.tree, _leaf_moduli(differences(f)) ** 2)
 
 
 def random_measure(tree: FiltrationTree, seed: int) -> CarlesonMeasure:

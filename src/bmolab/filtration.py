@@ -191,9 +191,9 @@ class FiltrationTree:
         self._set_levels(*_walk(root, _read_node), depth)
 
     @classmethod
-    def _from_levels(cls, masses: list, parents: list, depth: int | None = None) -> FiltrationTree:
+    def _from_levels(cls, masses: list, parents: list) -> FiltrationTree:
         tree = cls.__new__(cls)
-        tree._set_levels(masses, parents, depth)
+        tree._set_levels(masses, parents, None)
         return tree
 
     def _set_levels(self, masses: list, parents: list, depth: int | None) -> None:
@@ -530,7 +530,7 @@ def build_dyadic(depth: int) -> FiltrationTree:
     masses = [np.full(1 << n, 0.5**n) for n in range(depth + 1)]
     parents = [np.full(1, -1, dtype=np.intp)]
     parents += [np.arange(1 << n, dtype=np.intp) >> 1 for n in range(1, depth + 1)]
-    return FiltrationTree._from_levels(masses, parents, depth)
+    return FiltrationTree._from_levels(masses, parents)
 
 
 def build_random(
@@ -567,4 +567,4 @@ def build_random(
         return mass, parts
 
     # Atoms are counted and split in depth-first order, so the RNG draws match.
-    return FiltrationTree._from_levels(*_walk(1.0, split), depth)
+    return FiltrationTree._from_levels(*_walk(1.0, split))

@@ -32,13 +32,18 @@ __all__ = [
 MARTINGALE_TOL = 1e-10
 
 
-def _freeze(values: object, dtype=float) -> np.ndarray:
+def _freeze(values: object) -> np.ndarray:
     try:
-        a = np.array(values, dtype=dtype)
+        a = np.array(values, dtype=float)
     except OverflowError:
         raise ValueError("values must be finite, got an integer too large for a float") from None
     a.flags.writeable = False
     return a
+
+
+def _width(values: np.ndarray) -> int:
+    """The width of each value: 1 for a scalar array, else its vector length."""
+    return 1 if values.ndim == 1 else values.shape[1]
 
 
 def _per_row(w: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -88,7 +93,7 @@ class RandomVariable(TreeDocument):
             raise ValueError("values must be finite")
         self.tree = tree
         self.values = values
-        self.dim = 1 if values.ndim == 1 else values.shape[1]
+        self.dim = _width(values)
 
     def _payload(self) -> dict:
         return {"dim": self.dim, "leaves": self.values.tolist()}
@@ -112,7 +117,6 @@ class AdaptedProcess(TreeDocument):
         if len(levels) != tree.depth + 1:
             raise ValueError(f"expected {tree.depth + 1} levels, got {len(levels)}")
         frozen = []
-        dim = None
         for n, lvl in enumerate(levels):
             a = _freeze(lvl)
             if a.ndim not in (1, 2):
@@ -123,17 +127,14 @@ class AdaptedProcess(TreeDocument):
                 raise ValueError(
                     f"level {n}: expected {tree.atom_count(n)} values, got {a.shape[0]}"
                 )
-            d = 1 if a.ndim == 1 else a.shape[1]
-            if dim is None:
-                dim = d
-            elif d != dim or (a.ndim == 1) != (frozen[0].ndim == 1):
-                raise ValueError(f"level {n} has dim {d}, expected {dim}")
+            if frozen and a.shape[1:] != frozen[0].shape[1:]:
+                raise ValueError(f"level {n} has dim {_width(a)}, expected {_width(frozen[0])}")
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"level {n} has non-finite values")
             frozen.append(a)
         self.tree = tree
         self.levels = tuple(frozen)
-        self.dim = int(dim if dim is not None else 1)
+        self.dim = _width(frozen[0])
 
     @property
     def depth(self) -> int:
@@ -163,16 +164,23 @@ class Martingale(AdaptedProcess):
 
     The defining property is checked at construction: for every internal
     atom, value * mass must equal the mass-weighted sum over its children,
-    componentwise, within ``MARTINGALE_TOL`` absolute.
+    componentwise, within ``MARTINGALE_TOL`` times the scale of that sum,
+    the sum of the children's |value| * mass floored at 1.  Below scale 1
+    the check is absolute; above it, relative, so a valid martingale
+    stays valid when scaled up.
     """
 
     def __init__(self, tree: FiltrationTree, levels):
         super().__init__(tree, levels)
         for n in range(tree.depth):
             child, parent = self.levels[n + 1], self.levels[n]
-            sums = tree.child_sums(child * _per_row(tree.masses(n + 1), child), n)
-            expect = parent * _per_row(tree.masses(n), parent)
-            err = float(np.max(np.abs(sums - expect))) if sums.size else 0.0
+            weighted = child * _per_row(tree.masses(n + 1), child)
+            gap = np.abs(tree.child_sums(weighted, n) - parent * _per_row(tree.masses(n), parent))
+            err = float(np.max(gap)) if gap.size else 0.0
+            if err > MARTINGALE_TOL:
+                # a scale of at most 1 leaves the error as it is, so only
+                # an error past the bound needs the scale
+                err = float(np.max(gap / np.maximum(tree.child_sums(np.abs(weighted), n), 1.0)))
             if err > MARTINGALE_TOL:
                 raise ValueError(
                     f"martingale property fails between levels {n} and {n + 1} "
@@ -230,23 +238,6 @@ class PredictableSequence:
             frozen.append(a)
         self.tree = tree
         self.coeffs = tuple(frozen)
-
-    @classmethod
-    def constant(cls, tree: FiltrationTree, value: float) -> "PredictableSequence":
-        return cls.from_level_scalars(tree, [value] * (tree.depth + 1))
-
-    @classmethod
-    def from_level_scalars(cls, tree: FiltrationTree, scalars) -> "PredictableSequence":
-        if len(scalars) != tree.depth + 1:
-            raise ValueError(f"expected {tree.depth + 1} scalars")
-        return cls(
-            tree,
-            [np.array([scalars[0]])]
-            + [
-                np.full(tree.atom_count(k - 1), scalars[k])
-                for k in range(1, tree.depth + 1)
-            ],
-        )
 
     @property
     def bound(self) -> float:

@@ -186,7 +186,8 @@ def stopping_time_table(tree: FiltrationTree, max_enum: int | None = None) -> np
             f"use a fast mode (atom-fast / node-fast) or raise BMO_LAB_MAX_ENUM"
         )
     depth = tree.depth
-    dtype = np.int8 if depth < np.iinfo(np.int8).max else np.int16
+    # the never-stopping row holds depth + 1, so the type must hold it
+    dtype = next(t for t in (np.int8, np.int16, np.int32) if depth < np.iinfo(t).max)
     tables = [np.array([[depth], [depth + 1]], dtype=dtype)] * tree.atom_count(depth)
     for n in reversed(range(depth)):
         parents = []

@@ -242,16 +242,18 @@ def replay_characterization_case(case: dict) -> dict:
 # == suite: stopping-time form of the norm ===================================
 
 
-def _small_tree(search_seed: int, max_count: int) -> tuple[FiltrationTree, int, int]:
-    """Deterministically find a random tree with few stopping times."""
+def _small_tree(search_seed: int, max_count: int) -> tuple[FiltrationTree, int, int, int]:
+    """Deterministically find a random tree with few stopping times;
+    returns the tree, its seed, its depth and its stopping-time count."""
     rng = np.random.default_rng(search_seed)
     for _ in range(64):
         tseed = int(rng.integers(0, 2**63))
         depth = int(rng.integers(1, 4))
         tree = build_random(tseed, depth, 2)
-        if count_stopping_times(tree) <= max_count:
-            return tree, tseed, depth
-    return build_dyadic(2), -1, 2
+        if (count := count_stopping_times(tree)) <= max_count:
+            return tree, tseed, depth, count
+    tree = build_dyadic(2)
+    return tree, -1, 2, count_stopping_times(tree)
 
 
 @_suite("lemma-stopping-form")
@@ -268,8 +270,7 @@ def check_lemma_stopping_form(
     force on the same instances.  Witnesses are replayed to 1e-12."""
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
         sub = _trial_seeds(ts, 3)
-        tree, tseed, depth = _small_tree(sub[0], max_count)
-        n_tau = count_stopping_times(tree)
+        tree, tseed, depth, n_tau = _small_tree(sub[0], max_count)
         f = random_martingale(tree, sub[1], 1)
         mu = random_measure(tree, sub[2])
         bmo_norms = [bmo_alpha_norms(f, alphas, mode) for mode in
@@ -381,7 +382,7 @@ def check_carleson_inequality(
         if j % 2 == 0:
             ctree, tseed, cdepth = build_dyadic(2), -1, 2
         else:
-            ctree, tseed, cdepth = _small_tree(sub[0], converse_max_count)
+            ctree, tseed, cdepth, _ = _small_tree(sub[0], converse_max_count)
         mu = random_measure(ctree, sub[1])
         p, alpha = grid[j % len(grid)]
         norm = carleson_alpha_norm(mu, alpha, "node-fast")
@@ -572,15 +573,13 @@ def bench(depths=(1, 2, 3), alpha: float = 0.25, seed: int = 0, repeats: int = 3
         jobs = [("bmo", bmo_alpha_norm, f, m) for m in BMO_MODES if m != "omega-form"]
         jobs += [("carleson", carleson_alpha_norm, mu, m) for m in CARLESON_MODES]
         for op, norm, obj, mode in jobs:
-            best = None
-            value = None
+            seconds = []
             for _ in range(repeats):
                 t0 = time.perf_counter()
                 value = norm(obj, alpha, mode).value
-                dt = time.perf_counter() - t0
-                best = dt if best is None else min(best, dt)
+                seconds.append(time.perf_counter() - t0)
             rows.append(
-                {"depth": depth, "op": op, "mode": mode, "seconds": best, "value": value}
+                {"depth": depth, "op": op, "mode": mode, "seconds": min(seconds), "value": value}
             )
     return rows
 

@@ -218,6 +218,14 @@ def test_deep_chain_table_widens_its_dtype():
     assert table[:, 0].tolist() == list(range(201)) + [201]
 
 
+def test_chain_past_the_int16_range_gets_int32():
+    # the never-stopping row holds depth + 1 = 32768, one past int16
+    tree = build_random(0, 32767, 1)
+    table = stopping.stopping_time_table(tree)
+    assert table.dtype == np.int32
+    assert table[-2:].tolist() == [[32767], [32768]]
+
+
 # == batched scoring equals per-object scoring, bit for bit ==================
 
 

@@ -27,18 +27,25 @@ from bmolab import (
 # == martingale transform ====================================================
 
 
+def _level_constants(tree, scalars):
+    """Coefficients taking ``scalars[k]`` on every level-(k-1) atom."""
+    return [[scalars[0]]] + [
+        np.full(tree.atom_count(k - 1), s) for k, s in enumerate(scalars[1:], 1)
+    ]
+
+
 def test_transform_identity_and_zero(depth2_example):
     tree, f = depth2_example
-    one = PredictableSequence.constant(tree, 1.0)
+    one = PredictableSequence(tree, [[1.0], [1.0], [1.0, 1.0]])
     tf = transform(f, one)
     assert all(np.array_equal(a, b) for a, b in zip(tf.levels, f.levels))
-    zero = PredictableSequence.constant(tree, 0.0)
+    zero = PredictableSequence(tree, [[0.0], [0.0], [0.0, 0.0]])
     assert all(np.all(lvl == 0.0) for lvl in transform(f, zero).levels)
 
 
 def test_transform_scales_each_increment(depth2_example):
     tree, f = depth2_example
-    v = PredictableSequence.from_level_scalars(tree, [2.0, -1.0, 3.0])
+    v = PredictableSequence(tree, [[2.0], [-1.0], [3.0, 3.0]])
     tf = transform(f, v)
     d, dt = differences(f), differences(tf)
     assert np.array_equal(dt.level(0), 2.0 * d.level(0))
@@ -60,14 +67,14 @@ def test_transform_result_is_a_martingale():
 def test_transform_vector_values():
     tree = build_dyadic(1)
     f = Martingale(tree, [[[0.0, 0.0]], [[1.0, 2.0], [-1.0, -2.0]]])
-    v = PredictableSequence.from_level_scalars(tree, [1.0, -2.0])
+    v = PredictableSequence(tree, [[1.0], [-2.0]])
     tf = transform(f, v)
     assert np.array_equal(tf.level(1), [[-2.0, -4.0], [2.0, 4.0]])
 
 
 def test_transform_tree_mismatch():
     f = random_martingale(build_dyadic(2), 1, 1)
-    v = PredictableSequence.constant(build_dyadic(1), 1.0)
+    v = PredictableSequence(build_dyadic(1), [[1.0], [1.0]])
     with pytest.raises(ValueError):
         transform(f, v)
 
@@ -77,13 +84,13 @@ def test_transform_norm_bound_and_unimodular_equality():
     f = random_martingale(tree, 3, 1)
     for alpha in (0.0, 0.5):
         nf = bmo_alpha_norm(f, alpha).value
-        signs = PredictableSequence.from_level_scalars(
-            tree, [(-1.0) ** k for k in range(tree.depth + 1)]
+        signs = PredictableSequence(
+            tree, _level_constants(tree, [(-1.0) ** k for k in range(tree.depth + 1)])
         )
         assert bmo_alpha_norm(transform(f, signs), alpha).value == pytest.approx(
             nf, rel=1e-12
         )
-        half = PredictableSequence.constant(tree, 0.5)
+        half = PredictableSequence(tree, _level_constants(tree, [0.5] * (tree.depth + 1)))
         assert bmo_alpha_norm(transform(f, half), alpha).value <= 0.5 * nf + 1e-12
 
 

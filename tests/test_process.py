@@ -200,6 +200,18 @@ def test_martingale_checks_against_the_package_tolerance():
         Martingale(tree, [[0.0], [1.0, 1.0]], tol=1.0)
 
 
+def test_martingale_check_is_relative_to_the_children_scale():
+    tree = build_random(0, 3, 3)
+    f = random_martingale(tree, 0, 1)
+    for k in (10, 26, 28, 40, 300, 900):
+        Martingale(tree, [level * 2.0**k for level in f.levels])
+    levels = [level * 2.0**40 for level in f.levels]
+    levels[-1] = levels[-1].copy()
+    levels[-1][0] *= 1 + 1e-6
+    with pytest.raises(ValueError, match="martingale property fails"):
+        Martingale(tree, levels)
+
+
 def test_differences_are_an_adapted_process_that_refuses_an_overflow():
     tree = build_dyadic(1)
     d = differences(AdaptedProcess(tree, [[1.0], [3.0, -1.0]]))
@@ -229,26 +241,6 @@ def test_predictable_shapes_and_bound():
     assert np.array_equal(v.values_on_level(0), [2.0])
     assert np.array_equal(v.values_on_level(1), [-1.0, -1.0])
     assert np.array_equal(v.values_on_level(2), [0.5, 0.5, -3.0, -3.0])
-
-
-def test_predictable_constant_and_scalars():
-    tree = build_dyadic(2)
-    c = PredictableSequence.constant(tree, 2.5)
-    assert c.bound == 2.5
-    s = PredictableSequence.from_level_scalars(tree, [1.0, -2.0, 3.0])
-    assert np.array_equal(s.values_on_level(2), [3.0, 3.0, 3.0, 3.0])
-
-
-@pytest.mark.parametrize("value", [2.5, -0.1, 0.0, 3])
-def test_predictable_constant_coefficients_are_bitwise(value):
-    tree = build_random(4, 3, 3)
-    c = PredictableSequence.constant(tree, value)
-    want = [np.array([value])] + [
-        np.full(tree.atom_count(k - 1), value) for k in range(1, tree.depth + 1)
-    ]
-    assert len(c.coeffs) == len(want)
-    for a, b in zip(c.coeffs, want):
-        assert a.dtype == np.float64 and a.tobytes() == b.astype(float).tobytes()
 
 
 def test_predictable_shape_validated():
