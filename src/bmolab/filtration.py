@@ -15,8 +15,11 @@ read-only), so they can be shared freely between computations.
 from __future__ import annotations
 
 import bisect
+import functools
+import itertools
 import json
 import math
+import operator
 import os
 from typing import NamedTuple
 
@@ -137,9 +140,8 @@ def _first_atom(parents, flagged: list[np.ndarray]) -> tuple[list[int], int, int
 def _walk(root: object, expand) -> tuple[list[list[float]], list[list[int]]]:
     """Per-level masses and parent indices of a tree, atoms in depth-first order.
 
-    ``expand(item, level, parents)`` gives an item's mass and its child
-    items, with ``parents`` the parent lists so far, ending at the item's
-    own entry.  An explicit-stack walk, so no recursion limit applies.
+    ``expand(item, level)`` gives an item's mass and child items, called in
+    depth-first order, so a builder's draws keep it; no recursion limit applies.
     """
     masses: list[list[float]] = []
     parents: list[list[int]] = []
@@ -151,27 +153,51 @@ def _walk(root: object, expand) -> tuple[list[list[float]], list[list[int]]]:
             parents.append([])
         index = len(parents[level])
         parents[level].append(parent)
-        mass, children = expand(item, level, parents)
+        mass, children = expand(item, level)
         masses[level].append(mass)
         if children:
             stack.extend([(child, level + 1, index) for child in reversed(children)])
     return masses, parents
 
 
-def _read_node(node: object, level: int, parents: list) -> tuple[float, object]:
-    """A node's mass and children for `_walk`; the first malformed node in
-    depth-first order raises, naming its path."""
+def _node_error(node: object) -> str:
+    """Why a tree document node is refused."""
     if not isinstance(node, dict) or "mass" not in node:
-        error = "atom must be an object with 'mass' and 'children'"
-    elif not isinstance(mass := node["mass"], (int, float)) or isinstance(mass, bool):
-        error = f"mass must be a number, got {type(mass).__name__}"
-    elif not 0.0 < mass <= 1.0:
-        error = _MASS_RANGE.format(_float(mass))
-    elif not isinstance(children := node.get("children", []), list):
-        error = "'children' must be a list"
-    else:
-        return float(mass), children
-    raise SchemaError(error, _path(_atom_steps(parents, level, len(parents[level]) - 1)))
+        return "atom must be an object with 'mass' and 'children'"
+    mass = node["mass"]
+    if not isinstance(mass, (int, float)) or isinstance(mass, bool):
+        return f"mass must be a number, got {type(mass).__name__}"
+    if not 0.0 < mass <= 1.0:
+        return _MASS_RANGE.format(_float(mass))
+    return "'children' must be a list"
+
+
+def _read_levels(root: object) -> tuple[list[list[float]], list[np.ndarray]]:
+    """Per-level masses and parent indices of a tree document, read level by
+    level.  Refused nodes are not descended into; the first of them in
+    depth-first order raises, naming its path."""
+    masses, parents, refused, nodes = [], [np.full(1, -1, dtype=np.intp)], [], [root]
+    while nodes:
+        level, kids, bad = [], [], {}  # bad: index -> refused node
+        for node in nodes:
+            mass = node.get("mass") if isinstance(node, dict) else None
+            number = type(mass) is float or type(mass) is not bool and isinstance(mass, (int, float))
+            children = node.get("children", []) if number and 0.0 < mass <= 1.0 else None
+            if isinstance(children, list):
+                level.append(mass)
+                kids.append(children)
+            else:
+                bad[len(kids)] = node
+                kids.append([])
+        masses.append(level)
+        refused.append(bad)
+        nodes = list(itertools.chain.from_iterable(kids))
+        if nodes:
+            parents.append(np.repeat(np.arange(len(kids)), list(map(len, kids))))
+    if any(refused):
+        steps, n, i = _first_atom(parents, [np.fromiter(bad, np.intp) for bad in refused])
+        raise SchemaError(_node_error(refused[n][i]), _path(steps))
+    return masses, parents
 
 
 class FiltrationTree:
@@ -188,7 +214,7 @@ class FiltrationTree:
     """
 
     def __init__(self, root: dict, depth: int | None = None):
-        self._set_levels(*_walk(root, _read_node), depth)
+        self._set_levels(*_read_levels(root), depth)
 
     @classmethod
     def _from_levels(cls, masses: list, parents: list) -> FiltrationTree:
@@ -208,8 +234,8 @@ class FiltrationTree:
         self._masses = [np.asarray(m, dtype=float) for m in masses]
         self._parent = [np.asarray(p, dtype=np.intp) for p in parents]
 
-        # The dict walk has checked this node by node; the builders' arrays
-        # are checked here.
+        # The document reader has checked this node by node; the builders'
+        # arrays are checked here.
         if not _in_range(np.concatenate(self._masses)).all():
             out_of_range = [np.flatnonzero(~_in_range(m)) for m in self._masses]
             steps, n, i = _first_atom(self._parent, out_of_range)
@@ -363,14 +389,10 @@ class FiltrationTree:
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        nodes: list[dict] = []
-        for n in range(self._depth, -1, -1):
-            masses = self._masses[n].tolist()
-            if n == self._depth:
-                nodes = [{"mass": m, "children": []} for m in masses]
-            else:
-                b = self._child_bounds[n].tolist()
-                nodes = [{"mass": m, "children": nodes[i:j]} for m, i, j in zip(masses, b, b[1:])]
+        nodes = [{"mass": m, "children": []} for m in self.leaf_masses.tolist()]
+        for n in range(self._depth - 1, -1, -1):
+            masses, b = self._masses[n].tolist(), self._child_bounds[n].tolist()
+            nodes = [{"mass": m, "children": nodes[i:j]} for m, i, j in zip(masses, b, b[1:])]
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
     def to_json(self) -> str:
@@ -416,9 +438,14 @@ class FiltrationTree:
                 before_mass = "\n" + keys + "],\n" + keys + '"mass": '
             end = "\n" + brace + "}"
             end_sibling = end + ",\n" + brace
+            masses = self._masses[n].tolist()
+            if masses.count(masses[0]) == len(masses):  # one mass, as on every dyadic level
+                reprs = [float.__repr__(masses[0])] * len(masses)
+            else:
+                reprs = map(float.__repr__, masses)
             pieces[opens + 2 * sizes[n] - 1] = [
                 before_mass + r + (end if lst else end_sibling)
-                for r, lst in zip(map(float.__repr__, self._masses[n].tolist()), last.tolist())
+                for r, lst in zip(reprs, last.tolist())
             ]
         return "".join(pieces.tolist())
 
@@ -533,6 +560,22 @@ def build_dyadic(depth: int) -> FiltrationTree:
     return FiltrationTree._from_levels(masses, parents)
 
 
+def _left_sum(values: list[float]) -> float:
+    """Sum left to right, as numpy does; ``sum`` compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def _flat_dirichlet(rng: np.random.Generator, k: int) -> list[float]:
+    """``rng.dirichlet(np.ones(k))``, drawn again while a weight is below 1e-6:
+    numpy's own draws and floats, ``k`` exponentials over their sum."""
+    while True:
+        draws = rng.standard_exponential(k).tolist()
+        scale = 1.0 / _left_sum(draws)
+        weights = [x * scale for x in draws]
+        if min(weights) >= 1e-6:
+            return weights
+
+
 def build_random(
     seed: int, depth: int, max_branch: int, *, max_atoms: int = MAX_RANDOM_ATOMS
 ) -> FiltrationTree:
@@ -549,7 +592,7 @@ def build_random(
     rng = np.random.default_rng(seed)
     count = 0
 
-    def split(mass: float, level: int, parents: list) -> tuple[float, list[float]]:
+    def split(mass: float, level: int) -> tuple[float, list[float]]:
         nonlocal count
         count += 1
         if count > max_atoms:
@@ -559,11 +602,8 @@ def build_random(
         branches = int(rng.integers(1, max_branch + 1))
         if branches == 1:
             return mass, [mass]
-        weights = rng.dirichlet(np.ones(branches))
-        while float(weights.min()) < 1e-6:
-            weights = rng.dirichlet(np.ones(branches))
-        parts = [mass * float(w) for w in weights[:-1]]
-        parts.append(mass - sum(parts))
+        parts = [mass * w for w in _flat_dirichlet(rng, branches)[:-1]]
+        parts.append(mass - _left_sum(parts))
         return mass, parts
 
     # Atoms are counted and split in depth-first order, so the RNG draws match.

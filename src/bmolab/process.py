@@ -69,8 +69,8 @@ def _modulus(values: np.ndarray) -> np.ndarray:
 
 
 def _leaf_moduli(g: AdaptedProcess) -> np.ndarray:
-    """The modulus of every level of ``g`` spread onto the leaves, levels first."""
-    return np.stack([_modulus(g.leaf_view(n)) for n in range(g.depth + 1)])
+    """The modulus of every level of ``g``, one per atom, spread onto the leaves."""
+    return np.stack([_modulus(g.level(n))[g.tree.leaf_ancestors(n)] for n in range(g.depth + 1)])
 
 
 class RandomVariable(TreeDocument):

@@ -80,7 +80,10 @@ def build_random(seed, depth, max_branch, *, max_atoms=1_000_000):
             while float(weights.min()) < 1e-6:
                 weights = rng.dirichlet(np.ones(branches))
             parts = [mass * float(w) for w in weights[:-1]]
-            parts.append(mass - sum(parts))
+            total = 0.0
+            for part in parts:  # left to right: `sum` compensates from Python 3.12 on
+                total += part
+            parts.append(mass - total)
         return {"mass": mass, "children": [node(level + 1, p) for p in parts]}
 
     return node(0, 1.0)

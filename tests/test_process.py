@@ -17,7 +17,7 @@ from bmolab import (
     random_martingale,
 )
 
-from bmolab.process import MARTINGALE_TOL, _modulus
+from bmolab.process import MARTINGALE_TOL, _leaf_moduli, _modulus
 
 import oracles
 
@@ -46,6 +46,19 @@ def test_rv_modulus_euclidean():
     tree = build_dyadic(1)
     Y = RandomVariable(tree, [[3.0, 4.0], [0.0, 0.0]])
     assert np.array_equal(_modulus(Y.values), [5.0, 0.0])
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_leaf_moduli_take_one_modulus_per_atom(dim):
+    """One modulus per atom, then spread onto the leaves: the bits of every
+    leaf row's own modulus, overflow redo included."""
+    tree = build_random(4, 5, 3)
+    g = random_adapted_process(tree, 9, dim)
+    huge = AdaptedProcess(tree, [level * 1e300 for level in g.levels])
+    for h in (g, huge):
+        spread_first = np.stack([_modulus(h.leaf_view(n)) for n in range(tree.depth + 1)])
+        assert _leaf_moduli(h).tobytes() == spread_first.tobytes()
+    assert np.isfinite(_leaf_moduli(huge)).all()  # every square overflowed at dim 3
 
 
 def test_zero_width_values_are_refused():

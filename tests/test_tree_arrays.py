@@ -68,6 +68,35 @@ def test_build_random_atom_cap_boundary_matches(seed):
         oracles.build_random(seed, 5, 3, max_atoms=atoms - 1)
 
 
+def _numpy_split(rng, k, redraws):
+    weights = rng.dirichlet(np.ones(k))
+    while float(weights.min()) < 1e-6:
+        redraws.append(k)
+        weights = rng.dirichlet(np.ones(k))
+    return weights.tolist()
+
+
+def test_flat_dirichlet_is_numpy_dirichlet_bitwise():
+    """Exponentials over their left-to-right sum are numpy's flat Dirichlet,
+    float for float and redraw for redraw, with ``integers`` drawn in
+    between as the builder draws.  Two splits draw a weight below 1e-6 and
+    are drawn again: a nine-way split among the first 1,000 seeds and a
+    six-way split at seed 3822."""
+    seen, redraws = set(), []
+    for seed in [*range(1000), 3822]:
+        ours, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(12):
+            k = int(ours.integers(1, 13))
+            assert int(reference.integers(1, 13)) == k
+            if k > 1:
+                seen.add(k)
+                weights = bmolab.filtration._flat_dirichlet(ours, k)
+                expected = _numpy_split(reference, k, redraws)
+                assert np.array(weights).tobytes() == np.array(expected).tobytes()
+    assert seen == set(range(2, 13))
+    assert redraws == [9, 6]
+
+
 def test_deep_chain_needs_no_recursion():
     tree = build_random(0, 1000, 1)
     assert tree.num_atoms == 1001
@@ -185,6 +214,20 @@ def test_tree_bytes_are_pinned():
     assert sha(build_random(3, 12, 3).to_json()) == "4cc15c6de12e71ce"
 
 
+@pytest.mark.parametrize(
+    "seed, prefix",
+    [(0, "bf915fa528720efe"), (1, "3b569677e246a39d"), (2, "97eb99e5cb24dfec"),
+     (3, "ebe2c615e3a52661")],
+)
+def test_random_tree_bytes_do_not_depend_on_the_python_version(seed, prefix):
+    """Trees with up to six children per split, pinned under Python 3.11.
+    From Python 3.12 on, ``sum`` of floats compensates, which would move the
+    last child's remainder in 5 to 14 splits of each of these trees; the
+    builder sums left to right on every interpreter."""
+    text = build_random(seed, 4, 6).to_json()
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == prefix
+
+
 # == schema errors: the first bad node in depth-first order ==================
 
 
@@ -220,6 +263,11 @@ MALFORMED = {
         _node(1.0, _node(0.5, _leaf(0.25), _node(0.25, _leaf(0.25))), _leaf(0.5)),
         "leaf at level 2, but all leaves must sit at level 3", "root/children/0/children/0",
     ),
+    # A refused node's children are never read, however malformed.
+    "refused-parent-first": (
+        _node(1.0, _leaf(0.25), {"mass": "x", "children": [7]}, _node(0.5, None)),
+        "mass must be a number, got str", "root/children/1",
+    ),
 }
 
 
@@ -230,6 +278,58 @@ def test_malformed_tree_error_message_and_path(case):
         FiltrationTree(root)
     assert str(info.value) == f"{path}: {message}"
     assert info.value.path == path
+
+
+class _Node(dict):
+    pass
+
+
+def _convert(node, mapping=dict, number=float):
+    return mapping(mass=number(node["mass"]),
+                   children=[_convert(c, mapping, number) for c in node["children"]])
+
+
+READABLE = {
+    "dict-subclass": lambda root: _convert(root, mapping=_Node),
+    "numpy-float64": lambda root: _convert(root, number=np.float64),
+    "int-root-mass": lambda root: {**root, "mass": 1},
+}
+
+
+@pytest.mark.parametrize("case", sorted(READABLE))
+def test_reader_accepts_what_it_accepted(case):
+    tree = build_random(5, 4, 3)
+    again = FiltrationTree(READABLE[case](tree.to_dict()["root"]))
+    assert again == tree
+    assert again.to_json() == tree.to_json()
+
+
+@pytest.mark.parametrize("path", ["root", "root/children/1", "root/children/0/children/0"])
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_mass_is_refused_as_before(path, flag):
+    root = _node(1.0, _node(0.5, _leaf(0.5)), _node(0.5, _leaf(0.5)))
+    node = root
+    for j in path.split("/children/")[1:]:
+        node = node["children"][int(j)]
+    node["mass"] = flag
+    with pytest.raises(SchemaError) as info:
+        FiltrationTree(root)
+    assert str(info.value) == f"{path}: mass must be a number, got bool"
+
+
+def _chain(levels, leaf):
+    node = leaf
+    for _ in range(levels):
+        node = {"mass": 1.0, "children": [node]}
+    return node
+
+
+def test_a_5000_level_chain_reads_without_recursion():
+    assert FiltrationTree(_chain(5000, _leaf(1.0))) == build_random(0, 5000, 1)
+    with pytest.raises(SchemaError) as info:
+        FiltrationTree(_chain(5000, {"mass": "x", "children": []}))
+    assert info.value.path == "root" + "/children/0" * 5000
+    assert str(info.value).endswith(": mass must be a number, got str")
 
 
 NUMERIC_FAULTS = {
@@ -347,8 +447,8 @@ def _pops_in_while_loops(node, func=None, in_while=False):
 
 
 def test_only_the_walk_pops_a_stack():
-    """Every tree, read or drawn, comes from one depth-first walk; no other
-    function keeps its own explicit stack."""
+    """Trees are read level by level and drawn by one depth-first walk; no
+    other function keeps its own explicit stack."""
     package = Path(bmolab.__file__).parent
     sites = [
         f"{path.relative_to(package)}:{func}"
