@@ -137,29 +137,6 @@ def _first_atom(parents, flagged: list[np.ndarray]) -> tuple[list[int], int, int
     )
 
 
-def _walk(root: object, expand) -> tuple[list[list[float]], list[list[int]]]:
-    """Per-level masses and parent indices of a tree, atoms in depth-first order.
-
-    ``expand(item, level)`` gives an item's mass and child items, called in
-    depth-first order, so a builder's draws keep it; no recursion limit applies.
-    """
-    masses: list[list[float]] = []
-    parents: list[list[int]] = []
-    stack = [(root, 0, -1)]
-    while stack:
-        item, level, parent = stack.pop()
-        if level == len(masses):
-            masses.append([])
-            parents.append([])
-        index = len(parents[level])
-        parents[level].append(parent)
-        mass, children = expand(item, level)
-        masses[level].append(mass)
-        if children:
-            stack.extend([(child, level + 1, index) for child in reversed(children)])
-    return masses, parents
-
-
 def _node_error(node: object) -> str:
     """Why a tree document node is refused."""
     if not isinstance(node, dict) or "mass" not in node:
@@ -213,16 +190,16 @@ class FiltrationTree:
     one representation every tree is built, validated and written from.
     """
 
-    def __init__(self, root: dict, depth: int | None = None):
-        self._set_levels(*_read_levels(root), depth)
+    def __init__(self, root: dict):
+        self._set_levels(*_read_levels(root))
 
     @classmethod
     def _from_levels(cls, masses: list, parents: list) -> FiltrationTree:
         tree = cls.__new__(cls)
-        tree._set_levels(masses, parents, None)
+        tree._set_levels(masses, parents)
         return tree
 
-    def _set_levels(self, masses: list, parents: list, depth: int | None) -> None:
+    def _set_levels(self, masses: list, parents: list) -> None:
         """Validate the level arrays and build every derived view.
 
         ``masses[n]`` and ``parents[n]`` list the level-``n`` atoms left to
@@ -240,10 +217,6 @@ class FiltrationTree:
             out_of_range = [np.flatnonzero(~_in_range(m)) for m in self._masses]
             steps, n, i = _first_atom(self._parent, out_of_range)
             raise SchemaError(_MASS_RANGE.format(float(self._masses[n][i])), _path(steps))
-        if depth is not None and depth != self._depth:
-            raise SchemaError(
-                f"declared depth {depth} does not match tree depth {self._depth}", "root"
-            )
         if self._masses[0][0] != 1.0:
             raise SchemaError(
                 f"root mass must be exactly 1, got {float(self._masses[0][0])!r}", "root"
@@ -396,11 +369,7 @@ class FiltrationTree:
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
     def to_json(self) -> str:
-        return self._json_text()
-
-    def _json_text(self, margin: str = "") -> str:
-        """The text ``dump_json(self.to_dict())`` writes, with ``margin``
-        added before every line but the first.
+        """The text ``dump_json(self.to_dict())`` writes.
 
         Each atom has an opening piece (up to its children) and a closing
         piece (its mass, after them), made from per-level templates and
@@ -415,8 +384,8 @@ class FiltrationTree:
         sizes.reverse()
         # Slot 0 holds the text before the root, the last slot the text after.
         pieces = np.empty(2 * self.num_atoms + 2, dtype=object)
-        pieces[0] = "{\n" + margin + '  "depth": ' + str(depth) + ",\n" + margin + '  "root": '
-        pieces[-1] = ",\n" + margin + '  "schema": "tree/v1"\n' + margin + "}"
+        pieces[0] = '{\n  "depth": ' + str(depth) + ',\n  "root": '
+        pieces[-1] = ',\n  "schema": "tree/v1"\n}'
         opens = np.ones(1, dtype=np.intp)
         last = np.ones(1, dtype=bool)
         for n in range(depth + 1):
@@ -428,7 +397,7 @@ class FiltrationTree:
                 first = self._child_bounds[n - 1][parent]
                 opens = opens[parent] + 1 + 2 * (before - before[first])
                 last = np.append(parent[1:] != parent[:-1], True)
-            keys = margin + " " * (4 * n + 4)
+            keys = " " * (4 * n + 4)
             brace = keys[:-2]
             if n == depth:
                 pieces[opens] = "{\n" + keys + '"children": [],\n' + keys + '"mass": '
@@ -459,9 +428,14 @@ class FiltrationTree:
         if "root" not in doc:
             raise SchemaError("missing 'root'", "$")
         depth = doc.get("depth")
-        if depth is not None and not isinstance(depth, int):
+        if depth is not None and (isinstance(depth, bool) or not isinstance(depth, int)):
             raise SchemaError("'depth' must be an integer", "$")
-        return cls(doc["root"], depth)
+        masses, parents = _read_levels(doc["root"])
+        if depth is not None and depth != len(masses) - 1:
+            raise SchemaError(
+                f"declared depth {depth} does not match tree depth {len(masses) - 1}", "root"
+            )
+        return cls._from_levels(masses, parents)
 
     @classmethod
     def load(cls, path: str) -> "FiltrationTree":
@@ -483,16 +457,6 @@ class FiltrationTree:
         return f"FiltrationTree(depth={self._depth}, leaves={self.num_leaves})"
 
 
-def resolve_tree_field(value: object, base_dir: str | None = None) -> FiltrationTree:
-    """Resolve an inline tree document or a path string to a tree."""
-    if isinstance(value, dict):
-        return FiltrationTree.from_dict(value)
-    if isinstance(value, str):
-        path = value if base_dir is None else os.path.join(base_dir, value)
-        return FiltrationTree.load(path)
-    raise SchemaError("'tree' must be an inline tree/v1 object or a path string", "tree")
-
-
 class TreeDocument:
     """Values on a filtration tree, stored as a JSON document.
 
@@ -509,17 +473,15 @@ class TreeDocument:
     def _payload(self) -> dict:
         raise NotImplementedError
 
-    def to_dict(self, *, inline_tree: bool = True) -> dict:
-        doc = {"schema": self.SCHEMA, **self._payload()}
-        if inline_tree:
-            doc["tree"] = self.tree.to_dict()
-        return doc
+    def to_dict(self) -> dict:
+        return {"schema": self.SCHEMA, **self._payload(), "tree": self.tree.to_dict()}
 
     def to_json(self) -> str:
-        # The tree text is written from its arrays, in place of a placeholder.
-        text = dump_json({**self.to_dict(inline_tree=False), "tree": 0})
+        # The tree text is written from its arrays, in place of a placeholder,
+        # one level deeper: every line but its first is indented.
+        text = dump_json({"schema": self.SCHEMA, **self._payload(), "tree": 0})
         head, tail = text.rsplit('"tree": 0', 1)
-        return head + '"tree": ' + self.tree._json_text("  ") + tail
+        return head + '"tree": ' + self.tree.to_json().replace("\n", "\n  ") + tail
 
     def save(self, path: str) -> None:
         write_text(path, self.to_json())
@@ -530,7 +492,13 @@ class TreeDocument:
             raise SchemaError(f"expected a {cls.SCHEMA} document", "$")
         if "tree" not in doc:
             raise SchemaError("missing 'tree'", "$")
-        tree = resolve_tree_field(doc["tree"], base_dir)
+        value = doc["tree"]
+        if isinstance(value, dict):
+            tree = FiltrationTree.from_dict(value)
+        elif isinstance(value, str):
+            tree = FiltrationTree.load(value if base_dir is None else os.path.join(base_dir, value))
+        else:
+            raise SchemaError("'tree' must be an inline tree/v1 object or a path string", "tree")
         if not isinstance(doc.get(cls.FIELD), list):
             raise SchemaError(f"missing '{cls.FIELD}' list", "$")
         try:
@@ -590,21 +558,30 @@ def build_random(
     if max_branch < 1:
         raise ValueError("max_branch must be at least 1")
     rng = np.random.default_rng(seed)
+    masses: list[list[float]] = []
+    parents: list[list[int]] = []
+    # Atoms are counted and split in depth-first order, so the RNG draws match;
+    # the explicit stack keeps any depth clear of the recursion limit.
+    stack = [(1.0, 0, -1)]
     count = 0
-
-    def split(mass: float, level: int) -> tuple[float, list[float]]:
-        nonlocal count
+    while stack:
+        mass, level, parent = stack.pop()
         count += 1
         if count > max_atoms:
             raise SizeCapError(f"random tree exceeds the atom cap {max_atoms}")
+        if level == len(masses):
+            masses.append([])
+            parents.append([])
+        index = len(masses[level])
+        masses[level].append(mass)
+        parents[level].append(parent)
         if level == depth:
-            return mass, []
+            continue
         branches = int(rng.integers(1, max_branch + 1))
         if branches == 1:
-            return mass, [mass]
-        parts = [mass * w for w in _flat_dirichlet(rng, branches)[:-1]]
-        parts.append(mass - _left_sum(parts))
-        return mass, parts
-
-    # Atoms are counted and split in depth-first order, so the RNG draws match.
-    return FiltrationTree._from_levels(*_walk(1.0, split))
+            parts = [mass]
+        else:
+            parts = [mass * w for w in _flat_dirichlet(rng, branches)[:-1]]
+            parts.append(mass - _left_sum(parts))
+        stack.extend([(part, level + 1, index) for part in reversed(parts)])
+    return FiltrationTree._from_levels(masses, parents)

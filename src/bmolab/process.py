@@ -236,6 +236,9 @@ class PredictableSequence:
                     f"coeffs[{k}] must have one entry per level-{k - 1} atom"
                 )
             frozen.append(a)
+        for k, a in enumerate(frozen):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"coeffs[{k}] has non-finite values")
         self.tree = tree
         self.coeffs = tuple(frozen)
 

@@ -151,8 +151,10 @@ def first_passage(g: AdaptedProcess, lam: float) -> StoppingTime:
 
     Exceeding is strict, so the stop set is exactly the set of minimal
     atoms where |g_n| > lam; a threshold at or above the running sup gives
-    the never-stopping time.
+    the never-stopping time.  A NaN threshold is refused.
     """
+    if lam != lam:
+        raise ValueError(f"lam must be a number, got {lam}")
     tree = g.tree
     exceed = _leaf_moduli(g) > lam
     row = np.where(exceed.any(axis=0), np.argmax(exceed, axis=0), tree.depth + 1)

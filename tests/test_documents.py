@@ -142,7 +142,7 @@ def test_load_resolves_tree_path_against_document_dir(kind, tmp_path, monkeypatc
     sub = tmp_path / "docs"
     sub.mkdir()
     tree.save(str(sub / "tree.json"))
-    doc = obj.to_dict(inline_tree=False)
+    doc = obj.to_dict()
     doc["tree"] = "tree.json"
     (sub / "doc.json").write_text(json.dumps(doc))
     monkeypatch.chdir(tmp_path)  # the tree path must not resolve against the cwd

@@ -6,12 +6,13 @@ import pytest
 from bmolab import (
     AtomRef,
     FiltrationTree,
+    RandomVariable,
     SchemaError,
     SizeCapError,
     build_dyadic,
     build_random,
 )
-from bmolab.filtration import MAX_DYADIC_DEPTH, resolve_tree_field
+from bmolab.filtration import MAX_DYADIC_DEPTH
 
 import oracles
 
@@ -104,6 +105,26 @@ def test_declared_depth_checked():
     doc["depth"] = 3
     with pytest.raises(SchemaError):
         FiltrationTree.from_dict(doc)
+    # a JSON boolean is not an integer, though Python's bool is an int
+    for depth in (True, False, 1.0):
+        with pytest.raises(SchemaError, match="'depth' must be an integer") as err:
+            FiltrationTree.from_dict({**build_dyadic(1).to_dict(), "depth": depth})
+        assert err.value.path == "$"
+    # the mismatch comes after a malformed node, before the tree's invariants
+    for edit, message, path in [
+        (lambda root: root["children"][1]["children"][0].update(mass="x"),
+         "mass must be a number", "root/children/1/children/0"),
+        (lambda root: root.update(mass=0.5), "declared depth 3", "root"),
+        (lambda root: root["children"][0]["children"].clear(), "declared depth 3", "root"),
+        (lambda root: root["children"][1]["children"][0].update(mass=0.3),
+         "declared depth 3", "root"),
+    ]:
+        doc = build_dyadic(2).to_dict()
+        doc["depth"] = 3
+        edit(doc["root"])
+        with pytest.raises(SchemaError, match=message) as err:
+            FiltrationTree.from_dict(doc)
+        assert err.value.path == path
 
 
 def test_single_atom_space():
@@ -269,13 +290,16 @@ def test_save_and_load(tmp_path):
 
 
 def test_resolve_tree_field(tmp_path):
+    """A document's ``tree`` is a path string or an inline tree/v1 object."""
     tree = build_dyadic(2)
     path = tmp_path / "t.json"
     tree.save(str(path))
-    assert resolve_tree_field(str(path), None) == tree
-    assert resolve_tree_field(json.loads(tree.to_json()), None) == tree
-    with pytest.raises(SchemaError):
-        resolve_tree_field(42, None)
+    doc = RandomVariable(tree, np.arange(4.0)).to_dict()
+    assert RandomVariable.from_dict({**doc, "tree": str(path)}).tree == tree
+    assert RandomVariable.from_dict({**doc, "tree": json.loads(tree.to_json())}).tree == tree
+    with pytest.raises(SchemaError) as err:
+        RandomVariable.from_dict({**doc, "tree": 42})
+    assert err.value.path == "tree"
 
 
 def test_json_rejects_wrong_schema():

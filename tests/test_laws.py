@@ -123,11 +123,9 @@ def test_every_mode_is_nondecreasing_in_alpha(case, seed, dim, alphas, measure_a
         assert _nondecreasing(values), (mode, measure_alphas, values)
 
 
-@given(trees_and_modes(), seeds, st.integers(1, 3), st.integers(-40, 10), bmo_alphas)
+@given(trees_and_modes(), seeds, st.integers(1, 3), st.integers(-300, 200), bmo_alphas)
 @settings(max_examples=40, deadline=None)
 def test_scaling_a_martingale_scales_every_oscillation_norm(case, seed, dim, k, alphas):
-    # k stops at 10: Martingale checks its property to an absolute 1e-10,
-    # which a valid martingale scaled much further up can exceed.
     tree, bmo_modes, _ = case
     c = math.ldexp(1.0, k)
     f = random_martingale(tree, seed, dim)

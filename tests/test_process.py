@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -260,6 +261,13 @@ def test_predictable_shape_validated():
     tree = build_dyadic(2)
     with pytest.raises(ValueError):
         PredictableSequence(tree, [[1.0], [1.0, 2.0], [1.0]])
+    for coeffs, k in [
+        ([[math.nan], [1.0], [0.5, 0.25]], 0),
+        ([[1.0], [math.nan], [0.5, 0.25]], 1),
+        ([[1.0], [1.0], [0.5, -math.inf]], 2),
+    ]:
+        with pytest.raises(ValueError, match=rf"coeffs\[{k}\] has non-finite values"):
+            PredictableSequence(tree, coeffs)
 
 
 # == random generators =======================================================

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +157,10 @@ def test_first_passage_levels(depth2_example):
     assert first_passage(f, 0.5).stops == (AtomRef(1, 0), AtomRef(1, 1))
     assert first_passage(f, 1.5).stops == (AtomRef(2, 0),)
     assert first_passage(f, 2.0).is_never()
+    assert first_passage(f, math.inf).is_never()
+    assert first_passage(f, -math.inf).stops == (AtomRef(0, 0),)
+    with pytest.raises(ValueError, match="lam must be a number"):
+        first_passage(f, math.nan)
 
 
 def test_first_passage_is_strict(depth2_example):
