@@ -51,6 +51,7 @@ from .norms import (
 from .operators import _running_max, maximal
 from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, differences
 from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, stopping_time_table
+from .stopping import resolve_max_enum
 
 __all__ = [
     "CarlesonMeasure",
@@ -173,6 +174,7 @@ def carleson_alpha_norms(
     """
     alphas = list(map(_check_alpha_carleson, alphas))
     _check_mode(mode, CARLESON_MODES)
+    max_enum = resolve_max_enum(max_enum)
     if not alphas:
         return []
     if mode == "node-fast":

@@ -20,7 +20,7 @@ import sys
 from .carleson import CARLESON_MODES, CarlesonMeasure, carleson_alpha_norm
 from .errors import SchemaError, SizeCapError
 from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
-from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_p_norm
+from .norms import BMO_MODES, bmo_alpha_norm
 from .process import Martingale, random_martingale
 from .verify import SUITES, bench, campaign
 
@@ -72,7 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="path to a process/v1 document")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--mode", default="atom-fast", choices=BMO_MODES)
-    p.add_argument("--p", type=float, default=2.0, help="exponent variant (default 2)")
+    p.add_argument("--p", type=float, default=2.0, help="exponent p >= 1 (default 2); the witness names any other")
     p.add_argument("--max-enum", type=int, default=None)
     p.add_argument("--out")
 
@@ -133,12 +133,8 @@ def _cmd_gen_martingale(args) -> int:
 
 def _cmd_norm(args) -> int:
     f = Martingale.load(args.input)
-    if args.p == 2.0:
-        doc = dataclasses.asdict(bmo_alpha_norm(f, args.alpha, args.mode, args.max_enum))
-    else:
-        value = bmo_alpha_p_norm(f, args.alpha, args.p, args.mode, args.max_enum)
-        doc = {"value": value, "mode": args.mode, "p": args.p}
-    write_text(args.out, dump_json(doc))
+    result = bmo_alpha_norm(f, args.alpha, args.mode, args.max_enum, args.p)
+    write_text(args.out, dump_json(dataclasses.asdict(result)))
     return 0
 
 

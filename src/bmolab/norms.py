@@ -1,22 +1,22 @@
 """Norm functionals: L^p, weak L^q, layer-cake integrals, and the scaled
 oscillation norm of a martingale in its four equivalent computable forms.
 
-The oscillation norm of f at fractional parameter alpha is
+The oscillation norm of f at fractional parameter alpha and exponent p is
 
     sup over levels n and sets A in the n-th sigma-field of
-        P(A)^(-1/2-alpha) * (integral over A of |f - f_{n-1}|^2 dP)^(1/2)
+        P(A)^(-1/p-alpha) * (integral over A of |f - f_{n-1}|^p dP)^(1/p)
 
-with f_{-1} = 0, so the n = 0 term compares against zero and the norm
-dominates the plain L^2 norm.  On a finite tree the supremum over unions
-of level-n atoms collapses to single atoms: writing c_i for the integral
-over atom i and m_i for its mass, c_i <= M * m_i^(1+2a) with
-M = max_i c_i / m_i^(1+2a) gives
+with f_{-1} = 0 and finite p >= 1 (2 by default); the n = 0 term compares
+against zero, so the norm dominates the plain L^p norm.  At every p the
+supremum over unions of level-n atoms collapses to single atoms: writing
+c_i for the integral over atom i of |f_N - f_(n-1)|^p and m_i for its
+mass, c_i <= M * m_i^(1+pa) with M = max_i c_i / m_i^(1+pa) gives
 
-    sum c_i <= M * sum m_i^(1+2a) <= M * (sum m_i)^(1+2a)
+    sum c_i <= M * sum m_i^(1+pa) <= M * (sum m_i)^(1+pa)
 
-because t -> t^(1+2a) is superadditive for 1+2a >= 1.  The same argument
+because t -> t^(1+pa) is superadditive for 1+pa >= 1.  The same argument
 over a stop set's atoms collapses the stopping-time form.  All four modes
-are kept: two brute-force oracles (`subset-bruteforce` over unions,
+run at every p: two brute-force oracles (`subset-bruteforce` over unions,
 `stopping-bruteforce` over all stopping times) and two fast single-atom
 scans (`atom-fast`, and `omega-form` which scales the atom mean instead
 of the atom integral).
@@ -30,6 +30,7 @@ deterministic, and a NaN candidate never wins after the first.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -58,7 +59,6 @@ __all__ = [
     "power_integral",
     "bmo_alpha_norm",
     "bmo_alpha_norms",
-    "bmo_alpha_p_norm",
     "process_bmo_alpha_norm",
     "bmo_ratio_at",
     "replay_bmo_witness",
@@ -147,9 +147,9 @@ def layer_cake(X: RandomVariable, p: float) -> float:
     """p * integral over lam of lam^(p-1) * P(|X| > lam), evaluated in
     closed form between consecutive distinct values of |X|.
 
-    Equals the direct sum of |X|^p against P for every finite p > 0; the
-    pair is the standard cross-check used throughout the verification
-    suites.
+    Equals the direct sum of |X|^p against P (`power_integral`) for every
+    finite p > 0.  The inequality suite checks its own left side against
+    the same closed form, `_layer_cake_arrays`.
     """
     _check_finite_p(p)
     return _layer_cake_arrays(_modulus(X.values), X.tree.leaf_masses, p)
@@ -169,6 +169,12 @@ def _check_alpha(alpha: float) -> float:
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
+
+
+def _check_p(p: object) -> float:
+    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
+    return float(p)
 
 
 def _residual_integrals(g: AdaptedProcess, n: int, p: float) -> np.ndarray:
@@ -273,9 +279,9 @@ def _union_sums(
 
 
 def _stopping_integrals(
-    tree: FiltrationTree, final: np.ndarray, before: np.ndarray, taus: np.ndarray
+    tree: FiltrationTree, final: np.ndarray, before: np.ndarray, taus: np.ndarray, p: float
 ) -> np.ndarray:
-    """Integral of |f_N - f_(tau-1)|^2 per table row, from ``before =
+    """Integral of |f_N - f_(tau-1)|^p per table row, from ``before =
     _before_table(f)``.
 
     Each row's integral sums a C-contiguous (rows, leaves) array, the same
@@ -283,7 +289,7 @@ def _stopping_integrals(
     """
     resid = final - before[taus, np.arange(tree.num_leaves)]
     mod = np.abs(resid) if final.ndim == 1 else _modulus(resid)
-    return np.sum(mod**2 * tree.leaf_masses, axis=1)
+    return np.sum(mod**p * tree.leaf_masses, axis=1)
 
 
 def _stops_witness(tree: FiltrationTree, row: np.ndarray) -> dict:
@@ -307,7 +313,7 @@ def _check_mode(mode: str, modes: tuple) -> None:
         raise ValueError(f"unknown mode {mode!r}; choose one of {modes}")
 
 
-def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int | None):
+def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
     """The candidate blocks of one scan of ``f``, scored at a mass
     exponent: ``(integral) ** (1/p) * (mass) ** e`` per atom, union or
     stopping time (``omega-form``: ``(mean) ** (1/p) * (mass) ** e``).
@@ -319,15 +325,14 @@ def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int | None):
         final, before = f.level(f.depth), _before_table(f)
         yield from _stopping_blocks(
             tree, max_enum,
-            lambda t: _powers(_stopping_integrals(tree, final, before, t).tolist(), e_int),
+            lambda t: _powers(_stopping_integrals(tree, final, before, t, p).tolist(), e_int),
         )
         return
     if mode == "subset-bruteforce":
-        cap = resolve_max_enum(max_enum)
         total = sum(2 ** tree.atom_count(n) - 1 for n in range(tree.depth + 1))
-        if total > cap:
+        if total > max_enum:
             raise SizeCapError(
-                f"subset brute force would scan {total} unions, over the cap {cap}; "
+                f"subset brute force would scan {total} unions, over the cap {max_enum}; "
                 f"use atom-fast or raise BMO_LAB_MAX_ENUM"
             )
     for n in range(tree.depth + 1):
@@ -355,55 +360,42 @@ def _bmo_sups(
 ) -> list[NormResult]:
     """The norm at every (validated) alpha, one scan of ``f`` for all; each
     alpha takes its own powers and argmax, the same floats in the same
-    order as a scan for it alone."""
+    order as a scan for it alone.  A witness names p unless it is 2."""
     _check_mode(mode, BMO_MODES)
+    p, max_enum = _check_p(p), resolve_max_enum(max_enum)
     if not alphas:
         return []
     exps = [-alpha if mode == "omega-form" else -1.0 / p - alpha for alpha in alphas]
-    return _argmaxes(_bmo_blocks(f, p, mode, max_enum), exps, mode)
+    results = _argmaxes(_bmo_blocks(f, p, mode, max_enum), exps, mode)
+    if p != 2.0:
+        for res in results:
+            res.witness["p"] = p
+    return results
 
 
 def bmo_alpha_norms(
-    f: AdaptedProcess, alphas, mode: str = "atom-fast", max_enum: int | None = None
+    f: AdaptedProcess, alphas, mode: str = "atom-fast", max_enum: int | None = None,
+    p: float = 2.0,
 ) -> list[NormResult]:
     """The scaled oscillation norm of a martingale at every alpha of a
     list, one `NormResult` per alpha in order, from one scan of ``f``.
 
-    All modes return the same value (brute-force ones up to float noise);
-    they differ in cost and in the witness family they search.  Vector
-    values are handled through the Euclidean modulus.  Every alpha is
-    validated before anything is scanned; each result is bitwise the one
-    a scan at that alpha alone gives.
+    All modes return the same value (brute-force ones up to float noise)
+    at every finite p >= 1, nondecreasing in p by the power-mean
+    inequality; they differ in cost and in the witness family they
+    search.  Vector values are handled through the Euclidean modulus.
+    Every alpha is validated before anything is scanned; each result is
+    bitwise the one a scan at that alpha alone gives.
     """
-    return _bmo_sups(f, list(map(_check_alpha, alphas)), 2.0, mode, max_enum)
+    return _bmo_sups(f, list(map(_check_alpha, alphas)), p, mode, max_enum)
 
 
 def bmo_alpha_norm(
-    f: AdaptedProcess, alpha: float, mode: str = "atom-fast", max_enum: int | None = None
+    f: AdaptedProcess, alpha: float, mode: str = "atom-fast", max_enum: int | None = None,
+    p: float = 2.0,
 ) -> NormResult:
     """`bmo_alpha_norms` at one alpha."""
-    return _bmo_sups(f, [_check_alpha(alpha)], 2.0, mode, max_enum)[0]
-
-
-def bmo_alpha_p_norm(
-    f: AdaptedProcess,
-    alpha: float,
-    p: float,
-    mode: str = "atom-fast",
-    max_enum: int | None = None,
-) -> float:
-    """Exponent-p variant: sup of P(A)^(-1/p-alpha) (int_A |f-f_{n-1}|^p)^(1/p).
-
-    The single-atom reduction is only proved for p = 2, so the default is
-    the atom scan and the union supremum stays available as
-    `subset-bruteforce` for experiments; the two are not asserted equal.
-    Nondecreasing in p by the power-mean inequality.
-    """
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and at least 1, got {p}")
-    if mode not in ("atom-fast", "subset-bruteforce"):
-        raise ValueError("p-variant supports atom-fast and subset-bruteforce modes")
-    return _bmo_sups(f, [_check_alpha(alpha)], float(p), mode, max_enum)[0].value
+    return _bmo_sups(f, [_check_alpha(alpha)], p, mode, max_enum)[0]
 
 
 def process_bmo_alpha_norm(g: AdaptedProcess, alpha: float) -> float:
@@ -422,6 +414,10 @@ def process_bmo_alpha_norm(g: AdaptedProcess, alpha: float) -> float:
 def bmo_ratio_at(f: AdaptedProcess, alpha: float, level: int, atoms) -> float:
     """Re-evaluate the defining ratio at one union of same-level atoms;
     an atom listed twice counts once."""
+    return _level_set_ratio(f, alpha, level, atoms, 2.0)
+
+
+def _level_set_ratio(f: AdaptedProcess, alpha: float, level: int, atoms, p: float) -> float:
     alpha = _check_alpha(alpha)
     level = _atom_position(level)
     if not np.iterable(atoms):
@@ -433,16 +429,16 @@ def bmo_ratio_at(f: AdaptedProcess, alpha: float, level: int, atoms) -> float:
     for i in (idx[0], idx[-1]):
         if not 0 <= i < len(m):
             raise ValueError(f"atom index {i} out of range at level {level}")
-    r = _residual_integrals(f, level, 2.0)
-    return _ratio(np.sum(r[idx]), float(np.sum(m[idx])), alpha)
+    r = _residual_integrals(f, level, p)
+    return _ratio(np.sum(r[idx]), float(np.sum(m[idx])), alpha, p)
 
 
-def _ratio(integral: np.float64, mass: float, alpha: float) -> float:
-    """integral ** (1/2) * mass ** (-1/2 - alpha) in Python floats, so a
+def _ratio(integral: np.float64, mass: float, alpha: float, p: float) -> float:
+    """integral ** (1/p) * mass ** (-1/p - alpha) in Python floats, so a
     mass power that overflows gives inf (or NaN times a zero integral)
     without a numpy warning.  Where numpy's scalar power is finite,
     Python's gives the same bits."""
-    return float(integral**0.5) * _float_power(mass, -0.5 - alpha)
+    return float(integral ** (1.0 / p)) * _float_power(mass, -1.0 / p - alpha)
 
 
 def _witness_field(witness: object, key: str) -> object:
@@ -454,15 +450,17 @@ def _witness_field(witness: object, key: str) -> object:
 
 
 def replay_bmo_witness(f: AdaptedProcess, alpha: float, witness: dict) -> float:
-    """Recompute the ratio a NormResult witness claims to achieve."""
+    """Recompute the ratio a NormResult witness claims to achieve, at the
+    witness's ``"p"`` (2 where it names none)."""
     kind = _witness_field(witness, "kind")
+    p = _check_p(witness.get("p", 2.0))
     if kind == "level-set":
         level, atoms = _witness_field(witness, "level"), _witness_field(witness, "atoms")
-        return bmo_ratio_at(f, alpha, level, atoms)
+        return _level_set_ratio(f, alpha, level, atoms, p)
     if kind == "stopping-time":
         alpha = _check_alpha(alpha)
         tau = StoppingTime(f.tree, _witness_field(witness, "stops"))
         resid = f.level(f.depth) - stopped_before(f, tau).values
-        integral = np.sum(_modulus(resid) ** 2 * f.tree.leaf_masses)
-        return _ratio(integral, tau.prob_finite, alpha)
+        integral = np.sum(_modulus(resid) ** p * f.tree.leaf_masses)
+        return _ratio(integral, tau.prob_finite, alpha, p)
     raise ValueError(f"unknown witness kind {kind!r}")

@@ -436,14 +436,14 @@ def _union_ratios(r, m, masks, e_int, e_mass):
     return np.array([a**e_int * b**e_mass for a, b in zip(r_sum, m_sum)])
 
 
-def _stopping_ratios(f, taus, e_int, e_mass):
-    """(integral of |f_N - f_(tau-1)|^2) ** e_int * P(tau finite) ** e_mass
+def _stopping_ratios(f, taus, p, e_int, e_mass):
+    """(integral of |f_N - f_(tau-1)|^p) ** e_int * P(tau finite) ** e_mass
     per table row."""
     tree = f.tree
     final = f.level(f.depth)
     resid = final - _before_table(f)[taus, np.arange(tree.num_leaves)]
     mod = np.abs(resid) if final.ndim == 1 else np.sqrt(np.sum(resid * resid, axis=-1))
-    integrals = np.sum(mod**2 * tree.leaf_masses, axis=1)
+    integrals = np.sum(mod**p * tree.leaf_masses, axis=1)
     probs = prob_finite(tree, taus).tolist()
     return np.array([i**e_int * q**e_mass for i, q in zip(integrals, probs)])
 
@@ -493,12 +493,10 @@ def reference_bmo_sup(f, alpha, p, mode, max_enum, previous="own"):
                 )
 
     elif mode == "stopping-bruteforce":
-        if p != 2.0:
-            raise ValueError("the stopping-time form is defined for the p = 2 norm only")
         taus = stopping_time_table(tree, max_enum)
         for rows in chunks(len(taus) - 1):  # the last row never stops
             t = taus[rows]
-            vals = _stopping_ratios(f, t, e_int, e_mass)
+            vals = _stopping_ratios(f, t, p, e_int, e_mass)
             best.offer_all(vals, lambda j: _stops_witness(tree, t[j]))
 
     else:
@@ -512,7 +510,7 @@ def reference_bmo_alpha_norm(f, alpha, mode="atom-fast", max_enum=None):
 
 
 def reference_bmo_alpha_p_norm(f, alpha, p, mode="atom-fast", max_enum=None):
-    return reference_bmo_sup(f, _check_alpha(alpha), float(p), mode, max_enum).value
+    return reference_bmo_sup(f, _check_alpha(alpha), float(p), mode, max_enum)
 
 
 def reference_process_bmo_alpha_norm(g, alpha, previous="own"):

@@ -22,7 +22,6 @@ from bmolab import (
     Martingale,
     bmo_alpha_norm,
     bmo_alpha_norms,
-    bmo_alpha_p_norm,
     bmo_ratio_at,
     build_dyadic,
     build_random,
@@ -116,10 +115,10 @@ def test_process_and_p_norms_equal_the_per_alpha_reference(tree, dim, seed, alph
     g = random_adapted_process(tree, seed, dim)
     assert process_bmo_alpha_norm(g, alpha) == oracles.reference_process_bmo_alpha_norm(g, alpha)
     f = random_martingale(tree, seed, dim)
-    for mode in ("atom-fast", "subset-bruteforce"):
-        assert bmo_alpha_p_norm(f, alpha, p, mode) == (
-            oracles.reference_bmo_alpha_p_norm(f, alpha, p, mode)
-        )
+    for mode in BMO_MODES:
+        res = bmo_alpha_norm(f, alpha, mode, p=p)
+        want = oracles.reference_bmo_alpha_p_norm(f, alpha, p, mode)
+        assert (res.value, res.witness) == (want.value, {**want.witness, "p": p})
 
 
 @given(

@@ -15,7 +15,6 @@ from bmolab import (
     SizeCapError,
     StoppingTime,
     bmo_alpha_norm,
-    bmo_alpha_p_norm,
     build_dyadic,
     build_random,
     carleson_alpha_norm,
@@ -245,8 +244,8 @@ def test_bmo_subset_bitwise(tree, chunk_rows):
         for alpha in (0.0, 0.45):
             res = bmo_alpha_norm(f, alpha, "subset-bruteforce")
             assert (res.value, res.witness) == _first_max(bmo_subset_candidates(f, alpha, 2.0))
-        value = bmo_alpha_p_norm(f, 0.2, 3.0, "subset-bruteforce")
-        assert value == _first_max(bmo_subset_candidates(f, 0.2, 3.0))[0]
+        res = bmo_alpha_norm(f, 0.2, "subset-bruteforce", p=3.0)
+        assert res.value == _first_max(bmo_subset_candidates(f, 0.2, 3.0))[0]
 
 
 @pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
@@ -338,7 +337,8 @@ def test_every_union_scores_bitwise(tree):
     f = _martingale(tree, 3)
     for p, alpha in ((2.0, 0.45), (3.0, 0.2)):
         want = _values(bmo_subset_candidates(f, alpha, p))
-        got = _scores(_bmo_blocks(f, p, "subset-bruteforce", None), -1.0 / p - alpha)
+        blocks = _bmo_blocks(f, p, "subset-bruteforce", stopping.DEFAULT_MAX_ENUM)
+        got = _scores(blocks, -1.0 / p - alpha)
         assert got == want
 
 

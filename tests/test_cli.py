@@ -14,9 +14,11 @@ from bmolab import (
     carleson_alpha_norm,
     from_martingale,
     random_martingale,
+    replay_bmo_witness,
 )
 import bmolab
 from bmolab.cli import main
+from bmolab.norms import BMO_MODES
 from conftest import run_process
 
 
@@ -94,12 +96,20 @@ def test_norm_command(tmp_path, capsys):
 
 
 def test_norm_command_p_variant(tmp_path, capsys):
+    f = random_martingale(build_dyadic(2), 3, 1)
     fpath = tmp_path / "f.json"
-    random_martingale(build_dyadic(2), 3, 1).save(str(fpath))
-    assert run("norm", str(fpath), "--alpha", "0.5", "--p", "3") == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["p"] == 3.0
-    assert "witness" not in doc
+    f.save(str(fpath))
+    for mode in BMO_MODES:
+        for p in ("1", "1.5", "3"):
+            assert run("norm", str(fpath), "--alpha", "0.5", "--p", p, "--mode", mode) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert set(doc) == {"mode", "value", "witness"} and doc["mode"] == mode
+            assert doc["witness"]["p"] == float(p)
+            replayed = replay_bmo_witness(f, 0.5, doc["witness"])
+            if mode.endswith("bruteforce"):
+                assert replayed == doc["value"]
+            else:
+                assert replayed == pytest.approx(doc["value"], rel=1e-12)
 
 
 @pytest.mark.parametrize("p", ["nan", "inf", "1e400"])
@@ -340,6 +350,32 @@ def test_non_positive_max_enum_exits_2(tmp_path, command, cap):
     assert proc.returncode == 2
     assert proc.stderr == f"error: max_enum must be a positive integer, got {cap}\n"
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("norm", "atom-fast"), ("norm", "omega-form"), ("carleson-norm", "node-fast"),
+])
+@pytest.mark.parametrize("cap", ["0", "-1", "abc"])
+def test_fast_modes_refuse_a_bad_cap(tmp_path, monkeypatch, command, mode, cap):
+    path = str(tmp_path / "doc.json")
+    f = random_martingale(build_dyadic(2), 1, 1)
+    doc = f if command == "norm" else from_martingale(f)
+    doc.save(path)
+    norm = bmo_alpha_norm if command == "norm" else carleson_alpha_norm
+    argv = [command, path, "--alpha", "0.5", "--mode", mode]
+    if cap == "abc":
+        monkeypatch.setenv("BMO_LAB_MAX_ENUM", cap)
+        name, max_enum = "BMO_LAB_MAX_ENUM", None
+    else:
+        argv += ["--max-enum", cap]
+        name, max_enum = "max_enum", int(cap)
+    proc = run_process(*argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {name} must be a positive integer")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == ""
+    with pytest.raises(ValueError, match=f"^{name} must be a positive integer"):
+        norm(doc, 0.5, mode, max_enum)
 
 
 @pytest.mark.parametrize("argv, flag, message", [

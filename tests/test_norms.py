@@ -10,7 +10,6 @@ from bmolab import (
     RandomVariable,
     SizeCapError,
     bmo_alpha_norm,
-    bmo_alpha_p_norm,
     bmo_ratio_at,
     build_dyadic,
     build_random,
@@ -275,15 +274,16 @@ def test_stopping_bruteforce_cap():
 def test_p_variant_reduces_to_the_default(depth2_example):
     _, f = depth2_example
     for alpha in (0.0, 0.25, 0.5):
-        assert bmo_alpha_p_norm(f, alpha, 2.0) == bmo_alpha_norm(f, alpha).value
+        assert bmo_alpha_norm(f, alpha, p=2.0) == bmo_alpha_norm(f, alpha)
 
 
 def test_p_variant_nondecreasing_in_p():
     tree = build_random(95, 3, 3)
     f = random_martingale(tree, 8, 1)
-    for alpha in (0.0, 0.5):
-        vals = [bmo_alpha_p_norm(f, alpha, p) for p in (1.0, 1.5, 2.0, 3.0)]
-        assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
+    for mode in BMO_MODES:
+        for alpha in (0.0, 0.5):
+            vals = [bmo_alpha_norm(f, alpha, mode, p=p).value for p in (1.0, 1.5, 2.0, 3.0)]
+            assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
 
 
 def test_p_variant_subset_mode_matches_oracle():
@@ -293,25 +293,53 @@ def test_p_variant_subset_mode_matches_oracle():
     leaves = f.leaf_view(tree.depth).tolist()
     for p in (1.0, 3.0):
         want = oracles.bmo_sup(doc, leaves, 0.25, p=p, subsets=True)
-        got = bmo_alpha_p_norm(f, 0.25, p, "subset-bruteforce")
+        got = bmo_alpha_norm(f, 0.25, "subset-bruteforce", p=p).value
         assert got == pytest.approx(want, rel=1e-10)
         # the atom scan never exceeds the union supremum
-        assert bmo_alpha_p_norm(f, 0.25, p) <= got + 1e-12
+        assert bmo_alpha_norm(f, 0.25, p=p).value <= got + 1e-12
 
 
 def test_p_variant_rejects_bad_arguments(rademacher_pair):
     _, f = rademacher_pair
-    with pytest.raises(ValueError):
-        bmo_alpha_p_norm(f, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        bmo_alpha_p_norm(f, 0.5, 2.0, "stopping-bruteforce")
+    for p in (0.5, True):
+        with pytest.raises(ValueError, match=f"^p must be finite and at least 1, got {p}$"):
+            bmo_alpha_norm(f, 0.5, p=p)
 
 
 @pytest.mark.parametrize("p", [float("nan"), float("inf"), 1e400])
 def test_p_variant_refuses_a_non_finite_p(rademacher_pair, p):
     _, f = rademacher_pair
     with pytest.raises(ValueError, match=r"^p must be finite and at least 1, got (nan|inf)$"):
-        bmo_alpha_p_norm(f, 0.25, p)
+        bmo_alpha_norm(f, 0.25, p=p)
+
+
+# Suite-size trees within both brute-force caps: at most 730 stopping
+# times and 511 unions on a level.
+@given(
+    seed=st.integers(0, 2**32),
+    shape=st.sampled_from([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]),
+    dim=st.integers(1, 3),
+    alpha=st.sampled_from([0.0, 0.25, 0.9]),
+    p=st.sampled_from([1.0, 1.5, 3.0, 7.0]),
+)
+@settings(max_examples=60, deadline=None)
+def test_every_mode_at_every_p_matches_the_oracle_and_replays(seed, shape, dim, alpha, p):
+    branch, depth = shape
+    tree = build_random(seed, depth, branch)
+    f = random_martingale(tree, seed, dim)
+    leaves = f.leaf_view(tree.depth).tolist()
+    want = oracles.bmo_sup(tree.to_dict()["root"], leaves, alpha, p=p, subsets=True)
+    union_sup = bmo_alpha_norm(f, alpha, "subset-bruteforce", p=p).value
+    for mode in BMO_MODES:
+        res = bmo_alpha_norm(f, alpha, mode, p=p)
+        assert res.witness["p"] == p
+        replayed = replay_bmo_witness(f, alpha, res.witness)
+        if mode.endswith("bruteforce"):
+            assert res.value == pytest.approx(want, rel=1e-10)
+            assert replayed == res.value
+        else:
+            assert res.value == pytest.approx(union_sup, rel=1e-12)
+            assert replayed == pytest.approx(res.value, rel=1e-12)
 
 
 # == general adapted processes ===============================================
@@ -380,6 +408,9 @@ def test_replay_every_mode(depth2_example):
         res = bmo_alpha_norm(f, 0.25, mode)
         replayed = replay_bmo_witness(f, 0.25, res.witness)
         assert abs(replayed - res.value) <= 1e-12
+        # a p = 2 witness names no p, and replays at 2
+        assert "p" not in res.witness
+        assert replay_bmo_witness(f, 0.25, {**res.witness, "p": 2.0}) == replayed
 
 
 def test_replay_rejects_unknown_kind(rademacher_pair):
@@ -399,6 +430,11 @@ def test_replay_rejects_unknown_kind(rademacher_pair):
     ({"kind": "stopping-time", "stops": None}, r"stops must be a list of \[level, index\] pairs, got None"),
     ({"kind": "stopping-time", "stops": [[1]]}, r"a stop must be a \[level, index\] pair, got \[1\]"),
     ({"kind": "stopping-time", "stops": [5]}, r"a stop must be a \[level, index\] pair, got 5"),
+    *[({"kind": kind, "level": 0, "atoms": [0], "stops": [[0, 0]], "p": p},
+       f"p must be finite and at least 1, got {shown}")
+      for kind in ("level-set", "stopping-time")
+      for p, shown in [(True, "True"), ("3", "3"), (None, "None"), (math.nan, "nan"),
+                       (math.inf, "inf"), (-math.inf, "-inf"), (0.5, "0.5")]],
 ])
 def test_replay_names_what_a_malformed_witness_lacks(witness, message):
     f = random_martingale(build_dyadic(2), 1)
