@@ -50,8 +50,7 @@ from .norms import (
 )
 from .operators import _running_max, maximal
 from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, differences
-from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, stopping_time_table
-from .stopping import resolve_max_enum
+from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, resolve_max_enum, stopping_time_table
 
 __all__ = [
     "CarlesonMeasure",

@@ -374,27 +374,27 @@ def _bmo_sups(
 
 
 def bmo_alpha_norms(
-    f: AdaptedProcess, alphas, mode: str = "atom-fast", max_enum: int | None = None,
-    p: float = 2.0,
+    f: AdaptedProcess, alphas, mode: str = "atom-fast", max_enum: int | None = None
 ) -> list[NormResult]:
     """The scaled oscillation norm of a martingale at every alpha of a
     list, one `NormResult` per alpha in order, from one scan of ``f``.
 
-    All modes return the same value (brute-force ones up to float noise)
-    at every finite p >= 1, nondecreasing in p by the power-mean
-    inequality; they differ in cost and in the witness family they
-    search.  Vector values are handled through the Euclidean modulus.
-    Every alpha is validated before anything is scanned; each result is
-    bitwise the one a scan at that alpha alone gives.
+    All modes return the same value (brute-force ones up to float noise);
+    they differ in cost and in the witness family they search.  Vector
+    values are handled through the Euclidean modulus.  Every alpha is
+    validated before anything is scanned; each result is bitwise the one
+    a scan at that alpha alone gives.
     """
-    return _bmo_sups(f, list(map(_check_alpha, alphas)), p, mode, max_enum)
+    return _bmo_sups(f, list(map(_check_alpha, alphas)), 2.0, mode, max_enum)
 
 
 def bmo_alpha_norm(
     f: AdaptedProcess, alpha: float, mode: str = "atom-fast", max_enum: int | None = None,
     p: float = 2.0,
 ) -> NormResult:
-    """`bmo_alpha_norms` at one alpha."""
+    """The norm at one alpha and exponent p.  Every mode runs at every
+    finite p >= 1, the modes agree there as at p = 2, and the value is
+    nondecreasing in p by the power-mean inequality."""
     return _bmo_sups(f, [_check_alpha(alpha)], p, mode, max_enum)[0]
 
 

@@ -310,7 +310,7 @@ def test_every_stopping_row_scores_bitwise(tree):
     for dim in (1, 9):
         f = _martingale(tree, dim)
         for alpha in (0.0, 0.3, 1.0):
-            got = _scores(_bmo_blocks(f, 2.0, "stopping-bruteforce", None), -0.5 - alpha)
+            got = _scores(_bmo_blocks(f, 2.0, "stopping-bruteforce", stopping.DEFAULT_MAX_ENUM), -0.5 - alpha)
             assert got == _values(bmo_stopping_candidates(f, alpha))
     mu = _measure(tree)
     assert mu.tent_masses(table).tolist() == [_tent_mass(mu, tau) for tau in reference_taus(tree)[:-1]]
