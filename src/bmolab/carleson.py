@@ -26,11 +26,20 @@ sharper chain of the same argument passes through, is reported as a
 diagnostic.  `converse_extraction` runs the reverse direction: indicator
 processes of stopping times turn the left side into exact tent masses,
 so any constant the inequality holds with must dominate the norm.
+
+Many draws of (g, mu) on one tree are evaluated as one batch: their leaf
+moduli and weighted densities are stacked with the draws on the middle
+axis, (levels, draws, leaves), and every factor is computed for all
+draws at once, each draw's bits as if alone.  `carleson_inequality_grid`
+is the batch of one draw; the inequality suite and `campaign` with ps
+run one batch per tree, in chunks of at most CHUNK_CELLS leaf cells.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,14 +50,16 @@ from .norms import (
     _argmaxes,
     _check_mode,
     _float_power,
-    _layer_cake_arrays,
+    _layer_cake_rows,
+    _lp_rows,
+    _real,
     _stopping_blocks,
     _stops_witness,
+    _tails,
     _times_powers,
-    lp_norm,
-    weak_lq_norm,
+    _weak_rows,
 )
-from .operators import _running_max, maximal
+from .operators import _running_max
 from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, differences
 from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, resolve_max_enum, stopping_time_table
 
@@ -131,6 +142,8 @@ def random_measure(tree: FiltrationTree, seed: int) -> CarlesonMeasure:
 
 
 def _check_alpha_carleson(alpha: float) -> float:
+    if not _real(alpha):
+        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
@@ -138,22 +151,50 @@ def _check_alpha_carleson(alpha: float) -> float:
 
 
 def _check_p(p: float) -> None:
+    if not _real(p):
+        raise ValueError(f"p must exceed 1, got {p!r}")
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if p == np.inf:
         raise ValueError(f"p must be finite, got {p}")
 
 
-def _node_blocks(mu: CarlesonMeasure):
-    """One block per level: each node's tent mass (suffix sums of the
-    weighted densities, summed over the node's leaves) times its mass
-    ** e."""
-    tree = mu.tree
-    suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
-    for n in range(tree.depth + 1):
-        c = tree.atom_sums(suffix[n], n)
-        m = tree.masses(n)
-        yield (lambda e: c * m**e), (lambda i: {"kind": "stopping-time", "stops": [[n, i]]})
+def _node_norms(tree: FiltrationTree, weighted: np.ndarray, alphas: list) -> list:
+    """`node-fast` at every alpha for the measures whose weighted densities
+    are stacked as (levels, measures, leaves): per alpha, each measure's
+    norm and the node ``(level, index)`` attaining it.
+
+    A node's score is its tent mass (suffix sums of the weighted densities
+    over levels, summed over the node's leaves) times its mass ** -(1 + 2
+    alpha).  The norm is the first strict maximum over every level's nodes
+    in turn; a measure with a NaN score takes `_ArgMax`'s rule.
+    """
+    if not alphas:
+        return []
+    suffix = np.cumsum(weighted[::-1], axis=0)[::-1]
+    levels = range(tree.depth + 1)
+    tents = np.concatenate([tree.atom_sums(suffix[n].T, n) for n in levels])
+    masses = [tree.masses(n) for n in levels]
+    start = np.cumsum([0, *map(len, masses)])  # each level's first node
+    column = np.concatenate(masses)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # (alphas, nodes, draws); each alpha takes its own power of the masses
+        scores = tents * np.stack([column ** -(1.0 + 2.0 * alpha) for alpha in alphas])
+    best = scores.argmax(axis=1)  # the first maximum, or the first NaN
+    top = scores[np.arange(len(alphas))[:, None], best, np.arange(tents.shape[1])]
+    values = top.tolist()
+    if np.isnan(top).any():
+        for a, t in zip(*np.nonzero(np.isnan(top))):
+            pick = _ArgMax()
+            pick.offer_all(scores[a, :, t], int)
+            values[a][t], best[a, t] = pick.value, pick.witness
+    level = start.searchsorted(best, "right") - 1
+    index = best - start[level]
+    return [(v, list(zip(*li))) for v, li in zip(values, zip(level.tolist(), index.tolist()))]
+
+
+def _node_witness(node: tuple) -> dict:
+    return {"kind": "stopping-time", "stops": [list(node)]}
 
 
 def carleson_alpha_norms(
@@ -177,9 +218,11 @@ def carleson_alpha_norms(
     if not alphas:
         return []
     if mode == "node-fast":
-        blocks = _node_blocks(mu)
-    else:
-        blocks = _stopping_blocks(mu.tree, max_enum, lambda t: mu.tent_masses(t).tolist())
+        return [
+            NormResult(values[0], _node_witness(nodes[0]), mode)
+            for values, nodes in _node_norms(mu.tree, mu.weighted[:, None], alphas)
+        ]
+    blocks = _stopping_blocks(mu.tree, max_enum, lambda t: mu.tent_masses(t).tolist())
     return _argmaxes(blocks, [-(1.0 + 2.0 * alpha) for alpha in alphas], mode)
 
 
@@ -200,17 +243,19 @@ def carleson_ratio_at(mu: CarlesonMeasure, alpha: float, stops) -> float:
     return mu.tent_mass(tau) * _float_power(tau.prob_finite, -(1.0 + 2.0 * alpha))
 
 
-def _left_side(leaf_mods, mu: CarlesonMeasure, p: float):
-    """integral of |g_k|^p dmu from the per-level leaf moduli of g: levels
-    first, leaves on the last axis, any axes between holding independent
-    processes.  One sum per level, levels ascending, each over C-contiguous
-    rows, so every process adds the same floats in the same order as alone.
+def _left_side(leaf_mods, weighted: np.ndarray, p: float):
+    """integral of |g_k|^p dmu from the per-level leaf moduli of g and the
+    weighted densities of mu: levels first, leaves on the last axis, any
+    axes between holding independent processes (and measures, or one
+    measure for all).  One sum per level, levels ascending, each over
+    C-contiguous rows, so every process adds the same floats in the same
+    order as alone.
 
     Must stay in lockstep with CarlesonMeasure.tent_mass: see its docstring.
     """
     total = 0.0
     for k, mod in enumerate(leaf_mods):
-        total += np.sum(np.ascontiguousarray(mod) ** p * mu.weighted[k], axis=-1)
+        total += np.sum(np.ascontiguousarray(mod) ** p * weighted[k], axis=-1)
     return total
 
 
@@ -231,17 +276,29 @@ class CarlesonInequalityResult:
     maximal_weak_norm: float
 
 
-def carleson_inequality_grid(
-    g: AdaptedProcess, mu: CarlesonMeasure, ps, alphas, slack: float = 1e-9,
-) -> list[list[CarlesonInequalityResult]]:
-    """Evaluate both sides of the inequality for one process and measure at
-    every (p, alpha): entry [i][j] is the check at ps[i] and alphas[j].
+class _Columns(NamedTuple):
+    """One (p, alpha) entry of a batch: a list with one entry per draw in
+    every field but ``constant``; ``carleson_node`` is the (level, index)
+    of the node attaining ``carleson_norm``."""
 
-    Each factor is computed once for the arguments it depends on: the
-    maximal function once, the measure norm and the norms of Mg at
-    1/(2 alpha) once per alpha, both left sides and the tail term once
-    per p.  The results in one column share their measure-norm result.
-    """
+    lhs: list
+    lhs_layer_cake: list
+    rhs: list
+    holds: list
+    constant: float
+    carleson_norm: list
+    carleson_node: list
+    maximal_strong_norm: list
+    maximal_tail_term: list
+    maximal_weak_norm: list
+
+
+# Leaf cells (draws x levels x leaves) per batch of `_inequality_batches`.
+CHUNK_CELLS = 1 << 16
+
+
+def _check_grid(ps, alphas) -> list[float]:
+    """Validate every p, then every alpha; the alphas as floats."""
     for p in ps:
         _check_p(p)
     checked = []
@@ -250,42 +307,90 @@ def carleson_inequality_grid(
         if alpha == 0.0:
             raise ValueError("alpha must be positive here (the exponent 1/(2 alpha))")
         checked.append(alpha)
-    if g.tree != mu.tree:
-        raise ValueError("process and measure live on different trees")
+    return checked
 
-    mods = _leaf_moduli(g)
-    mg = maximal(g)
+
+def _inequality_columns(
+    tree: FiltrationTree, mods: np.ndarray, weighted: np.ndarray, ps, alphas: list, slack: float
+) -> list[list[_Columns]]:
+    """Both sides of the inequality for a batch of draws on ``tree``: the
+    leaf moduli of each process and the weighted densities of each
+    measure, stacked as (levels, draws, leaves).  Entry [i][j] holds the
+    draws' columns at ps[i] and alphas[j] (already checked).
+
+    Each factor is computed once for the arguments it depends on: the
+    maximal function once, the measure norm and the norms of Mg at
+    1/(2 alpha) once per alpha, both left sides and the tail term once
+    per p.  Every draw adds and multiplies the same floats in the same
+    order as a batch of one.
+    """
+    w = tree.leaf_masses
+    mg = np.max(mods, axis=0)  # Mg: at each leaf, the largest modulus over the levels
+    mg_tails = _tails(mg, w)
     per_alpha = []
-    for alpha, norm in zip(checked, carleson_alpha_norms(mu, checked, "node-fast")):
+    for alpha, (values, nodes) in zip(alphas, _node_norms(tree, weighted, alphas)):
         q = 1.0 / (2.0 * alpha)
-        per_alpha.append((alpha, norm, lp_norm(mg, q), weak_lq_norm(mg, q)))
+        per_alpha.append((values, nodes, _lp_rows(mg, w, q), _weak_rows(mg_tails, q)))
 
+    draws = mods.shape[1]
+    cells = _tails(*(a.transpose(1, 0, 2).reshape(draws, -1) for a in (mods, weighted)))
     grid = []
     for p in ps:
-        lhs = float(_left_side(mods, mu, p))
-        lhs_layer = _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p)
-        tail_term = lp_norm(mg, p - 1.0) ** (p - 1.0)
+        lhs = _left_side(mods, weighted, p)
+        lhs_layer = _layer_cake_rows(cells, p)
+        tail_term = [x ** (p - 1.0) for x in _lp_rows(mg, w, p - 1.0)]
         constant = p / (p - 1.0)
         row = []
-        for alpha, norm, strong, weak in per_alpha:
-            rhs = constant * norm.value * strong * tail_term
-            row.append(
-                CarlesonInequalityResult(
-                    lhs=lhs,
-                    lhs_layer_cake=lhs_layer,
-                    rhs=rhs,
-                    holds=bool(lhs <= rhs + slack),
-                    p=float(p),
-                    alpha=alpha,
-                    constant=constant,
-                    carleson_norm=norm,
-                    maximal_strong_norm=strong,
-                    maximal_tail_term=tail_term,
-                    maximal_weak_norm=weak,
-                )
-            )
+        for values, nodes, strong, weak in per_alpha:
+            # the Python floats' product, left to right, one draw per element
+            with np.errstate(over="ignore", invalid="ignore"):
+                rhs = constant * np.array(values) * np.array(strong) * np.array(tail_term)
+            row.append(_Columns(
+                lhs.tolist(), lhs_layer, rhs.tolist(), (lhs <= rhs + slack).tolist(), constant,
+                values, nodes, strong, tail_term, weak,
+            ))
         grid.append(row)
     return grid
+
+
+def _inequality_batches(tree: FiltrationTree, draws, ps, alphas: list, slack: float):
+    """`_inequality_columns` over the (process, measure) pairs of ``draws``,
+    all on ``tree``, as few batches of at most CHUNK_CELLS leaf cells as
+    allowed: yields, per pair in order, its batch's columns and its
+    position in them.  The arguments are checked by the caller."""
+    size = max(1, CHUNK_CELLS // ((tree.depth + 1) * tree.num_leaves))
+    draws = iter(draws)
+    while batch := list(itertools.islice(draws, size)):
+        mods = np.stack([_leaf_moduli(g) for g, _ in batch], axis=1)
+        weighted = np.stack([mu.weighted for _, mu in batch], axis=1)
+        columns = _inequality_columns(tree, mods, weighted, ps, alphas, slack)
+        for t in range(len(batch)):
+            yield columns, t
+
+
+def carleson_inequality_grid(
+    g: AdaptedProcess, mu: CarlesonMeasure, ps, alphas, slack: float = 1e-9,
+) -> list[list[CarlesonInequalityResult]]:
+    """Evaluate both sides of the inequality for one process and measure at
+    every (p, alpha): entry [i][j] is the check at ps[i] and alphas[j].
+
+    This is a batch of one draw (see `_inequality_columns`): each factor
+    is computed once for the arguments it depends on, and the results in
+    one column share their measure-norm result.
+    """
+    checked = _check_grid(ps, alphas)
+    if g.tree != mu.tree:
+        raise ValueError("process and measure live on different trees")
+    columns, _ = next(_inequality_batches(g.tree, [(g, mu)], ps, checked, slack))
+    norms = [NormResult(c.carleson_norm[0], _node_witness(c.carleson_node[0]), "node-fast")
+             for c in columns[0]] if columns else []
+    return [[
+        CarlesonInequalityResult(
+            c.lhs[0], c.lhs_layer_cake[0], c.rhs[0], c.holds[0], float(p), alpha, c.constant,
+            norm, c.maximal_strong_norm[0], c.maximal_tail_term[0], c.maximal_weak_norm[0],
+        )
+        for alpha, norm, c in zip(checked, norms, row)
+    ] for p, row in zip(ps, columns)]
 
 
 def carleson_inequality_check(
@@ -301,7 +406,7 @@ def _indicator_sides(taus: np.ndarray, mu: CarlesonMeasure, p: float):
     stopping time's indicator process (0/1 values: their own modulus)."""
     tree = mu.tree
     ind = _indicator_levels(tree, taus)
-    lhs = _left_side((m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)), mu, p)
+    lhs = _left_side((m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)), mu.weighted, p)
     return lhs, _running_max(tree, ind)[-1]
 
 

@@ -89,18 +89,29 @@ def lp_norm(X: RandomVariable, p: float) -> float:
     """
     if not p > 0:
         raise ValueError(f"p must be positive, got {p}")
-    mod = _modulus(X.values)
+    return _lp_rows(_modulus(X.values)[None], X.tree.leaf_masses, p)[0]
+
+
+def _lp_rows(mod: np.ndarray, weights: np.ndarray, p: float) -> list[float]:
+    """The L^p norm of each row of leaf moduli, for p > 0.
+
+    Each row sums its C-contiguous cells alone, and each total takes its
+    1/p-th power as a numpy scalar (numpy's array power can round
+    differently), so a row gives the same bits as a one-row call.
+    """
     if p == math.inf:
-        return float(np.max(mod))
-    w = X.tree.leaf_masses
+        return np.max(mod, axis=-1).tolist()
     with np.errstate(over="ignore"):
-        total = np.sum(mod**p * w)
-    if math.isinf(total) and np.all(np.isfinite(mod)):
-        # mod**p overflowed for a finite norm: factor out max |X|, which
-        # bounds the norm, and sum the powers of ratios in [0, 1] instead.
-        scale = float(np.max(mod))
-        return float(scale * np.sum((mod / scale) ** p * w) ** (1.0 / p))
-    return float(total ** (1.0 / p))
+        totals = np.sum(mod**p * weights, axis=-1)
+    norms = [float(total ** (1.0 / p)) for total in totals]
+    for i in np.flatnonzero(np.isinf(totals)).tolist():
+        row = mod[i]
+        if np.all(np.isfinite(row)):
+            # row**p overflowed for a finite norm: factor out max |X|, which
+            # bounds the norm, and sum the powers of ratios in [0, 1] instead.
+            scale = float(np.max(row))
+            norms[i] = float(scale * np.sum((row / scale) ** p * weights) ** (1.0 / p))
+    return norms
 
 
 def weak_lq_norm(X: RandomVariable, q: float) -> float:
@@ -112,28 +123,56 @@ def weak_lq_norm(X: RandomVariable, q: float) -> float:
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
-    vals, tails = _tails(_modulus(X.values), X.tree.leaf_masses)
-    if not vals.size:
-        return 0.0
-    return float(np.max(vals * tails ** (1.0 / q)))
+    return _weak_rows(_tails(_modulus(X.values)[None], X.tree.leaf_masses), q)[0]
 
 
-def _tails(mod: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct positive values v of ``mod``, ascending, and the weight
-    of {mod >= v} for each."""
-    order = np.argsort(mod, kind="stable")
-    tail = np.cumsum(weights[order][::-1])[::-1]
-    vals, first = np.unique(mod[order], return_index=True)
-    pos = vals > 0
-    return vals[pos], tail[first][pos]
+def _tails(mod: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of ``mod``: the row sorted ascending, the weight of {mod >= v}
+    at each sorted position, and a mask of the first position of each
+    distinct positive value v.
+
+    ``weights`` is one row for every row, or one row per row.  Each row
+    sorts stably and sums its tail weights in its own order, as alone.
+    """
+    order = np.argsort(mod, axis=-1, kind="stable")
+    vals = np.take_along_axis(mod, order, axis=-1)
+    w = np.take_along_axis(np.broadcast_to(weights, mod.shape), order, axis=-1)
+    tails = np.cumsum(w[:, ::-1], axis=-1)[:, ::-1]
+    first = vals > 0
+    first[:, 1:] &= vals[:, 1:] != vals[:, :-1]
+    return vals, tails, first
+
+
+def _weak_rows(tails: tuple, q: float) -> list[float]:
+    """The weak L^q norm of each row from its `_tails`: the max of
+    v * P(|X| >= v)^(1/q), or 0 for a row with no positive value."""
+    vals, weights, first = tails
+    scores = np.zeros(vals.shape)
+    scores[first] = vals[first] * weights[first] ** (1.0 / q)
+    return np.max(scores, axis=-1).tolist()
+
+
+def _layer_cake_rows(tails: tuple, p: float) -> list[float]:
+    """The layer-cake integral of each row from its `_tails`.
+
+    Rows are grouped by their count of distinct positive values, so each
+    group sums a compact C-contiguous (rows, values) matrix: every row
+    adds exactly the terms, in exactly the order, of a one-row call.
+    """
+    vals, weights, first = tails
+    counts = first.sum(axis=-1)
+    sums = np.zeros(len(vals))
+    for c in np.unique(counts[counts > 0]).tolist():
+        sel = np.flatnonzero(counts == c)
+        keep = first[sel]
+        v = vals[sel][keep].reshape(len(sel), c)
+        prev = np.concatenate((np.zeros((len(sel), 1)), v[:, :-1]), axis=1)
+        sums[sel] = np.sum((v**p - prev**p) * weights[sel][keep].reshape(len(sel), c), axis=1)
+    return sums.tolist()
 
 
 def _layer_cake_arrays(mod: np.ndarray, weights: np.ndarray, p: float) -> float:
-    vals, tails = _tails(mod, weights)
-    if not vals.size:
-        return 0.0
-    prev = np.concatenate(([0.0], vals[:-1]))
-    return float(np.sum((vals**p - prev**p) * tails))
+    return _layer_cake_rows(_tails(mod[None], weights), p)[0]
 
 
 def _check_finite_p(p: float) -> None:
@@ -149,7 +188,7 @@ def layer_cake(X: RandomVariable, p: float) -> float:
 
     Equals the direct sum of |X|^p against P (`power_integral`) for every
     finite p > 0.  The inequality suite checks its own left side against
-    the same closed form, `_layer_cake_arrays`.
+    the same closed form, row by row (`_layer_cake_rows`).
     """
     _check_finite_p(p)
     return _layer_cake_arrays(_modulus(X.values), X.tree.leaf_masses, p)
@@ -164,7 +203,14 @@ def power_integral(X: RandomVariable, p: float) -> float:
 # == oscillation norm ========================================================
 
 
+def _real(x: object) -> bool:
+    """Whether ``x`` is a real number: a bool or a numeric string is not."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def _check_alpha(alpha: float) -> float:
+    if not _real(alpha):
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     alpha = float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
@@ -172,7 +218,7 @@ def _check_alpha(alpha: float) -> float:
 
 
 def _check_p(p: object) -> float:
-    if isinstance(p, bool) or not isinstance(p, numbers.Real) or not 1 <= p < math.inf:
+    if not _real(p) or not 1 <= p < math.inf:
         raise ValueError(f"p must be finite and at least 1, got {p}")
     return float(p)
 

@@ -15,23 +15,26 @@ from __future__ import annotations
 import csv
 import functools
 import inspect
+import itertools
 import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .carleson import (
     CARLESON_MODES,
+    _check_grid,
+    _inequality_batches,
     carleson_alpha_norm,
     carleson_alpha_norms,
-    carleson_inequality_grid,
     converse_extraction,
     from_martingale,
     random_measure,
 )
-from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
+from .filtration import FiltrationTree, _plain, build_dyadic, build_random, dump_json, write_text
 from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
 from .process import (
@@ -74,6 +77,94 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
+# == report text: the cases a run of same-key cases at a time ================
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_text(value: object, indent: str) -> str:
+    """``value`` as `dump_json` writes it on a line indented by ``indent``:
+    the encoder's type tests in its order, numpy values through `_plain`."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (_json_text(v, inner) for v in value)
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        if not all(isinstance(k, str) for k in value):
+            return dump_json(value).replace("\n", "\n" + indent)
+        items = (encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
+                 for k in sorted(value))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return _json_text(_plain(value), indent)
+
+
+def _column_text(values: list, indent: str) -> list[str]:
+    """`_json_text` of each value, in one ``map`` where all have one of
+    the plain types float, int or str."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        # Values repeat (a case's p and alpha, a side shared by every alpha
+        # of one p), so each distinct one is written once; 0.0 and -0.0
+        # would be one key with two texts.
+        texts = dict.fromkeys(values)
+        if 0.0 in texts:
+            return list(map(_float_text, values))
+        for v in texts:
+            texts[v] = _float_text(v)
+        return list(map(texts.__getitem__, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    return [_json_text(v, indent) for v in values]
+
+
+def _cases_text(cases: list) -> str:
+    """The text `dump_json` writes for a report's ``cases``.
+
+    Consecutive cases with the same keys form a run.  A run sorts and
+    escapes its keys once, into one line template, and writes each key's
+    column of values at once (`_column_text`).
+    """
+    if not isinstance(cases, (list, tuple)) or not cases:
+        return _json_text(cases, "  ")
+    case_indent, key_indent = "    ", "      "
+    texts = []
+    for keys, run in itertools.groupby(cases, lambda c: tuple(c) if isinstance(c, dict) else None):
+        run = list(run)
+        if not keys or not all(isinstance(k, str) for k in keys):
+            texts += [_json_text(c, case_indent) for c in run]
+            continue
+        keys = sorted(keys)
+        heads = ["\n" + key_indent + encode_basestring_ascii(k) + ": " for k in keys]
+        template = "{{" + ",".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads)
+        template += "\n" + case_indent + "}}"
+        texts += map(template.format, *(_column_text([c[k] for c in run], key_indent) for k in keys))
+    return "[\n" + case_indent + (",\n" + case_indent).join(texts) + "\n  ]"
+
+
 @dataclass
 class VerificationReport:
     suite: str
@@ -99,7 +190,11 @@ class VerificationReport:
         return doc
 
     def to_json(self, *, comparison: bool = False) -> str:
-        return dump_json(self.to_dict(comparison=comparison))
+        # The cases are written by `_cases_text`, in place of a placeholder;
+        # "cases" sorts first, so the first placeholder text is the field.
+        text = dump_json({**self.to_dict(comparison=comparison), "cases": 0})
+        head, tail = text.split('"cases": 0', 1)
+        return head + '"cases": ' + _cases_text(self.cases) + tail
 
     def save(self, path: str, *, comparison: bool = False) -> None:
         write_text(path, self.to_json(comparison=comparison))
@@ -327,12 +422,18 @@ def check_lemma_stopping_form(
 # == suite: inequality and converse ==========================================
 
 
-def _inequality_grid(tree, trial_seed, ps, alphas, slack=1e-9):
-    """The inequality grid on one random adapted process and measure on ``tree``."""
-    sub = _trial_seeds(trial_seed, 2)
-    g = random_adapted_process(tree, sub[0], 1)
-    mu = random_measure(tree, sub[1])
-    return carleson_inequality_grid(g, mu, ps, alphas, slack=slack)
+def _inequality_grid(tree, trial_seeds, ps, alphas, slack=1e-9):
+    """The inequality grid on one random adapted process and measure per
+    trial seed, all on ``tree`` and evaluated in batches: yields, per seed
+    in order, its batch's columns (`carleson._inequality_columns`) and
+    its position in them.  Every p, then every alpha, is checked first."""
+    checked = _check_grid(ps, alphas)
+
+    def draw(trial_seed):
+        sub = _trial_seeds(trial_seed, 2)
+        return random_adapted_process(tree, sub[0], 1), random_measure(tree, sub[1])
+
+    return _inequality_batches(tree, map(draw, trial_seeds), ps, checked, slack)
 
 
 @_suite("carleson-inequality", counts=("trials", "converse_trials"), lists=("ps", "alphas"))
@@ -353,13 +454,14 @@ def check_carleson_inequality(
     The converse asserts three things per instance: the indicator's left
     side is the tent mass bitwise, the bound is satisfied at the measure
     norm, and shaving 1e-6 off the witness ratio flips the verdict."""
-    tree = build_dyadic(depth)
-    for trial, ts in enumerate(_trial_seeds(seed, trials)):
-        grid = _inequality_grid(tree, ts, ps, alphas, slack)
+    seeds = _trial_seeds(seed, trials)
+    batches = _inequality_grid(build_dyadic(depth), seeds, ps, alphas, slack)
+    for trial, (ts, (grid, t)) in enumerate(zip(seeds, batches)):
         for p, row in zip(ps, grid):
-            for alpha, res in zip(alphas, row):
-                layer_residual = _rel(res.lhs, res.lhs_layer_cake)
-                ok = res.holds and layer_residual <= layer_tol
+            for alpha, c in zip(alphas, row):
+                lhs, layer = c.lhs[t], c.lhs_layer_cake[t]
+                layer_residual = _rel(lhs, layer)
+                ok = c.holds[t] and layer_residual <= layer_tol
                 yield {
                     "kind": "inequality",
                     "trial": trial,
@@ -367,13 +469,13 @@ def check_carleson_inequality(
                     "depth": depth,
                     "alpha": alpha,
                     "p": p,
-                    "lhs": res.lhs,
-                    "rhs": res.rhs,
-                    "lhs_layer_cake": res.lhs_layer_cake,
+                    "lhs": lhs,
+                    "rhs": c.rhs[t],
+                    "lhs_layer_cake": layer,
                     "residual": layer_residual,
-                    "carleson_norm": res.carleson_norm.value,
-                    "maximal_strong_norm": res.maximal_strong_norm,
-                    "maximal_weak_norm": res.maximal_weak_norm,
+                    "carleson_norm": c.carleson_norm[t],
+                    "maximal_strong_norm": c.maximal_strong_norm[t],
+                    "maximal_weak_norm": c.maximal_weak_norm[t],
                     "verdict": "pass" if ok else "fail",
                 }
     grid = [(p, alpha) for p in ps for alpha in alphas]
@@ -533,13 +635,15 @@ def campaign(alphas, depths, trials: int, seed: int = 0, ps=None, max_branch: in
     """
     inequality = ps is not None and len(ps) > 0
     for depth in depths:
-        for trial, ts in enumerate(_trial_seeds(seed + depth, trials)):
+        seeds = _trial_seeds(seed + depth, trials)
+        batches = _inequality_grid(build_dyadic(depth), seeds, ps, alphas) if inequality else None
+        for trial, ts in enumerate(seeds):
             if inequality:
-                grid = _inequality_grid(build_dyadic(depth), ts, ps, alphas)
+                grid, t = next(batches)
                 cells = [
-                    (alpha, p, res.lhs, res.rhs, max(0.0, res.lhs - res.rhs), res.holds)
+                    (alpha, p, c.lhs[t], c.rhs[t], max(0.0, c.lhs[t] - c.rhs[t]), c.holds[t])
                     for alpha, column in zip(alphas, zip(*grid))
-                    for p, res in zip(ps, column)
+                    for p, c in zip(ps, column)
                 ]
             else:
                 sub = _trial_seeds(ts, 2)

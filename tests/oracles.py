@@ -11,10 +11,11 @@ recursive nested-dict builders the package used before it built trees
 as level arrays, kept verbatim; ``build_random`` needs numpy's generator
 to make the same draws.  The reference tree/v1 text is the standard
 library's ``json.dumps`` of their output.  The reference per-alpha norm
-scans and the reference first passage at the end are the package's code
-before it scanned all alphas at once and before first passage read its
-stops off its tau row, kept verbatim on the package's tree and stopping
-primitives.
+scans, the reference first passage and the reference inequality grid at
+the end are the package's code before it scanned all alphas at once,
+before first passage read its stops off its tau row, and before the
+inequality ran many draws as one batch, kept verbatim on the package's
+tree and stopping primitives.
 """
 
 import itertools
@@ -583,3 +584,127 @@ def first_passage(g, lam):
         np.stack([fp[leaves], ancestors[fp[leaves], leaves]], axis=1), axis=0
     )
     return StoppingTime(tree, [AtomRef(int(l), int(i)) for l, i in pairs])
+
+
+# == reference inequality grid: the package's per-draw grid ==================
+#
+# ``carleson_inequality_grid`` as the package computed it one (g, mu) at a
+# time, before it evaluated many draws on one tree as one batch, kept
+# verbatim with the plain integrals, the node scan and the left side it
+# ran; it validates its arguments and picks each norm's argmax with the
+# package's own ``_check_*`` and ``_argmaxes``.
+
+from bmolab.carleson import (  # noqa: E402
+    CarlesonInequalityResult,
+    _check_alpha_carleson,
+    _check_p,
+)
+from bmolab.norms import _argmaxes  # noqa: E402
+from bmolab.operators import maximal  # noqa: E402
+
+
+def _lp_norm(X, p):
+    if not p > 0:
+        raise ValueError(f"p must be positive, got {p}")
+    mod = _modulus(X.values)
+    if p == math.inf:
+        return float(np.max(mod))
+    w = X.tree.leaf_masses
+    with np.errstate(over="ignore"):
+        total = np.sum(mod**p * w)
+    if math.isinf(total) and np.all(np.isfinite(mod)):
+        # mod**p overflowed for a finite norm: factor out max |X|, which
+        # bounds the norm, and sum the powers of ratios in [0, 1] instead.
+        scale = float(np.max(mod))
+        return float(scale * np.sum((mod / scale) ** p * w) ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+def _weak_lq_norm(X, q):
+    if not q > 0:
+        raise ValueError(f"q must be positive, got {q}")
+    vals, tails = _tails(_modulus(X.values), X.tree.leaf_masses)
+    if not vals.size:
+        return 0.0
+    return float(np.max(vals * tails ** (1.0 / q)))
+
+
+def _tails(mod, weights):
+    order = np.argsort(mod, kind="stable")
+    tail = np.cumsum(weights[order][::-1])[::-1]
+    vals, first = np.unique(mod[order], return_index=True)
+    pos = vals > 0
+    return vals[pos], tail[first][pos]
+
+
+def _layer_cake_arrays(mod, weights, p):
+    vals, tails = _tails(mod, weights)
+    if not vals.size:
+        return 0.0
+    prev = np.concatenate(([0.0], vals[:-1]))
+    return float(np.sum((vals**p - prev**p) * tails))
+
+
+def _node_blocks(mu):
+    tree = mu.tree
+    suffix = np.cumsum(mu.weighted[::-1], axis=0)[::-1]
+    for n in range(tree.depth + 1):
+        c = tree.atom_sums(suffix[n], n)
+        m = tree.masses(n)
+        yield (lambda e: c * m**e), (lambda i: {"kind": "stopping-time", "stops": [[n, i]]})
+
+
+def _left_side(leaf_mods, mu, p):
+    total = 0.0
+    for k, mod in enumerate(leaf_mods):
+        total += np.sum(np.ascontiguousarray(mod) ** p * mu.weighted[k], axis=-1)
+    return total
+
+
+def reference_inequality_grid(g, mu, ps, alphas, slack=1e-9):
+    """``carleson_inequality_grid`` on one process and measure."""
+    for p in ps:
+        _check_p(p)
+    checked = []
+    for alpha in alphas:
+        alpha = _check_alpha_carleson(alpha)
+        if alpha == 0.0:
+            raise ValueError("alpha must be positive here (the exponent 1/(2 alpha))")
+        checked.append(alpha)
+    if g.tree != mu.tree:
+        raise ValueError("process and measure live on different trees")
+
+    mods = _leaf_moduli(g)
+    mg = maximal(g)
+    per_alpha = []
+    norms = _argmaxes(_node_blocks(mu), [-(1.0 + 2.0 * alpha) for alpha in checked], "node-fast")
+    for alpha, norm in zip(checked, norms):
+        q = 1.0 / (2.0 * alpha)
+        per_alpha.append((alpha, norm, _lp_norm(mg, q), _weak_lq_norm(mg, q)))
+
+    grid = []
+    for p in ps:
+        lhs = float(_left_side(mods, mu, p))
+        lhs_layer = _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p)
+        tail_term = _lp_norm(mg, p - 1.0) ** (p - 1.0)
+        constant = p / (p - 1.0)
+        row = []
+        for alpha, norm, strong, weak in per_alpha:
+            rhs = constant * norm.value * strong * tail_term
+            row.append(
+                CarlesonInequalityResult(
+                    lhs=lhs,
+                    lhs_layer_cake=lhs_layer,
+                    rhs=rhs,
+                    holds=bool(lhs <= rhs + slack),
+                    p=float(p),
+                    alpha=alpha,
+                    constant=constant,
+                    carleson_norm=norm,
+                    maximal_strong_norm=strong,
+                    maximal_tail_term=tail_term,
+                    maximal_weak_norm=weak,
+                )
+            )
+        grid.append(row)
+    return grid

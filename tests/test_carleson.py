@@ -9,26 +9,36 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bmolab import (
+    AdaptedProcess,
     CarlesonMeasure,
+    FiltrationTree,
+    Martingale,
     RandomVariable,
     SizeCapError,
     StoppingTime,
     bmo_alpha_norm,
+    bmo_alpha_norms,
+    bmo_ratio_at,
     build_dyadic,
     build_random,
+    campaign,
     carleson_alpha_norm,
+    carleson_alpha_norms,
     carleson_inequality_check,
     carleson_inequality_grid,
     carleson_ratio_at,
+    check_carleson_inequality,
     converse_extraction,
     from_martingale,
     indicator_process,
     lp_norm,
     martingale_from_final,
     maximal,
+    process_bmo_alpha_norm,
     random_adapted_process,
     random_martingale,
     random_measure,
+    replay_bmo_witness,
     weak_lq_norm,
 )
 from bmolab import carleson, operators, stopping
@@ -297,6 +307,9 @@ def _assert_grid_matches(g, mu, ps, alphas):
             want = dataclasses.asdict(carleson_inequality_check(g, mu, p, alpha))
             _assert_same_fields(got, want)
             _assert_same_fields(got, _inequality_reference(g, mu, p, alpha))
+    for got_row, want_row in zip(grid, oracles.reference_inequality_grid(g, mu, ps, alphas)):
+        for got, want in zip(got_row, want_row):
+            _assert_same_fields(dataclasses.asdict(got), dataclasses.asdict(want))
 
 
 @pytest.mark.parametrize(
@@ -339,6 +352,111 @@ def test_inequality_strong_norm_is_finite_at_small_alpha():
     assert math.isfinite(res.rhs)
 
 
+# == the batch: many draws on one tree =======================================
+
+
+def _same(a, b) -> bool:
+    """Equal values of the same type, lists and dicts item by item; NaN
+    matches NaN."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+def _batch_rows(tree, draws, ps, alphas):
+    """Every draw's grid out of one `_inequality_batches` call, each entry
+    as the fields of a `CarlesonInequalityResult`."""
+    checked = carleson._check_grid(ps, alphas)
+    rows = []
+    for columns, t in carleson._inequality_batches(tree, draws, ps, checked, 1e-9):
+        rows.append([
+            [{
+                "lhs": c.lhs[t],
+                "lhs_layer_cake": c.lhs_layer_cake[t],
+                "rhs": c.rhs[t],
+                "holds": c.holds[t],
+                "p": float(p),
+                "alpha": alpha,
+                "constant": c.constant,
+                "carleson_norm": {
+                    "value": c.carleson_norm[t],
+                    "witness": {"kind": "stopping-time", "stops": [list(c.carleson_node[t])]},
+                    "mode": "node-fast",
+                },
+                "maximal_strong_norm": c.maximal_strong_norm[t],
+                "maximal_tail_term": c.maximal_tail_term[t],
+                "maximal_weak_norm": c.maximal_weak_norm[t],
+            } for alpha, c in zip(checked, row)]
+            for p, row in zip(ps, columns)
+        ])
+    return rows
+
+
+def _assert_batch_matches_the_reference(tree, draws, ps, alphas):
+    rows = _batch_rows(tree, draws, ps, alphas)
+    assert len(rows) == len(draws)
+    for (g, mu), got in zip(draws, rows):
+        want = [[dataclasses.asdict(res) for res in row]
+                for row in oracles.reference_inequality_grid(g, mu, ps, alphas)]
+        assert _same(got, want)
+
+
+def _zero_process(tree, dim):
+    shapes = [(tree.atom_count(n), dim) if dim > 1 else tree.atom_count(n)
+              for n in range(tree.depth + 1)]
+    return AdaptedProcess(tree, [np.zeros(shape) for shape in shapes])
+
+
+BATCH_TREES = [build_dyadic(3), build_dyadic(4), build_random(5, 3, 3), build_random(17, 4, 3)]
+
+
+@pytest.mark.parametrize("tree", BATCH_TREES, ids=["dyadic3", "dyadic4", "random5", "random17"])
+@pytest.mark.parametrize("size", [1, 2, 37])
+@pytest.mark.parametrize("chunk", ["default", "small"])
+def test_every_draw_of_a_batch_is_the_per_draw_grid(monkeypatch, tree, size, chunk):
+    """Each draw's row is the reference grid's, field for field, whatever
+    the batch size and wherever the cell budget cuts the batch."""
+    if chunk == "small":  # three draws per batch: 37 draws cross 12 boundaries
+        monkeypatch.setattr(carleson, "CHUNK_CELLS", 3 * (tree.depth + 1) * tree.num_leaves + 1)
+    draws = [
+        (random_adapted_process(tree, 300 + t, 1 + t % 3), random_measure(tree, 600 + t))
+        for t in range(size)
+    ]
+    if size > 2:
+        draws[5] = (_zero_process(tree, 1), draws[5][1])
+        draws[9] = (_zero_process(tree, 2), CarlesonMeasure(tree, np.zeros_like(draws[9][1].densities)))
+    _assert_batch_matches_the_reference(tree, draws, (1.5, 2.0, 3.0), (0.1, 0.25, 0.5, 0.9))
+
+
+def test_a_batch_keeps_an_overflowing_strong_norm_finite():
+    # alpha 1e-4 is test_inequality_strong_norm_is_finite_at_small_alpha's
+    # draw, beside draws whose powers do not overflow.
+    tree = build_dyadic(2)
+    draws = [(random_adapted_process(tree, 3 + t, 1), random_measure(tree, 4 + t)) for t in range(3)]
+    _assert_batch_matches_the_reference(tree, draws, (2.0, 3.0), (1e-4, 0.25))
+
+
+def test_a_batch_keeps_a_nan_node_score_per_draw():
+    # A chain of 1e-300 atoms whose tent mass is 0: its node score is
+    # 0 * inf = NaN in the draws built from the martingale, not the others.
+    chain = {"mass": 1e-300, "children": [{"mass": 1e-300, "children": []}]}
+    fan = {"mass": 1 - 1e-300, "children": [{"mass": 0.25, "children": []},
+                                            {"mass": 0.75 - 1e-300, "children": []}]}
+    for root in ({"mass": 1.0, "children": [chain, fan]},
+                 {"mass": 1.0, "children": [fan, chain]}):
+        tree = FiltrationTree(root)
+        last = [0.0, 3.0, -1.0] if root["children"][0] is chain else [3.0, -1.0, 0.0]
+        f = Martingale(tree, [[0.0], [0.0, 0.0], last])
+        draws = [(f, from_martingale(f)), (random_adapted_process(tree, 1, 1), random_measure(tree, 2)),
+                 (random_adapted_process(tree, 3, 2), from_martingale(f))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _assert_batch_matches_the_reference(tree, draws, (1.5, 2.0), (0.25, 0.9))
+
+
 @pytest.mark.parametrize(
     "p, alpha, other_tree",
     [(1.0, 0.25, False), (0.5, 0.25, False), (2.0, 0.0, False), (2.0, 1.0, False),
@@ -375,6 +493,42 @@ def test_a_non_finite_p_is_refused(p):
         carleson_inequality_check(g, mu, p, 0.25)
     with pytest.raises(ValueError, match=message):
         converse_extraction(mu, 0.25, 1.0, p)
+
+
+@pytest.mark.parametrize("bad", [True, "0.5", None], ids=["true", "string", "none"])
+def test_a_bool_string_or_none_alpha_or_p_is_refused(bad):
+    tree = build_dyadic(2)
+    f = random_martingale(tree, 1, 1)
+    g = random_adapted_process(tree, 2, 1)
+    mu = random_measure(tree, 3)
+    level_set = bmo_alpha_norm(f, 0.5).witness
+    stops = bmo_alpha_norm(f, 0.5, "stopping-bruteforce").witness
+    calls = [
+        lambda: bmo_alpha_norm(f, bad),
+        lambda: bmo_alpha_norms(f, [0.5, bad]),
+        lambda: bmo_alpha_norm(f, 0.5, p=bad),
+        lambda: bmo_ratio_at(f, bad, 0, [0]),
+        lambda: replay_bmo_witness(f, bad, level_set),
+        lambda: replay_bmo_witness(f, bad, stops),
+        lambda: replay_bmo_witness(f, 0.5, {**level_set, "p": bad}),
+        lambda: process_bmo_alpha_norm(g, bad),
+        lambda: carleson_alpha_norm(mu, bad),
+        lambda: carleson_alpha_norms(mu, [0.25, bad], "stopping-bruteforce"),
+        lambda: carleson_ratio_at(mu, bad, [[0, 0]]),
+        lambda: carleson_inequality_check(g, mu, 2.0, bad),
+        lambda: carleson_inequality_check(g, mu, bad, 0.25),
+        lambda: carleson_inequality_grid(g, mu, [2.0], [0.25, bad]),
+        lambda: carleson_inequality_grid(g, mu, [2.0, bad], [0.25]),
+        lambda: converse_extraction(mu, bad, 1.0, 2.0),
+        lambda: converse_extraction(mu, 0.25, 1.0, bad),
+        lambda: check_carleson_inequality(trials=1, converse_trials=1, alphas=[bad]),
+        lambda: check_carleson_inequality(trials=1, converse_trials=1, ps=[bad]),
+        lambda: campaign([0.25], [1], 1, ps=[2.0, bad]),
+    ]
+    shown = "|".join({re.escape(str(bad)), re.escape(repr(bad))})
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^(alpha must lie in|p must).*, got ({shown})$"):
+            call()
 
 
 # == the converse extraction =================================================

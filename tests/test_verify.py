@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bmolab import (
     VerificationReport,
@@ -100,6 +102,71 @@ def test_replay_is_bit_exact():
         again = replay_characterization_case(case)
         assert again["rhs"] == case["rhs"]
         assert again["carleson_value"] == case["carleson_value"]
+
+
+# == the case writer against the standard library ===========================
+
+
+def _tolist(o):
+    if isinstance(o, (np.generic, np.ndarray)):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+_INTS = st.integers(-(2**70), 2**70)
+_TEXT = st.text(st.characters(codec="utf-8"), max_size=6) | st.sampled_from(
+    ['q"uote', "back\\slash", "tab\tnew\nline\x00", "\u00e9\u4e2d\U0001f600", "{}", "{0}"]
+)
+_SCALARS = (
+    _FLOATS | st.just(-0.0) | st.none() | st.booleans() | _INTS | _TEXT
+    | st.floats(width=64).map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.lists(inner, max_size=2).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=3)
+        | st.dictionaries(st.integers(0, 9), inner, max_size=2)
+    ),
+    max_leaves=6,
+)
+_KEYS = st.sampled_from(["alpha", "p", "lhs", "witness", "kind", 'q"uote', "back\\slash",
+                         "tab\t", "\u00e9", "{brace}", "a}{b", ""])
+
+
+@st.composite
+def _cases(draw):
+    """Cases over a few key sets in a random order, so runs alternate; each
+    key keeps one kind of value, a plain type or anything."""
+    keysets = draw(st.lists(st.lists(_KEYS, max_size=5, unique=True), min_size=1, max_size=3))
+    keys = sorted(set().union(*keysets))
+    kinds = dict(zip(keys, draw(st.lists(st.sampled_from([_FLOATS, _INTS, _TEXT, _VALUES]),
+                                         min_size=len(keys), max_size=len(keys)))))
+    order = draw(st.lists(st.integers(0, len(keysets) - 1), max_size=12))
+    return [{k: draw(kinds[k]) for k in keysets[i]} for i in order]
+
+
+@given(cases=_cases(), params=st.dictionaries(_TEXT, _VALUES, max_size=3),
+       verdict=_TEXT, wall=_FLOATS)
+@settings(max_examples=300, deadline=None)
+def test_report_text_is_the_standard_librarys(cases, params, verdict, wall):
+    report = VerificationReport("suite \"x\"", params, cases, verdict, wall)
+    for comparison in (False, True):
+        doc = {"schema": "report/v1", "suite": report.suite, "params": params,
+               "cases": cases, "verdict": verdict}
+        if not comparison:
+            doc["wall_clock_s"] = wall
+        want = json.dumps(doc, indent=2, sort_keys=True, default=_tolist)
+        assert report.to_json(comparison=comparison) == want
+
+
+def test_report_text_of_cases_with_non_string_keys():
+    cases = [{1: 2.5, 0: None}, {"a": {3: [], 2: {}}}, [1, {"b": -0.0}], "plain", {}]
+    report = VerificationReport("s", {}, cases, "pass", 0.0)
+    want = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=_tolist)
+    assert report.to_json() == want
 
 
 # == csv =====================================================================
