@@ -183,11 +183,10 @@ def _node_norms(tree: FiltrationTree, weighted: np.ndarray, alphas: list) -> lis
     best = scores.argmax(axis=1)  # the first maximum, or the first NaN
     top = scores[np.arange(len(alphas))[:, None], best, np.arange(tents.shape[1])]
     values = top.tolist()
-    if np.isnan(top).any():
-        for a, t in zip(*np.nonzero(np.isnan(top))):
-            pick = _ArgMax()
-            pick.offer_all(scores[a, :, t], int)
-            values[a][t], best[a, t] = pick.value, pick.witness
+    for a, t in zip(*np.nonzero(np.isnan(top))):
+        pick = _ArgMax()
+        pick.offer_all(scores[a, :, t], int)
+        values[a][t], best[a, t] = pick.value, pick.witness
     level = start.searchsorted(best, "right") - 1
     index = best - start[level]
     return [(v, list(zip(*li))) for v, li in zip(values, zip(level.tolist(), index.tolist()))]
