@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filtration import FiltrationTree, TreeDocument
+from .filtration import FiltrationTree, TreeDocument, _float
 from .norms import (
     NormResult,
     _ArgMax,
@@ -144,7 +144,7 @@ def random_measure(tree: FiltrationTree, seed: int) -> CarlesonMeasure:
 def _check_alpha_carleson(alpha: float) -> float:
     if not _real(alpha):
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    alpha = float(alpha)
+    alpha = _float(alpha)
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
     return alpha
@@ -153,6 +153,7 @@ def _check_alpha_carleson(alpha: float) -> float:
 def _check_p(p: float) -> None:
     if not _real(p):
         raise ValueError(f"p must exceed 1, got {p!r}")
+    p = _float(p)
     if not p > 1:
         raise ValueError(f"p must exceed 1, got {p}")
     if p == np.inf:
@@ -335,9 +336,10 @@ def _inequality_columns(
     cells = _tails(*(a.transpose(1, 0, 2).reshape(draws, -1) for a in (mods, weighted)))
     grid = []
     for p in ps:
-        lhs = _left_side(mods, weighted, p)
-        lhs_layer = _layer_cake_rows(cells, p)
-        tail_term = [x ** (p - 1.0) for x in _lp_rows(mg, w, p - 1.0)]
+        with np.errstate(over="ignore"):  # a power that overflows is inf
+            lhs = _left_side(mods, weighted, p)
+            lhs_layer = _layer_cake_rows(cells, p)
+        tail_term = [_float_power(x, p - 1.0) for x in _lp_rows(mg, w, p - 1.0)]
         constant = p / (p - 1.0)
         row = []
         for values, nodes, strong, weak in per_alpha:
@@ -426,10 +428,11 @@ def converse_extraction(
     """
     _check_p(p)
     alpha = _check_alpha_carleson(alpha)
+    c_p = _float(c_p)
     if c_p != c_p:
         raise ValueError(f"c_p must be a number, got {c_p}")
     expo = -(1.0 + 2.0 * alpha)
-    slack = 1e-12 * max(1.0, float(c_p))
+    slack = 1e-12 * max(1.0, c_p)
 
     tree = mu.tree
     taus = stopping_time_table(tree, max_enum)
@@ -455,7 +458,7 @@ def converse_extraction(
 
     return {
         "norm_bound_satisfied": first_violation is None,
-        "c_p": float(c_p),
+        "c_p": c_p,
         "max_ratio": best.value,
         "witness": best.witness,
         "first_violation": first_violation,

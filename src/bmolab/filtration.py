@@ -21,6 +21,7 @@ import json
 import math
 import operator
 import os
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 import numpy as np
@@ -52,12 +53,94 @@ def _plain(x: object) -> object:
 
 
 def dump_json(doc: object) -> str:
-    """The document encoder: two-space indent, sorted keys, no final newline.
+    """The document writer: ``json.dumps(doc, indent=2, sort_keys=True)``'s
+    bytes, no final newline.  Numpy values are written as the Python values
+    they hold, and a `FiltrationTree` as the tree/v1 text of its ``to_dict()``."""
+    return _text(doc, "")
 
-    Numpy scalars and arrays are written as the Python values they hold.
-    Tree text, alone or inlined, comes from ``FiltrationTree`` in the same format.
-    """
-    return json.dumps(doc, indent=2, sort_keys=True, default=_plain)
+
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _text(value: object, indent: str) -> str:
+    """``value`` at ``indent``, with the standard library's type tests in its order."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = ",\n" + inner
+        return f"[\n{inner}{sep.join(_texts(value, inner))}\n{indent}]"
+    if isinstance(value, dict):
+        return _dicts_text([value], indent)[0]
+    if isinstance(value, FiltrationTree):
+        return value._json_text(indent)
+    return _text(_plain(value), indent)
+
+
+def _key_text(key: object) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return '"' + _text(key, "") + '"'
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _texts(values: list, indent: str) -> list[str]:
+    """`_text` of each of ``values``: all floats, ints or strs in one ``map``,
+    else each run of dicts with the same str keys through one template."""
+    kinds = set(map(type, values))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        distinct = dict.fromkeys(values)
+        if not math.isfinite(sum(distinct)):  # a NaN or an infinity, or an overflowing sum
+            return list(map(_float_text, values))
+        # Where values repeat (a measure's density level, a case's p and
+        # alpha), each distinct one is written once: not where most are
+        # distinct, nor where 0.0 and -0.0, one key with two texts, may be.
+        if 0.0 in distinct or 2 * len(distinct) > len(values):
+            return list(map(float.__repr__, values))
+        return list(map(dict(zip(distinct, map(float.__repr__, distinct))).__getitem__, values))
+    if kind is int:
+        return list(map(int.__repr__, values))
+    if kind is str:
+        return list(map(encode_basestring_ascii, values))
+    texts = []
+    for keys, run in itertools.groupby(values, lambda v: tuple(v) if isinstance(v, dict) else None):
+        if keys and all(isinstance(k, str) for k in keys):
+            texts += _dicts_text(list(run), indent)
+        else:
+            texts += [_text(v, indent) for v in run]
+    return texts
+
+
+def _dicts_text(run: list, indent: str) -> list[str]:
+    """The text of each dict of ``run``, all with the keys of the first, from
+    one line template filled a key's column of values at a time."""
+    keys = [k for k, _ in sorted(run[0].items())]
+    if not keys:
+        return ["{}"] * len(run)
+    inner = indent + "  "
+    heads = ("\n" + inner + _key_text(k) + ": " for k in keys)
+    template = "{{" + ",".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads)
+    template += "\n" + indent + "}}"
+    return list(map(template.format, *(_texts([d[k] for d in run], inner) for k in keys)))
 
 
 def write_text(path: str | None, text: str) -> None:
@@ -369,7 +452,11 @@ class FiltrationTree:
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
     def to_json(self) -> str:
-        """The text ``dump_json(self.to_dict())`` writes.
+        """The text ``dump_json(self.to_dict())`` writes."""
+        return self._json_text("")
+
+    def _json_text(self, indent: str) -> str:
+        """The text of ``self.to_dict()`` on a line indented by ``indent``.
 
         Each atom has an opening piece (up to its children) and a closing
         piece (its mass, after them), made from per-level templates and
@@ -384,8 +471,8 @@ class FiltrationTree:
         sizes.reverse()
         # Slot 0 holds the text before the root, the last slot the text after.
         pieces = np.empty(2 * self.num_atoms + 2, dtype=object)
-        pieces[0] = '{\n  "depth": ' + str(depth) + ',\n  "root": '
-        pieces[-1] = ',\n  "schema": "tree/v1"\n}'
+        pieces[0] = "{\n" + indent + '  "depth": ' + str(depth) + ",\n" + indent + '  "root": '
+        pieces[-1] = ",\n" + indent + '  "schema": "tree/v1"\n' + indent + "}"
         opens = np.ones(1, dtype=np.intp)
         last = np.ones(1, dtype=bool)
         for n in range(depth + 1):
@@ -397,7 +484,7 @@ class FiltrationTree:
                 first = self._child_bounds[n - 1][parent]
                 opens = opens[parent] + 1 + 2 * (before - before[first])
                 last = np.append(parent[1:] != parent[:-1], True)
-            keys = " " * (4 * n + 4)
+            keys = indent + " " * (4 * n + 4)
             brace = keys[:-2]
             if n == depth:
                 pieces[opens] = "{\n" + keys + '"children": [],\n' + keys + '"mass": '
@@ -477,11 +564,7 @@ class TreeDocument:
         return {"schema": self.SCHEMA, **self._payload(), "tree": self.tree.to_dict()}
 
     def to_json(self) -> str:
-        # The tree text is written from its arrays, in place of a placeholder,
-        # one level deeper: every line but its first is indented.
-        text = dump_json({"schema": self.SCHEMA, **self._payload(), "tree": 0})
-        head, tail = text.rsplit('"tree": 0', 1)
-        return head + '"tree": ' + self.tree.to_json().replace("\n", "\n  ") + tail
+        return dump_json({"schema": self.SCHEMA, **self._payload(), "tree": self.tree})
 
     def save(self, path: str) -> None:
         write_text(path, self.to_json())

@@ -38,7 +38,7 @@ from operator import mul
 import numpy as np
 
 from .errors import SizeCapError
-from .filtration import FiltrationTree, _atom_position
+from .filtration import FiltrationTree, _atom_position, _float
 from .process import AdaptedProcess, RandomVariable, _modulus
 from .stopping import (
     StoppingTime,
@@ -211,16 +211,19 @@ def _real(x: object) -> bool:
 def _check_alpha(alpha: float) -> float:
     if not _real(alpha):
         raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    alpha = float(alpha)
+    alpha = _float(alpha)
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
     return alpha
 
 
 def _check_p(p: object) -> float:
-    if not _real(p) or not 1 <= p < math.inf:
+    if not _real(p):
         raise ValueError(f"p must be finite and at least 1, got {p}")
-    return float(p)
+    p = _float(p)
+    if not 1 <= p < math.inf:
+        raise ValueError(f"p must be finite and at least 1, got {p}")
+    return p
 
 
 def _residual_integrals(g: AdaptedProcess, n: int, p: float) -> np.ndarray:

@@ -15,12 +15,10 @@ from __future__ import annotations
 import csv
 import functools
 import inspect
-import itertools
 import sys
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -34,7 +32,7 @@ from .carleson import (
     from_martingale,
     random_measure,
 )
-from .filtration import FiltrationTree, _plain, build_dyadic, build_random, dump_json, write_text
+from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
 from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
 from .process import (
@@ -77,94 +75,6 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / scale if scale > 0 else 0.0
 
 
-# == report text: the cases a run of same-key cases at a time ================
-
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _json_text(value: object, indent: str) -> str:
-    """``value`` as `dump_json` writes it on a line indented by ``indent``:
-    the encoder's type tests in its order, numpy values through `_plain`."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    inner = indent + "  "
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = (_json_text(v, inner) for v in value)
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        if not all(isinstance(k, str) for k in value):
-            return dump_json(value).replace("\n", "\n" + indent)
-        items = (encode_basestring_ascii(k) + ": " + _json_text(value[k], inner)
-                 for k in sorted(value))
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
-    return _json_text(_plain(value), indent)
-
-
-def _column_text(values: list, indent: str) -> list[str]:
-    """`_json_text` of each value, in one ``map`` where all have one of
-    the plain types float, int or str."""
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float:
-        # Values repeat (a case's p and alpha, a side shared by every alpha
-        # of one p), so each distinct one is written once; 0.0 and -0.0
-        # would be one key with two texts.
-        texts = dict.fromkeys(values)
-        if 0.0 in texts:
-            return list(map(_float_text, values))
-        for v in texts:
-            texts[v] = _float_text(v)
-        return list(map(texts.__getitem__, values))
-    if kind is int:
-        return list(map(int.__repr__, values))
-    if kind is str:
-        return list(map(encode_basestring_ascii, values))
-    return [_json_text(v, indent) for v in values]
-
-
-def _cases_text(cases: list) -> str:
-    """The text `dump_json` writes for a report's ``cases``.
-
-    Consecutive cases with the same keys form a run.  A run sorts and
-    escapes its keys once, into one line template, and writes each key's
-    column of values at once (`_column_text`).
-    """
-    if not isinstance(cases, (list, tuple)) or not cases:
-        return _json_text(cases, "  ")
-    case_indent, key_indent = "    ", "      "
-    texts = []
-    for keys, run in itertools.groupby(cases, lambda c: tuple(c) if isinstance(c, dict) else None):
-        run = list(run)
-        if not keys or not all(isinstance(k, str) for k in keys):
-            texts += [_json_text(c, case_indent) for c in run]
-            continue
-        keys = sorted(keys)
-        heads = ["\n" + key_indent + encode_basestring_ascii(k) + ": " for k in keys]
-        template = "{{" + ",".join(h.replace("{", "{{").replace("}", "}}") + "{}" for h in heads)
-        template += "\n" + case_indent + "}}"
-        texts += map(template.format, *(_column_text([c[k] for c in run], key_indent) for k in keys))
-    return "[\n" + case_indent + (",\n" + case_indent).join(texts) + "\n  ]"
-
-
 @dataclass
 class VerificationReport:
     suite: str
@@ -190,11 +100,7 @@ class VerificationReport:
         return doc
 
     def to_json(self, *, comparison: bool = False) -> str:
-        # The cases are written by `_cases_text`, in place of a placeholder;
-        # "cases" sorts first, so the first placeholder text is the field.
-        text = dump_json({**self.to_dict(comparison=comparison), "cases": 0})
-        head, tail = text.split('"cases": 0', 1)
-        return head + '"cases": ' + _cases_text(self.cases) + tail
+        return dump_json(self.to_dict(comparison=comparison))
 
     def save(self, path: str, *, comparison: bool = False) -> None:
         write_text(path, self.to_json(comparison=comparison))

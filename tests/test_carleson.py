@@ -432,6 +432,16 @@ def test_every_draw_of_a_batch_is_the_per_draw_grid(monkeypatch, tree, size, chu
     _assert_batch_matches_the_reference(tree, draws, (1.5, 2.0, 3.0), (0.1, 0.25, 0.5, 0.9))
 
 
+def test_an_overflowing_tail_term_is_inf_without_a_warning():
+    # No errstate: the test configuration turns any RuntimeWarning into an
+    # error, and numpy warned of the left sides' overflowing powers here.
+    tree = build_dyadic(1)
+    g = AdaptedProcess(tree, [[1e200], [1e200, -1e200]])
+    res = carleson_inequality_check(g, random_measure(tree, 1), 3.0, 0.25)
+    assert res.maximal_strong_norm == 1e200
+    assert res.maximal_tail_term == math.inf
+
+
 def test_a_batch_keeps_an_overflowing_strong_norm_finite():
     # alpha 1e-4 is test_inequality_strong_norm_is_finite_at_small_alpha's
     # draw, beside draws whose powers do not overflow.
@@ -529,6 +539,32 @@ def test_a_bool_string_or_none_alpha_or_p_is_refused(bad):
     for call in calls:
         with pytest.raises(ValueError, match=f"^(alpha must lie in|p must).*, got ({shown})$"):
             call()
+
+
+def test_an_integer_alpha_or_p_past_the_float_range_is_refused():
+    # float(10**400) overflows; each check reads such an integer as inf
+    tree = build_dyadic(1)
+    f = random_martingale(tree, 1, 1)
+    mu = from_martingale(f)
+    level_set = bmo_alpha_norm(f, 0.5).witness
+    big = 10**400
+    calls = [
+        lambda: bmo_alpha_norm(f, big),
+        lambda: bmo_alpha_norm(f, 0.5, p=big),
+        lambda: carleson_alpha_norm(mu, big),
+        lambda: carleson_ratio_at(mu, big, [[0, 0]]),
+        lambda: replay_bmo_witness(f, big, level_set),
+        lambda: carleson_inequality_grid(f, mu, [big], [0.25]),
+        lambda: carleson_inequality_grid(f, mu, [2.0], [big]),
+        lambda: converse_extraction(mu, big, 1.0, 2.0),
+        lambda: converse_extraction(mu, 0.25, 1.0, big),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="^(alpha must lie in|p must).*, got inf$"):
+            call()
+    # an infinite constant is a constant: it bounds every ratio
+    conv = converse_extraction(mu, 0.25, big, 2.0)
+    assert conv["c_p"] == math.inf and conv["norm_bound_satisfied"]
 
 
 # == the converse extraction =================================================

@@ -25,6 +25,7 @@ from bmolab import (
     random_martingale,
     random_measure,
 )
+from bmolab.filtration import dump_json
 
 import oracles
 
@@ -204,6 +205,15 @@ def test_inline_tree_documents_match_stdlib(kind, shape):
     obj = DOCUMENTS[kind](build())
     doc = {**obj.to_dict(), "tree": oracles.tree_doc(reference())}
     assert obj.to_json() == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("shape", sorted(TREES))
+def test_a_tree_nested_anywhere_is_written_in_place(shape):
+    build, reference = TREES[shape]
+    tree, doc = build(), oracles.tree_doc(reference())
+    value = {"b": [1.5, {"t": tree, "u": [tree, build_dyadic(0)]}], "a": tree}
+    want = {"b": [1.5, {"t": doc, "u": [doc, build_dyadic(0).to_dict()]}], "a": doc}
+    assert dump_json(value) == json.dumps(want, indent=2, sort_keys=True)
 
 
 def test_tree_bytes_are_pinned():
@@ -427,6 +437,36 @@ def test_only_the_tree_calls_reduceat():
     ]
     assert calls
     assert [c for c in calls if not c.startswith("filtration.py:")] == []
+
+
+def test_only_the_writer_writes_json_text():
+    """``dump_json`` is the one JSON text writer: only filtration.py
+    imports from ``json.encoder``, and no module calls ``json.dumps`` or
+    ``json.dump``."""
+    package = Path(bmolab.__file__).parent
+    encoder, writes = [], []
+    for path in sorted(package.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            site = f"{path.relative_to(package)}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("json"):
+                names = {alias.name for alias in node.names}
+                if node.module.startswith("json.encoder") or "encoder" in names:
+                    encoder.append(site)
+                if names & {"dumps", "dump"}:
+                    writes.append(site)
+            if isinstance(node, ast.Import) and any(
+                alias.name.startswith("json.encoder") for alias in node.names
+            ):
+                encoder.append(site)
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("dumps", "dump")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "json"
+            ):
+                writes.append(site)
+    assert encoder and all(site.startswith("filtration.py:") for site in encoder)
+    assert writes == []
 
 
 def _pops_in_while_loops(node, func=None, in_while=False):

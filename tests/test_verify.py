@@ -2,10 +2,11 @@ import csv
 import hashlib
 import inspect
 import json
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bmolab import (
@@ -19,6 +20,7 @@ from bmolab import (
     replay_characterization_case,
 )
 from bmolab import verify
+from bmolab.filtration import dump_json
 from bmolab.verify import CSV_COLUMNS, SEED_SCHEME, SUITES
 
 
@@ -167,6 +169,50 @@ def test_report_text_of_cases_with_non_string_keys():
     report = VerificationReport("s", {}, cases, "pass", 0.0)
     want = json.dumps(report.to_dict(), indent=2, sort_keys=True, default=_tolist)
     assert report.to_json() == want
+
+
+# == the one writer against the standard library ============================
+
+
+# Long lists of one type: floats that repeat (each distinct one written
+# once), floats with zeros and non-finite values (written one by one),
+# ints and strs; then lists that mix types, numpy items among them.
+_REPEATS = st.sampled_from([0.1, 1.5, 1e300, -2.5e-10])
+_SPECIALS = st.sampled_from([0.1, 0.0, -0.0, math.nan, math.inf, -math.inf])
+_LONG_LISTS = (
+    st.lists(_REPEATS, min_size=8, max_size=40)
+    | st.lists(_REPEATS | st.sampled_from([0.0, -0.0]), min_size=8, max_size=40)
+    | st.lists(_SPECIALS | _FLOATS, min_size=8, max_size=40)
+    | st.lists(_INTS, min_size=8, max_size=20)
+    | st.lists(_TEXT, min_size=8, max_size=20)
+    | st.lists(_SCALARS, min_size=8, max_size=20)
+    | st.lists(st.floats().map(np.float64) | st.integers(-(2**63), 2**63 - 1).map(np.int64),
+               min_size=8, max_size=20)
+)
+# Runs of dicts whose keys compare equal but are written differently:
+# 1, 1.0 and True are one key, as are 0.0 and -0.0.
+_NUMBER_KEYS = st.lists(
+    st.dictionaries(st.sampled_from([1, 1.0, True, 0.0, -0.0, 2.5]), _SCALARS, max_size=2),
+    max_size=6,
+)
+
+
+@given(value=_VALUES | _LONG_LISTS | _NUMBER_KEYS
+       | st.dictionaries(_TEXT, _LONG_LISTS | _NUMBER_KEYS, max_size=3))
+@example(value=[{1: "a"}, {1.0: "b"}, {True: "c"}, {0.0: 1}, {-0.0: 2}, {False: 3}])
+@example(value=[0.0, -0.0, 0.5, 0.5, 0.5, 0.5, 0.0, -0.0])
+@settings(max_examples=300, deadline=None)
+def test_the_writer_is_the_standard_librarys(value):
+    assert dump_json(value) == json.dumps(value, indent=2, sort_keys=True, default=_tolist)
+
+
+@pytest.mark.parametrize("value", [object(), {1: 1, "a": 2}, {(1, 2): 0}, [1.5, {"a": {1j}}]],
+                         ids=["object", "mixed-keys", "tuple-key", "nested-set"])
+def test_the_writer_refuses_what_the_standard_library_refuses(value):
+    with pytest.raises(Exception) as want:
+        json.dumps(value, indent=2, sort_keys=True, default=_tolist)
+    with pytest.raises(type(want.value)):
+        dump_json(value)
 
 
 # == csv =====================================================================
