@@ -37,6 +37,7 @@ from operator import mul
 
 import numpy as np
 
+from . import stopping
 from .errors import SizeCapError
 from .filtration import FiltrationTree, _atom_position, _float
 from .process import AdaptedProcess, RandomVariable, _modulus
@@ -306,25 +307,74 @@ def _times_powers(factors: list, bases: list, e: float) -> np.ndarray:
         return np.array([a * _float_power(b, e) for a, b in zip(factors, bases)])
 
 
-def _union_sums(
-    r: np.ndarray, m: np.ndarray, masks: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The sum of r and the sum of m over the union of each mask's atoms.
+def _resum_eights(r, m, r_sums, m_sums, counts: np.ndarray, first: int) -> None:
+    """Re-sum by numpy, CHUNK_ROWS rows at a time, the unions among the
+    masks ``first, first + 1, ...`` whose atom count is a multiple of 8.
+    Each count's rows gather a compact C-contiguous (unions, atoms)
+    matrix, of r and of m apart, so each row sums as ``np.sum(r[atoms])``."""
+    fix = np.flatnonzero(counts % 8 == 0)
+    for rows in chunks(len(fix)):
+        sel = fix[rows]
+        bits = ((first + sel)[:, None] & (1 << np.arange(len(r)))) != 0
+        per_row = counts[sel]
+        for c in np.flatnonzero(np.bincount(per_row)).tolist():
+            group = per_row == c
+            atoms = np.nonzero(bits[group])[1].reshape(-1, c)
+            r_sums[sel[group]] = r[atoms].sum(axis=1)
+            m_sums[sel[group]] = m[atoms].sum(axis=1)
 
-    Masks are grouped by popcount so each group sums a compact
-    C-contiguous (unions, atoms) matrix: every row then adds exactly the
-    elements, in exactly the order, of ``np.sum(r[atoms])``.
+
+def _union_table(r: np.ndarray, m: np.ndarray, bits: int) -> tuple:
+    """Per mask of the atoms below ``bits``: the sums of r and of m over
+    its union (0.0 for the empty mask) and its atom count, all 2 ** bits
+    masks in ``bits`` vector steps (Yates's sum over subsets)."""
+    size = 1 << bits
+    r_tab, m_tab, counts = np.zeros(size), np.zeros(size), np.zeros(size, np.int8)
+    for j in range(bits):
+        low, new = slice(0, 1 << j), slice(1 << j, 2 << j)
+        np.add(r_tab[low], r[j], out=r_tab[new])
+        np.add(m_tab[low], m[j], out=m_tab[new])
+        np.add(counts[low], 1, out=counts[new])
+        if j >= 7:  # the new masks hold 1 to j + 1 atoms
+            _resum_eights(r, m, r_tab[new], m_tab[new], counts[new], 1 << j)
+    return r_tab, m_tab, counts
+
+
+def _union_sums(
+    r: np.ndarray, m: np.ndarray, table: tuple, start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The sum of r and the sum of m over the union of each mask in
+    ``range(start, stop)``, bitwise ``np.sum(r[atoms])`` and
+    ``np.sum(m[atoms])``.
+
+    numpy sums a C-contiguous row of fewer than 8 elements left to right.
+    From 8 on it keeps 8 lanes, adds them pairwise and then the rest left
+    to right.  So a union's sum is the sum without its highest atom plus
+    that atom, except at 8, 16, ... atoms, where `_resum_eights` asks
+    numpy itself (``test_union_table_is_numpys_sum`` holds this).  The
+    `_union_table` covers the low atoms; the higher atoms of a mask are
+    added to a copy of its slice in ascending order, by the same rule.
     """
-    bits = (masks[:, None] & (1 << np.arange(len(r)))) != 0
-    counts = bits.sum(axis=1)
-    r_sum = np.empty(len(masks))
-    m_sum = np.empty(len(masks))
-    for c in np.flatnonzero(np.bincount(counts)).tolist():
-        sel = np.flatnonzero(counts == c)
-        atoms = np.nonzero(bits[sel])[1].reshape(len(sel), c)
-        r_sum[sel] = r[atoms].sum(axis=1)
-        m_sum[sel] = m[atoms].sum(axis=1)
-    return r_sum, m_sum
+    r_tab, m_tab, counts = table
+    bits = len(counts).bit_length() - 1
+    parts = []
+    for hi in range(start >> bits, ((stop - 1) >> bits) + 1):
+        base = hi << bits
+        a, b = max(start - base, 0), min(stop - base, len(counts))
+        r_sums, m_sums = r_tab[a:b], m_tab[a:b]
+        if hi:
+            r_sums, m_sums, c = r_sums.copy(), m_sums.copy(), counts[a:b].copy()
+            high = 0
+            for i in _mask_atoms(hi, hi.bit_length()):
+                high |= 1 << i
+                np.add(r_sums, r[bits + i], out=r_sums)
+                np.add(m_sums, m[bits + i], out=m_sums)
+                np.add(c, 1, out=c)
+                _resum_eights(r, m, r_sums, m_sums, c, (high << bits) + a)
+        parts.append((r_sums, m_sums))
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(map(np.concatenate, zip(*parts)))
 
 
 def _stopping_integrals(
@@ -389,13 +439,14 @@ def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
         m = tree.masses(n)
         if mode == "subset-bruteforce":
             k = tree.atom_count(n)
+            table = _union_table(r, m, min(k, stopping.UNION_TABLE_BITS))
             for rows in chunks((1 << k) - 1):
-                masks = np.arange(rows.start + 1, rows.stop + 1)
-                r_sum, m_sum = _union_sums(r, m, masks)
+                first = rows.start + 1
+                r_sum, m_sum = _union_sums(r, m, table, first, rows.stop + 1)
                 r_pow, m_sum = _powers(r_sum.tolist(), e_int), m_sum.tolist()
                 yield (lambda e: _times_powers(r_pow, m_sum, e)), (
                     lambda j: {"kind": "level-set", "level": n,
-                               "atoms": _mask_atoms(int(masks[j]), k)})
+                               "atoms": _mask_atoms(first + j, k)})
         else:
             # omega-form scales the atom mean instead of the atom integral
             # (a product of two floats is the same float in either order)

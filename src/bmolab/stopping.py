@@ -22,6 +22,7 @@ before building anything.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from typing import Iterable, Iterator
 
@@ -49,16 +50,22 @@ DEFAULT_MAX_ENUM = 10**6
 # Rows of a stopping-time table (or union masks) scored at once by the
 # brute-force oracles; bounds their float temporaries.
 CHUNK_ROWS = 1024
+# The subset oracle tabulates the union sums of at most 2 ** UNION_TABLE_BITS
+# masks of a level at once (about 1 MB); wider levels run in pieces.
+UNION_TABLE_BITS = 16
 
 
 def resolve_max_enum(max_enum: int | None) -> int:
     """Explicit argument, else the BMO_LAB_MAX_ENUM variable, else default;
-    either must be a positive integer."""
+    either must be a positive integer: the argument a Python or numpy
+    integer (a bool, float or string is refused), the variable its text."""
     name, value = "max_enum", max_enum
     if max_enum is None:
         name, value = "BMO_LAB_MAX_ENUM", os.environ.get("BMO_LAB_MAX_ENUM")
         if not value:
             return DEFAULT_MAX_ENUM
+    elif isinstance(max_enum, bool) or not isinstance(max_enum, numbers.Integral):
+        raise ValueError(f"max_enum must be a positive integer, got {max_enum!r}")
     try:
         cap = int(value)
         if cap <= 0:

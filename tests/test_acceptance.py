@@ -314,3 +314,21 @@ def test_comparison_reports_keep_their_bytes(
         "carleson-inequality": "70601887d487fa1e",
         "operators": "bccf0fc2031001de",
     }
+
+
+def test_default_suites_keep_their_csv_bytes(
+    tmp_path, characterization_run, lemma_run, inequality_run, operators_run
+):
+    """sha256 prefixes of the four suites' CSV files at default arguments."""
+    reports = (characterization_run[0], lemma_run, inequality_run, operators_run)
+    got = {}
+    for r in reports:
+        path = tmp_path / f"{r.suite}.csv"
+        r.write_csv(str(path))
+        got[r.suite] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+    assert got == {
+        "characterization": "8a165436ab7267c3",
+        "lemma-stopping-form": "057a3066377b2df3",
+        "carleson-inequality": "3b0017665ebd2af9",
+        "operators": "7d8b4f9856a54333",
+    }

@@ -28,7 +28,14 @@ from bmolab import (
 )
 from bmolab import stopping
 from bmolab.carleson import _indicator_sides
-from bmolab.norms import _ArgMax, _bmo_blocks, _residual_integrals, _stopping_blocks
+from bmolab.norms import (
+    _ArgMax,
+    _bmo_blocks,
+    _residual_integrals,
+    _stopping_blocks,
+    _union_sums,
+    _union_table,
+)
 from bmolab.operators import maximal
 from bmolab.process import _modulus
 
@@ -177,6 +184,14 @@ def chunk_rows(request, monkeypatch):
     return request.param
 
 
+@pytest.fixture(params=[3, 5], ids=["table3", "table5"])
+def union_table_bits(request, monkeypatch):
+    """A union table of 2 ** 3 or 2 ** 5 masks, so that levels of the
+    `WIDE` trees run in pieces, across a count of 8 atoms."""
+    monkeypatch.setattr(stopping, "UNION_TABLE_BITS", request.param)
+    return request.param
+
+
 # == the table ===============================================================
 
 
@@ -237,8 +252,7 @@ def test_bmo_stopping_bitwise(tree, dim, chunk_rows):
         assert (res.value, res.witness) == _first_max(bmo_stopping_candidates(f, alpha))
 
 
-@pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
-def test_bmo_subset_bitwise(tree, chunk_rows):
+def _subset_bitwise(tree):
     for dim in (1, 3):
         f = _martingale(tree, dim)
         for alpha in (0.0, 0.45):
@@ -246,6 +260,16 @@ def test_bmo_subset_bitwise(tree, chunk_rows):
             assert (res.value, res.witness) == _first_max(bmo_subset_candidates(f, alpha, 2.0))
         res = bmo_alpha_norm(f, 0.2, "subset-bruteforce", p=3.0)
         assert res.value == _first_max(bmo_subset_candidates(f, 0.2, 3.0))[0]
+
+
+@pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
+def test_bmo_subset_bitwise(tree, chunk_rows):
+    _subset_bitwise(tree)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
+def test_bmo_subset_bitwise_in_pieces(tree, chunk_rows, union_table_bits):
+    _subset_bitwise(tree)
 
 
 @pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
@@ -332,14 +356,81 @@ def test_every_indicator_row_bitwise(tree, p):
     assert np.array_equal(running, [maximal(g).values for g in processes])
 
 
-@pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
-def test_every_union_scores_bitwise(tree):
+def _unions_bitwise(tree):
     f = _martingale(tree, 3)
     for p, alpha in ((2.0, 0.45), (3.0, 0.2)):
         want = _values(bmo_subset_candidates(f, alpha, p))
         blocks = _bmo_blocks(f, p, "subset-bruteforce", stopping.DEFAULT_MAX_ENUM)
         got = _scores(blocks, -1.0 / p - alpha)
         assert got == want
+
+
+@pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
+def test_every_union_scores_bitwise(tree):
+    _unions_bitwise(tree)
+
+
+@pytest.mark.parametrize("tree", TREES, ids=TREE_IDS)
+def test_every_union_scores_bitwise_in_pieces(tree, union_table_bits):
+    _unions_bitwise(tree)
+
+
+# == the union table =========================================================
+
+
+def _grouped_sums(x, masks):
+    """np.sum of x over each mask's atoms: masks grouped by atom count, so
+    each group sums a C-contiguous (unions, atoms) matrix."""
+    bits = (masks[:, None] >> np.arange(len(x)) & 1).astype(bool)
+    counts = bits.sum(axis=1)
+    out = np.empty(len(masks))
+    for c in np.unique(counts).tolist():
+        rows = np.flatnonzero(counts == c)
+        out[rows] = x[np.nonzero(bits[rows])[1].reshape(len(rows), c)].sum(axis=1)
+    return out
+
+
+def _atom_values(rng, k, extreme):
+    """k values over many magnitudes with 0.0 and a subnormal, or (with
+    ``extreme``) 1e300 and inf, among them."""
+    x = rng.random(k) * 10.0 ** rng.integers(-12, 12, size=k)
+    specials = (1e300, np.inf) if extreme else (0.0, 5e-324)
+    for i, v in zip(rng.permutation(k), specials):
+        x[i] = v
+    return x
+
+
+@pytest.mark.parametrize("bits", [stopping.UNION_TABLE_BITS, 3, 5])
+def test_union_table_is_numpys_sum(bits):
+    """Every mask's sums at widths 1 to 18 (11 in pieces of 2 ** 3 or 2 ** 5
+    masks), bitwise the grouped numpy sums, through counts 8 and 16."""
+    rng = np.random.default_rng(bits)
+    for k in range(1, 19 if bits == stopping.UNION_TABLE_BITS else 12):
+        r, m = _atom_values(rng, k, extreme=False), _atom_values(rng, k, extreme=True)
+        table = _union_table(r, m, min(k, bits))
+        got = [_union_sums(r, m, table, rows.start + 1, rows.stop + 1)
+               for rows in stopping.chunks((1 << k) - 1)]
+        masks = np.arange(1, 1 << k)
+        for x, sums in zip((r, m), zip(*got)):
+            want = _grouped_sums(x, masks)
+            assert np.array_equal(np.concatenate(sums).view(np.int64), want.view(np.int64)), k
+            for mask in rng.choice(masks, size=min(len(masks), 200), replace=False).tolist():
+                idx = [i for i in range(k) if mask >> i & 1]
+                assert want[mask - 1] == np.sum(x[idx])
+
+
+def test_subset_on_a_17_atom_fan_is_the_reference():
+    """A level one atom wider than the default table runs in two pieces."""
+    tree = next(t for t in map(lambda s: build_random(s, 1, 17), range(500))
+                if t.atom_count(1) == 17)
+    f = random_martingale(tree, 26, 2)
+    cap = 2**17  # the 2 ** 17 - 1 unions of the fan and the root
+    for alpha, p in ((0.3, 2.0), (0.05, 1.5)):
+        res = bmo_alpha_norm(f, alpha, "subset-bruteforce", max_enum=cap, p=p)
+        want = oracles.reference_bmo_sup(f, alpha, p, "subset-bruteforce", cap)
+        want_witness = want.witness if p == 2.0 else {**want.witness, "p": p}
+        assert (res.value, res.witness) == (want.value, want_witness)
+        assert res.witness["level"] == 1
 
 
 # == the running argmax ======================================================

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -305,11 +306,12 @@ def test_tau_stops_must_be_integers(stop):
     assert exc.value.path == "stops"
 
 
-@pytest.mark.parametrize("value", [0, -3])
+@pytest.mark.parametrize("value", [0, -3, 2.5, 26.0, True, "10"])
 def test_non_positive_max_enum_is_refused(monkeypatch, value):
-    # the same rule as for the variable, which an explicit value overrides
+    # the same rule as for the variable, which an explicit value overrides;
+    # the value itself must be an integer, not one that int() reads as one
     monkeypatch.setenv("BMO_LAB_MAX_ENUM", "10")
-    with pytest.raises(ValueError, match=f"^max_enum must be a positive integer, got {value}$"):
+    with pytest.raises(ValueError, match=f"^max_enum must be a positive integer, got {re.escape(repr(value))}$"):
         resolve_max_enum(value)
     with pytest.raises(ValueError, match="max_enum"):
         list(enumerate_stopping_times(build_dyadic(1), max_enum=value))
