@@ -43,7 +43,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filtration import FiltrationTree, TreeDocument, _float
+from .errors import _real_arg
+from .filtration import FiltrationTree, TreeDocument
 from .norms import (
     NormResult,
     _ArgMax,
@@ -52,7 +53,6 @@ from .norms import (
     _float_power,
     _layer_cake_rows,
     _lp_rows,
-    _real,
     _stopping_blocks,
     _stops_witness,
     _tails,
@@ -141,23 +141,15 @@ def random_measure(tree: FiltrationTree, seed: int) -> CarlesonMeasure:
     )
 
 
-def _check_alpha_carleson(alpha: float) -> float:
-    if not _real(alpha):
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
-    alpha = _float(alpha)
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha}")
-    return alpha
+def _check_alpha_carleson(alpha: object) -> float:
+    return _real_arg(alpha, "alpha must lie in [0, 1)", lambda v: 0.0 <= v < 1.0)
 
 
-def _check_p(p: float) -> None:
-    if not _real(p):
-        raise ValueError(f"p must exceed 1, got {p!r}")
-    p = _float(p)
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+def _check_p(p: object) -> float:
+    p = _real_arg(p, "p must exceed 1", lambda v: v > 1.0)
     if p == np.inf:
         raise ValueError(f"p must be finite, got {p}")
+    return p
 
 
 def _node_norms(tree: FiltrationTree, weighted: np.ndarray, alphas: list) -> list:
@@ -297,17 +289,16 @@ class _Columns(NamedTuple):
 CHUNK_CELLS = 1 << 16
 
 
-def _check_grid(ps, alphas) -> list[float]:
-    """Validate every p, then every alpha; the alphas as floats."""
-    for p in ps:
-        _check_p(p)
+def _check_grid(ps, alphas, slack) -> tuple[list[float], list[float], float]:
+    """Read every p, then every alpha, then the slack, each as a float."""
+    ps = list(map(_check_p, ps))
     checked = []
     for alpha in alphas:
         alpha = _check_alpha_carleson(alpha)
         if alpha == 0.0:
             raise ValueError("alpha must be positive here (the exponent 1/(2 alpha))")
         checked.append(alpha)
-    return checked
+    return ps, checked, _real_arg(slack, "slack must be a number", lambda v: v == v)
 
 
 def _inequality_columns(
@@ -379,18 +370,18 @@ def carleson_inequality_grid(
     is computed once for the arguments it depends on, and the results in
     one column share their measure-norm result.
     """
-    checked = _check_grid(ps, alphas)
+    ps, alphas, slack = _check_grid(ps, alphas, slack)
     if g.tree != mu.tree:
         raise ValueError("process and measure live on different trees")
-    columns, _ = next(_inequality_batches(g.tree, [(g, mu)], ps, checked, slack))
+    columns, _ = next(_inequality_batches(g.tree, [(g, mu)], ps, alphas, slack))
     norms = [NormResult(c.carleson_norm[0], _node_witness(c.carleson_node[0]), "node-fast")
              for c in columns[0]] if columns else []
     return [[
         CarlesonInequalityResult(
-            c.lhs[0], c.lhs_layer_cake[0], c.rhs[0], c.holds[0], float(p), alpha, c.constant,
+            c.lhs[0], c.lhs_layer_cake[0], c.rhs[0], c.holds[0], p, alpha, c.constant,
             norm, c.maximal_strong_norm[0], c.maximal_tail_term[0], c.maximal_weak_norm[0],
         )
-        for alpha, norm, c in zip(checked, norms, row)
+        for alpha, norm, c in zip(alphas, norms, row)
     ] for p, row in zip(ps, columns)]
 
 
@@ -426,11 +417,9 @@ def converse_extraction(
     checked, not assumed.  The verdict compares every ratio
     mu(tent)/P^(1+2 alpha) against a non-NaN c_p with hairline slack.
     """
-    _check_p(p)
+    p = _check_p(p)
     alpha = _check_alpha_carleson(alpha)
-    c_p = _float(c_p)
-    if c_p != c_p:
-        raise ValueError(f"c_p must be a number, got {c_p}")
+    c_p = _real_arg(c_p, "c_p must be a number", lambda v: v == v)
     expo = -(1.0 + 2.0 * alpha)
     slack = 1e-12 * max(1.0, c_p)
 

@@ -1,6 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the readers of its
+numeric arguments: every real argument is read by `_real_arg` and every
+integer argument by `_int_arg`, so this module alone decides what counts
+as a number (a bool, a string or None never does)."""
 
 from __future__ import annotations
+
+import math
+import numbers
+
+import numpy as np
 
 
 class SizeCapError(RuntimeError):
@@ -16,3 +24,31 @@ class SchemaError(ValueError):
     def __init__(self, message: str, path: str = "$"):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def _float(x: int | float) -> float:
+    """``float(x)``, or inf of its sign for an integer beyond the float range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
+def _real_arg(x: object, rule: str, ok) -> float:
+    """``x`` as a float, where it is a Python or numpy real number, not a
+    bool, and its float (inf of its sign past the float range) passes
+    ``ok``; else a ``ValueError`` with ``rule`` and the float or repr."""
+    if isinstance(x, numbers.Real) and not isinstance(x, bool):
+        value = _float(x)
+        if ok(value):
+            return value
+        raise ValueError(f"{rule}, got {value}")
+    raise ValueError(f"{rule}, got {x!r}")
+
+
+def _int_arg(x: object, rule: str, low: int | None = None) -> int:
+    """``x`` as an int, where it is a Python or numpy integer, not a bool,
+    of at least ``low``; else a ``ValueError`` with ``rule`` and the repr."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and (low is None or x >= low):
+        return int(x)
+    raise ValueError(f"{rule}, got {x!r}")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, SizeCapError
+from .errors import SchemaError, SizeCapError, _float, _int_arg
 
 __all__ = [
     "AtomRef",
@@ -167,9 +167,7 @@ class AtomRef(NamedTuple):
 
 def _atom_position(x: object) -> int:
     """An atom level or index as an int: Python and numpy integers only."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"atom levels and indices must be integers, got {x!r}")
-    return int(x)
+    return _int_arg(x, "atom levels and indices must be integers")
 
 
 _MASS_RANGE = "mass must lie in (0, 1], got {!r}"
@@ -177,14 +175,6 @@ _MASS_RANGE = "mass must lie in (0, 1], got {!r}"
 
 def _in_range(masses: np.ndarray) -> np.ndarray:
     return (masses > 0.0) & (masses <= 1.0)
-
-
-def _float(x: int | float) -> float:
-    """``float(x)``, or inf of its sign for an integer beyond the float range."""
-    try:
-        return float(x)
-    except OverflowError:
-        return math.inf if x > 0 else -math.inf
 
 
 def _atom_steps(parents, level: int, index: int) -> list[int]:
@@ -600,8 +590,7 @@ class TreeDocument:
 
 def build_dyadic(depth: int) -> FiltrationTree:
     """Uniform binary tree: every level-``n`` atom has mass ``2**-n``."""
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
+    depth = _int_arg(depth, "depth must be a nonnegative integer", 0)
     if depth > MAX_DYADIC_DEPTH:
         raise SizeCapError(f"dyadic depth {depth} exceeds the cap {MAX_DYADIC_DEPTH}")
 
@@ -636,10 +625,9 @@ def build_random(
     Dirichlet partition of the parent mass; the last child takes the exact
     remainder so children always sum to their parent.
     """
-    if depth < 0:
-        raise ValueError("depth must be nonnegative")
-    if max_branch < 1:
-        raise ValueError("max_branch must be at least 1")
+    depth = _int_arg(depth, "depth must be a nonnegative integer", 0)
+    max_branch = _int_arg(max_branch, "max_branch must be a positive integer", 1)
+    max_atoms = _int_arg(max_atoms, "max_atoms must be a positive integer", 1)
     rng = np.random.default_rng(seed)
     masses: list[list[float]] = []
     parents: list[list[int]] = []

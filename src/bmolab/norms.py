@@ -30,7 +30,6 @@ deterministic, and a NaN candidate never wins after the first.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
@@ -38,8 +37,8 @@ from operator import mul
 import numpy as np
 
 from . import stopping
-from .errors import SizeCapError
-from .filtration import FiltrationTree, _atom_position, _float
+from .errors import SizeCapError, _real_arg
+from .filtration import FiltrationTree, _atom_position
 from .process import AdaptedProcess, RandomVariable, _modulus
 from .stopping import (
     StoppingTime,
@@ -88,8 +87,7 @@ def lp_norm(X: RandomVariable, p: float) -> float:
     inequality machinery needs for exponents like 1/(2 alpha) and p - 1.
     At p = inf it is max |X| (every atom has positive mass).
     """
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+    p = _real_arg(p, "p must be positive", lambda v: v > 0)
     return _lp_rows(_modulus(X.values)[None], X.tree.leaf_masses, p)[0]
 
 
@@ -122,8 +120,7 @@ def weak_lq_norm(X: RandomVariable, q: float) -> float:
     v of |X|, where P(|X| > lam) jumps to P(|X| >= v), so it equals the
     max of v * P(|X| >= v)^(1/q) over distinct values v > 0.
     """
-    if not q > 0:
-        raise ValueError(f"q must be positive, got {q}")
+    q = _real_arg(q, "q must be positive", lambda v: v > 0)
     return _weak_rows(_tails(_modulus(X.values)[None], X.tree.leaf_masses), q)[0]
 
 
@@ -176,11 +173,11 @@ def _layer_cake_arrays(mod: np.ndarray, weights: np.ndarray, p: float) -> float:
     return _layer_cake_rows(_tails(mod[None], weights), p)[0]
 
 
-def _check_finite_p(p: float) -> None:
-    if not p > 0:
-        raise ValueError(f"p must be positive, got {p}")
+def _check_finite_p(p: object) -> float:
+    p = _real_arg(p, "p must be positive", lambda v: v > 0)
     if p == math.inf:
         raise ValueError(f"p must be finite, got {p}")
+    return p
 
 
 def layer_cake(X: RandomVariable, p: float) -> float:
@@ -191,40 +188,25 @@ def layer_cake(X: RandomVariable, p: float) -> float:
     finite p > 0.  The inequality suite checks its own left side against
     the same closed form, row by row (`_layer_cake_rows`).
     """
-    _check_finite_p(p)
+    p = _check_finite_p(p)
     return _layer_cake_arrays(_modulus(X.values), X.tree.leaf_masses, p)
 
 
 def power_integral(X: RandomVariable, p: float) -> float:
     """Direct sum form of the same integral: sum of |X|^p * mass."""
-    _check_finite_p(p)
+    p = _check_finite_p(p)
     return float(np.sum(_modulus(X.values) ** p * X.tree.leaf_masses))
 
 
 # == oscillation norm ========================================================
 
 
-def _real(x: object) -> bool:
-    """Whether ``x`` is a real number: a bool or a numeric string is not."""
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
-
-
-def _check_alpha(alpha: float) -> float:
-    if not _real(alpha):
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
-    alpha = _float(alpha)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
-    return alpha
+def _check_alpha(alpha: object) -> float:
+    return _real_arg(alpha, "alpha must lie in [0, 1]", lambda v: 0.0 <= v <= 1.0)
 
 
 def _check_p(p: object) -> float:
-    if not _real(p):
-        raise ValueError(f"p must be finite and at least 1, got {p}")
-    p = _float(p)
-    if not 1 <= p < math.inf:
-        raise ValueError(f"p must be finite and at least 1, got {p}")
-    return p
+    return _real_arg(p, "p must be finite and at least 1", lambda v: 1.0 <= v < math.inf)
 
 
 def _residual_integrals(g: AdaptedProcess, n: int, p: float) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _int_arg
 from .filtration import FiltrationTree, TreeDocument
 
 __all__ = [
@@ -256,6 +257,7 @@ class PredictableSequence:
 
 def _normal_shape(count: int, dim: int) -> tuple:
     """The shape of ``count`` values of width ``dim``; scalar for dim 1."""
+    dim = _int_arg(dim, "dim must be an integer")
     if dim < 1:
         raise ValueError("vector values must have at least one component")
     return (count,) if dim == 1 else (count, dim)

@@ -22,13 +22,12 @@ before building anything.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import SchemaError, SizeCapError
+from .errors import SchemaError, SizeCapError, _int_arg, _real_arg
 from .filtration import AtomRef, FiltrationTree, _atom_position
 from .process import AdaptedProcess, RandomVariable, _leaf_moduli
 
@@ -59,19 +58,17 @@ def resolve_max_enum(max_enum: int | None) -> int:
     """Explicit argument, else the BMO_LAB_MAX_ENUM variable, else default;
     either must be a positive integer: the argument a Python or numpy
     integer (a bool, float or string is refused), the variable its text."""
-    name, value = "max_enum", max_enum
-    if max_enum is None:
-        name, value = "BMO_LAB_MAX_ENUM", os.environ.get("BMO_LAB_MAX_ENUM")
-        if not value:
-            return DEFAULT_MAX_ENUM
-    elif isinstance(max_enum, bool) or not isinstance(max_enum, numbers.Integral):
-        raise ValueError(f"max_enum must be a positive integer, got {max_enum!r}")
+    if max_enum is not None:
+        return _int_arg(max_enum, "max_enum must be a positive integer", 1)
+    value = os.environ.get("BMO_LAB_MAX_ENUM")
+    if not value:
+        return DEFAULT_MAX_ENUM
     try:
         cap = int(value)
         if cap <= 0:
             raise ValueError
     except ValueError:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}") from None
+        raise ValueError(f"BMO_LAB_MAX_ENUM must be a positive integer, got {value!r}") from None
     return cap
 
 
@@ -160,8 +157,7 @@ def first_passage(g: AdaptedProcess, lam: float) -> StoppingTime:
     atoms where |g_n| > lam; a threshold at or above the running sup gives
     the never-stopping time.  A NaN threshold is refused.
     """
-    if lam != lam:
-        raise ValueError(f"lam must be a number, got {lam}")
+    lam = _real_arg(lam, "lam must be a number", lambda v: v == v)
     tree = g.tree
     exceed = _leaf_moduli(g) > lam
     row = np.where(exceed.any(axis=0), np.argmax(exceed, axis=0), tree.depth + 1)

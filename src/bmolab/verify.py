@@ -32,6 +32,7 @@ from .carleson import (
     from_martingale,
     random_measure,
 )
+from .errors import _int_arg
 from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
 from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
@@ -122,7 +123,7 @@ def _require(counts: dict, **lists) -> None:
         if len(values) == 0:
             raise ValueError(f"{name} must not be empty")
     for name, count in counts.items():
-        if count < 1:
+        if _int_arg(count, f"{name} must be an integer") < 1:
             raise ValueError(f"{name} must be at least 1")
 
 
@@ -243,9 +244,11 @@ def replay_characterization_case(case: dict) -> dict:
 # == suite: stopping-time form of the norm ===================================
 
 
-def _small_tree(search_seed: int, max_count: int) -> tuple[FiltrationTree, int, int, int]:
-    """Deterministically find a random tree with few stopping times;
-    returns the tree, its seed, its depth and its stopping-time count."""
+def _small_tree(
+    search_seed: int, max_count: int, name: str
+) -> tuple[FiltrationTree, int, int, int]:
+    """A seeded random tree with at most ``max_count`` (the argument ``name``)
+    stopping times, else dyadic depth 2 if it has no more: (tree, seed, depth, count)."""
     rng = np.random.default_rng(search_seed)
     for _ in range(64):
         tseed = int(rng.integers(0, 2**63))
@@ -254,7 +257,10 @@ def _small_tree(search_seed: int, max_count: int) -> tuple[FiltrationTree, int, 
         if (count := count_stopping_times(tree)) <= max_count:
             return tree, tseed, depth, count
     tree = build_dyadic(2)
-    return tree, -1, 2, count_stopping_times(tree)
+    if (count := count_stopping_times(tree)) > max_count:
+        raise ValueError(f"{name} {max_count} admits no tree: 64 draws and dyadic depth 2 "
+                         f"({count} stopping times) exceed it")
+    return tree, -1, 2, count
 
 
 @_suite("lemma-stopping-form")
@@ -271,7 +277,7 @@ def check_lemma_stopping_form(
     force on the same instances.  Witnesses are replayed to 1e-12."""
     for trial, ts in enumerate(_trial_seeds(seed, trials)):
         sub = _trial_seeds(ts, 3)
-        tree, tseed, depth, n_tau = _small_tree(sub[0], max_count)
+        tree, tseed, depth, n_tau = _small_tree(sub[0], max_count, "max_count")
         f = random_martingale(tree, sub[1], 1)
         mu = random_measure(tree, sub[2])
         bmo_norms = [bmo_alpha_norms(f, alphas, mode) for mode in
@@ -332,14 +338,14 @@ def _inequality_grid(tree, trial_seeds, ps, alphas, slack=1e-9):
     """The inequality grid on one random adapted process and measure per
     trial seed, all on ``tree`` and evaluated in batches: yields, per seed
     in order, its batch's columns (`carleson._inequality_columns`) and
-    its position in them.  Every p, then every alpha, is checked first."""
-    checked = _check_grid(ps, alphas)
+    its position in them.  Every p, every alpha and the slack are read first."""
+    ps, alphas, slack = _check_grid(ps, alphas, slack)
 
     def draw(trial_seed):
         sub = _trial_seeds(trial_seed, 2)
         return random_adapted_process(tree, sub[0], 1), random_measure(tree, sub[1])
 
-    return _inequality_batches(tree, map(draw, trial_seeds), ps, checked, slack)
+    return _inequality_batches(tree, map(draw, trial_seeds), ps, alphas, slack)
 
 
 @_suite("carleson-inequality", counts=("trials", "converse_trials"), lists=("ps", "alphas"))
@@ -390,7 +396,7 @@ def check_carleson_inequality(
         if j % 2 == 0:
             ctree, tseed, cdepth = build_dyadic(2), -1, 2
         else:
-            ctree, tseed, cdepth, _ = _small_tree(sub[0], converse_max_count)
+            ctree, tseed, cdepth, _ = _small_tree(sub[0], converse_max_count, "converse_max_count")
         mu = random_measure(ctree, sub[1])
         p, alpha = grid[j % len(grid)]
         norm = carleson_alpha_norm(mu, alpha, "node-fast")

@@ -370,7 +370,7 @@ def _same(a, b) -> bool:
 def _batch_rows(tree, draws, ps, alphas):
     """Every draw's grid out of one `_inequality_batches` call, each entry
     as the fields of a `CarlesonInequalityResult`."""
-    checked = carleson._check_grid(ps, alphas)
+    checked = carleson._check_grid(ps, alphas, 1e-9)[1]
     rows = []
     for columns, t in carleson._inequality_batches(tree, draws, ps, checked, 1e-9):
         rows.append([

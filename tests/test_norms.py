@@ -433,7 +433,7 @@ def test_replay_rejects_unknown_kind(rademacher_pair):
     *[({"kind": kind, "level": 0, "atoms": [0], "stops": [[0, 0]], "p": p},
        f"p must be finite and at least 1, got {shown}")
       for kind in ("level-set", "stopping-time")
-      for p, shown in [(True, "True"), ("3", "3"), (None, "None"), (math.nan, "nan"),
+      for p, shown in [(True, "True"), ("3", "'3'"), (None, "None"), (math.nan, "nan"),
                        (math.inf, "inf"), (-math.inf, "-inf"), (0.5, "0.5")]],
 ])
 def test_replay_names_what_a_malformed_witness_lacks(witness, message):

@@ -364,6 +364,18 @@ def test_suite_frame_records_every_argument():
                           "seed_scheme": SEED_SCHEME}
 
 
+def test_a_stopping_time_bound_that_no_tree_meets_is_refused():
+    """The small-tree search falls back to dyadic depth 2 (26 stopping
+    times); a bound below that names its argument instead of returning
+    cases over it."""
+    with pytest.raises(ValueError, match="^max_count 1 admits no tree: .*26 stopping times"):
+        check_lemma_stopping_form(trials=2, max_count=1)
+    with pytest.raises(ValueError, match="^converse_max_count 1 admits no tree: "):
+        check_carleson_inequality(trials=1, converse_trials=2, converse_max_count=1)
+    rep = check_lemma_stopping_form(trials=2, max_count=26)
+    assert all(case["stopping_times"] <= 26 for case in rep.cases)
+
+
 def test_suite_frame_refuses_lists_before_counts(monkeypatch):
     monkeypatch.setattr(verify, "_trial_seeds", _no_work)
     with pytest.raises(ValueError, match="^alphas must not be empty$"):
