@@ -44,6 +44,7 @@ __all__ = [
 MASS_TOL = 1e-12
 MAX_DYADIC_DEPTH = 20
 MAX_RANDOM_ATOMS = 1_000_000
+_WRITE_PIECE = 1 << 20  # characters per write in write_text
 
 
 def _plain(x: object) -> object:
@@ -144,12 +145,17 @@ def _dicts_text(run: list, indent: str) -> list[str]:
 
 
 def write_text(path: str | None, text: str) -> None:
-    """Write ``text`` and a final newline to ``path``; print it when no path is given."""
+    """Write ``text`` and a final newline to ``path``; print it when no path is given.
+
+    The file gets ``_WRITE_PIECE`` characters at a time, so no whole copy of
+    the text, joined to the newline or encoded, is ever held."""
     if not path:
         print(text)
         return
     with open(path, "w") as fh:
-        fh.write(text + "\n")
+        for i in range(0, len(text), _WRITE_PIECE):
+            fh.write(text[i : i + _WRITE_PIECE])
+        fh.write("\n")
 
 
 def read_json(path: str) -> object:
@@ -314,9 +320,7 @@ class FiltrationTree:
         for b in reversed(self._child_bounds):
             self._leaf_bounds.append(self._leaf_bounds[-1][b])
         self._leaf_bounds.reverse()
-        self._leaf_ancestor = [
-            np.repeat(np.arange(len(b) - 1), np.diff(b)) for b in self._leaf_bounds
-        ]
+        self._leaf_ancestor = [None] * (self._depth + 1)  # built by leaf_ancestors
 
         for n in range(self._depth):
             sums = self.child_sums(self._masses[n + 1], n)
@@ -338,7 +342,6 @@ class FiltrationTree:
             self._parent,
             self._child_bounds,
             self._leaf_bounds,
-            self._leaf_ancestor,
         ):
             for a in arrays:
                 a.flags.writeable = False
@@ -387,9 +390,18 @@ class FiltrationTree:
         return self._leaf_bounds[n][:-1]
 
     def leaf_ancestors(self, n: int) -> np.ndarray:
-        """For each leaf, the index of the level-``n`` atom containing it."""
+        """For each leaf, the index of the level-``n`` atom containing it.
+
+        Built on the first call for ``n`` and kept, read-only: a tree that
+        is only built, written or summed never holds the table."""
         self._check_level(n)
-        return self._leaf_ancestor[n]
+        ancestors = self._leaf_ancestor[n]
+        if ancestors is None:
+            b = self._leaf_bounds[n]
+            ancestors = np.repeat(np.arange(len(b) - 1), np.diff(b))
+            ancestors.flags.writeable = False
+            self._leaf_ancestor[n] = ancestors
+        return ancestors
 
     # Each atom's leaves, and each atom's children, form one contiguous run
     # (atoms are stored in depth-first order), so a sum over them is one
@@ -484,15 +496,19 @@ class FiltrationTree:
                 before_mass = "\n" + keys + "],\n" + keys + '"mass": '
             end = "\n" + brace + "}"
             end_sibling = end + ",\n" + brace
-            masses = self._masses[n].tolist()
-            if masses.count(masses[0]) == len(masses):  # one mass, as on every dyadic level
-                reprs = [float.__repr__(masses[0])] * len(masses)
+            masses = self._masses[n]
+            if (masses == masses[0]).all():
+                # One mass, as on every dyadic level: every closing slot holds
+                # one of two shared pieces, the last sibling's or another's.
+                close = before_mass + float.__repr__(float(masses[0]))
+                shared = np.array([close + end_sibling, close + end], dtype=object)
+                closes = shared[last.view(np.int8)]
             else:
-                reprs = map(float.__repr__, masses)
-            pieces[opens + 2 * sizes[n] - 1] = [
-                before_mass + r + (end if lst else end_sibling)
-                for r, lst in zip(reprs, last.tolist())
-            ]
+                closes = [
+                    before_mass + r + (end if lst else end_sibling)
+                    for r, lst in zip(map(float.__repr__, masses.tolist()), last.tolist())
+                ]
+            pieces[opens + 2 * sizes[n] - 1] = closes
         return "".join(pieces.tolist())
 
     def save(self, path: str) -> None:
@@ -628,6 +644,8 @@ def build_random(
     depth = _int_arg(depth, "depth must be a nonnegative integer", 0)
     max_branch = _int_arg(max_branch, "max_branch must be a positive integer", 1)
     max_atoms = _int_arg(max_atoms, "max_atoms must be a positive integer", 1)
+    if depth + 1 > max_atoms:  # a tree of depth d has at least d + 1 atoms
+        raise SizeCapError(f"random tree exceeds the atom cap {max_atoms}")
     rng = np.random.default_rng(seed)
     masses: list[list[float]] = []
     parents: list[list[int]] = []

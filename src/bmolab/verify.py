@@ -366,6 +366,10 @@ def check_carleson_inequality(
     The converse asserts three things per instance: the indicator's left
     side is the tent mass bitwise, the bound is satisfied at the measure
     norm, and shaving 1e-6 off the witness ratio flips the verdict."""
+    dyadic_two = build_dyadic(2)  # every even converse trial's tree
+    if (count := count_stopping_times(dyadic_two)) > converse_max_count:
+        raise ValueError(f"converse_max_count {converse_max_count} admits no tree: the even "
+                         f"trials run on dyadic depth 2 ({count} stopping times)")
     seeds = _trial_seeds(seed, trials)
     batches = _inequality_grid(build_dyadic(depth), seeds, ps, alphas, slack)
     for trial, (ts, (grid, t)) in enumerate(zip(seeds, batches)):
@@ -394,7 +398,7 @@ def check_carleson_inequality(
     for j, ts in enumerate(_trial_seeds(seed + 1, converse_trials)):
         sub = _trial_seeds(ts, 2)
         if j % 2 == 0:
-            ctree, tseed, cdepth = build_dyadic(2), -1, 2
+            ctree, tseed, cdepth = dyadic_two, -1, 2
         else:
             ctree, tseed, cdepth, _ = _small_tree(sub[0], converse_max_count, "converse_max_count")
         mu = random_measure(ctree, sub[1])

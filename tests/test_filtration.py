@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,6 +186,35 @@ def test_leaf_ancestors_matches_slices():
             assert np.all(anc[tree.leaf_slice(AtomRef(n, i))] == i)
 
 
+@pytest.mark.parametrize("tree", [build_dyadic(3), build_random(17, 3, 3), build_random(2, 6, 1)],
+                         ids=["dyadic", "random", "chain"])
+def test_leaf_ancestors_are_built_once_and_read_only(tree):
+    for n in range(tree.depth + 1):
+        anc = tree.leaf_ancestors(n)
+        bounds = np.append(tree.leaf_starts(n), tree.num_leaves)
+        assert np.array_equal(anc, np.repeat(np.arange(tree.atom_count(n)), np.diff(bounds)))
+        assert tree.leaf_ancestors(n) is anc
+        assert not anc.flags.writeable
+        with pytest.raises(ValueError):
+            anc[0] = 1
+
+
+def test_a_fresh_tree_holds_no_leaf_ancestor_table():
+    """The (depth + 1) x leaves table is built per level on first use, so a
+    tree that is only built holds less than the table would take."""
+    tracemalloc.start()
+    try:
+        tree = build_dyadic(14)
+        held = tracemalloc.get_traced_memory()[0]
+        tree.leaf_ancestors(14)
+        one_level = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    table = (tree.depth + 1) * tree.num_leaves * np.dtype(np.intp).itemsize
+    assert held < table
+    assert one_level >= tree.num_leaves * np.dtype(np.intp).itemsize
+
+
 def test_atoms_are_stored_in_depth_first_order():
     # the layout the level sums rely on: each level's parent indices never
     # decrease, so every atom's children are one run of the next level
@@ -251,6 +281,21 @@ def test_random_tree_respects_branch_limit():
 def test_random_atom_cap():
     with pytest.raises(SizeCapError):
         build_random(0, 10, 3, max_atoms=50)
+
+
+@pytest.mark.parametrize("depth, max_atoms", [(50, 50), (10**400, 1_000_000), (10**6, 200_000)],
+                         ids=["50", "1e400", "1e6"])
+def test_a_depth_past_the_atom_cap_is_refused_before_any_draw(monkeypatch, depth, max_atoms):
+    """A tree of depth d has at least d + 1 atoms."""
+    made = []
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: made.append(a))
+    with pytest.raises(SizeCapError, match=f"^random tree exceeds the atom cap {max_atoms}$"):
+        build_random(0, depth, 2, max_atoms=max_atoms)
+    assert made == []
+
+
+def test_a_chain_that_fills_the_atom_cap_is_built():
+    assert build_random(0, 49, 1, max_atoms=50).num_atoms == 50
 
 
 # == leaf masses agree with the reference walk ===============================

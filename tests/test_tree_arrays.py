@@ -7,6 +7,7 @@ import hashlib
 import importlib
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from bmolab import (
     random_martingale,
     random_measure,
 )
-from bmolab.filtration import dump_json
+from bmolab.filtration import dump_json, write_text
 
 import oracles
 
@@ -145,6 +146,69 @@ def test_extreme_mass_reprs_match_stdlib():
     assert text == oracles.tree_json(root)
     assert "1e-300" in text and "5e-324" in text and "0.3333333333333333" in text
     assert FiltrationTree.from_dict(json.loads(text)).to_json() == text
+
+
+# A level whose atoms share one mass gets its closing pieces from two shared
+# strings; levels of distinct masses get one piece per atom.
+ONE_MASS_LEVELS = {
+    "chain": build_random(3, 40, 1),
+    "fan of halves under a split": FiltrationTree({"mass": 1.0, "children": [
+        {"mass": 0.5, "children": [{"mass": 0.25, "children": []}, {"mass": 0.25, "children": []}]},
+        {"mass": 0.5, "children": [{"mass": 0.1, "children": []}, {"mass": 0.4, "children": []}]},
+    ]}),
+    "chain then fans": FiltrationTree({"mass": 1.0, "children": [{"mass": 1.0, "children": [
+        {"mass": 0.5, "children": [{"mass": 0.5, "children": []}]},
+        {"mass": 0.5, "children": [{"mass": 0.2, "children": []}, {"mass": 0.3, "children": []}]},
+    ]}]}),
+    # random trees holding both kinds of level below the root
+    **{f"random {s}, {b}": build_random(s, 5, b) for s, b in
+       [(1, 2), (11, 2), (24, 2), (34, 2), (14, 3), (30, 3), (34, 3)]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_MASS_LEVELS))
+def test_one_mass_levels_keep_their_text(name):
+    tree = ONE_MASS_LEVELS[name]
+    assert any(len(set(tree.masses(n).tolist())) == 1 for n in range(1, tree.depth + 1))
+    assert tree.to_json() == json.dumps(tree.to_dict(), indent=2, sort_keys=True)
+
+
+def test_mixed_random_trees_have_both_kinds_of_level():
+    kinds = {len(set(tree.masses(n).tolist())) == 1
+             for name, tree in ONE_MASS_LEVELS.items() if name.startswith("random")
+             for n in range(tree.depth + 1)}
+    assert kinds == {True, False}
+
+
+def test_writing_a_dyadic_tree_holds_little_beside_its_text():
+    """Every closing slot of a one-mass level shares one of two strings, so
+    writing dyadic 14 (9.5 MB of text) peaks within 1.25 times the text."""
+    tree = build_dyadic(14)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        text = tree.to_json()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * len(text)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, (1 << 20) + 7])
+def test_write_text_bytes_past_one_piece(tmp_path, extra):
+    piece = 1 << 20  # write_text writes 1 MiB pieces
+    text = build_dyadic(12).to_json()  # 2.1 MB: three pieces
+    text = (text * (1 + (2 * piece + extra) // len(text)))[: 2 * piece + extra]
+    path = tmp_path / "doc.json"
+    write_text(str(path), text)
+    assert path.read_bytes() == (text + "\n").encode()
+
+
+def test_write_text_writes_a_tree_as_before(tmp_path):
+    tree = build_dyadic(13)
+    path = tmp_path / "tree.json"
+    tree.save(str(path))
+    assert path.read_bytes() == (json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n").encode()
 
 
 # Split fractions with long and extreme reprs; the last child takes the rest.

@@ -339,8 +339,10 @@ FRAME_PINS = [
     (lambda: check_characterization(3, (0.0, 0.5), 4, (1, 3), 2, range(1, 3)),
      "c20205269e046185"),
     (lambda: check_lemma_stopping_form(trials=3, max_count=20, tol=1e-11), "85a3a940724182e0"),
-    (lambda: check_carleson_inequality(2, [1.5], [0.25], 9, 2, 2, 20, 1e-8, 1e-9),
-     "ec1451b2f67559be"),
+    # converse_max_count 30: below 26 (dyadic depth 2, every even converse
+    # trial's tree) the suite is refused; at 30 the bytes are as before.
+    (lambda: check_carleson_inequality(2, [1.5], [0.25], 9, 2, 2, 30, 1e-8, 1e-9),
+     "4dd15a6f5e77b38b"),
     (lambda: check_operators(trials=2, depth_range=np.array([1, 2])), "052c445aa7c29e0a"),
 ]
 
@@ -374,6 +376,14 @@ def test_a_stopping_time_bound_that_no_tree_meets_is_refused():
         check_carleson_inequality(trials=1, converse_trials=2, converse_max_count=1)
     rep = check_lemma_stopping_form(trials=2, max_count=26)
     assert all(case["stopping_times"] <= 26 for case in rep.cases)
+
+
+def test_a_converse_bound_below_dyadic_two_is_refused_before_any_trial(monkeypatch):
+    """Every even converse trial runs on dyadic depth 2, so a bound below
+    its 26 stopping times is refused before the inequality trials run."""
+    monkeypatch.setattr(verify, "_inequality_grid", _no_work)
+    with pytest.raises(ValueError, match="^converse_max_count 25 admits no tree: .*26 stopping times"):
+        check_carleson_inequality(trials=1, converse_trials=1, converse_max_count=25)
 
 
 def test_suite_frame_refuses_lists_before_counts(monkeypatch):
