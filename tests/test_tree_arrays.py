@@ -169,15 +169,9 @@ ONE_MASS_LEVELS = {
 @pytest.mark.parametrize("name", sorted(ONE_MASS_LEVELS))
 def test_one_mass_levels_keep_their_text(name):
     tree = ONE_MASS_LEVELS[name]
-    assert any(len(set(tree.masses(n).tolist())) == 1 for n in range(1, tree.depth + 1))
+    one_mass = {len(set(tree.masses(n).tolist())) == 1 for n in range(1, tree.depth + 1)}
+    assert one_mass == ({True} if name == "chain" else {True, False})
     assert tree.to_json() == json.dumps(tree.to_dict(), indent=2, sort_keys=True)
-
-
-def test_mixed_random_trees_have_both_kinds_of_level():
-    kinds = {len(set(tree.masses(n).tolist())) == 1
-             for name, tree in ONE_MASS_LEVELS.items() if name.startswith("random")
-             for n in range(tree.depth + 1)}
-    assert kinds == {True, False}
 
 
 def test_writing_a_dyadic_tree_holds_little_beside_its_text():
@@ -197,18 +191,11 @@ def test_writing_a_dyadic_tree_holds_little_beside_its_text():
 @pytest.mark.parametrize("extra", [-1, 0, 1, (1 << 20) + 7])
 def test_write_text_bytes_past_one_piece(tmp_path, extra):
     piece = 1 << 20  # write_text writes 1 MiB pieces
-    text = build_dyadic(12).to_json()  # 2.1 MB: three pieces
+    text = build_dyadic(12).to_json()  # 2.1 MB of tree text, repeated and cut
     text = (text * (1 + (2 * piece + extra) // len(text)))[: 2 * piece + extra]
     path = tmp_path / "doc.json"
     write_text(str(path), text)
     assert path.read_bytes() == (text + "\n").encode()
-
-
-def test_write_text_writes_a_tree_as_before(tmp_path):
-    tree = build_dyadic(13)
-    path = tmp_path / "tree.json"
-    tree.save(str(path))
-    assert path.read_bytes() == (json.dumps(tree.to_dict(), indent=2, sort_keys=True) + "\n").encode()
 
 
 # Split fractions with long and extreme reprs; the last child takes the rest.

@@ -339,8 +339,8 @@ FRAME_PINS = [
     (lambda: check_characterization(3, (0.0, 0.5), 4, (1, 3), 2, range(1, 3)),
      "c20205269e046185"),
     (lambda: check_lemma_stopping_form(trials=3, max_count=20, tol=1e-11), "85a3a940724182e0"),
-    # converse_max_count 30: below 26 (dyadic depth 2, every even converse
-    # trial's tree) the suite is refused; at 30 the bytes are as before.
+    # converse_max_count 30: a bound below 26, the stopping times of dyadic
+    # depth 2 (every even converse trial's tree), is refused.
     (lambda: check_carleson_inequality(2, [1.5], [0.25], 9, 2, 2, 30, 1e-8, 1e-9),
      "4dd15a6f5e77b38b"),
     (lambda: check_operators(trials=2, depth_range=np.array([1, 2])), "052c445aa7c29e0a"),
