@@ -80,7 +80,10 @@ CARLESON_MODES = ("node-fast", "stopping-bruteforce")
 
 
 class CarlesonMeasure(TreeDocument):
-    """Nonnegative leaf densities, one row per level."""
+    """Nonnegative leaf densities, one row per level.
+
+    Only ``densities`` is stored, as the document holds it; ``weighted``
+    is computed from it on each use."""
 
     SCHEMA = "measure/v1"
     FIELD = "densities"
@@ -98,9 +101,11 @@ class CarlesonMeasure(TreeDocument):
             raise ValueError("densities must be nonnegative")
         self.tree = tree
         self.densities = d
-        w = d * tree.leaf_masses
-        w.flags.writeable = False
-        self.weighted = w
+
+    @property
+    def weighted(self) -> np.ndarray:
+        """mu of each (level, leaf) cell: the densities times the leaf masses."""
+        return self.densities * self.tree.leaf_masses
 
     def tent_mass(self, tau: StoppingTime) -> float:
         """mu of the tent over tau.
@@ -117,8 +122,9 @@ class CarlesonMeasure(TreeDocument):
         per level; each row sums its masked leaf cells exactly as
         `tent_mass` does for that stopping time alone."""
         total = np.zeros(len(taus))
+        weighted = self.weighted
         for k in range(self.tree.depth + 1):
-            total += np.sum(np.where(taus <= k, self.weighted[k], 0.0), axis=1)
+            total += np.sum(np.where(taus <= k, weighted[k], 0.0), axis=1)
         return total
 
     def _payload(self) -> dict:
@@ -130,7 +136,8 @@ class CarlesonMeasure(TreeDocument):
 
 def from_martingale(f: Martingale) -> CarlesonMeasure:
     """Density row k is the squared modulus of the k-th increment of f."""
-    return CarlesonMeasure(f.tree, _leaf_moduli(differences(f)) ** 2)
+    mods = _leaf_moduli(differences(f))
+    return CarlesonMeasure(f.tree, np.square(mods, out=mods))  # bitwise mods ** 2
 
 
 def random_measure(tree: FiltrationTree, seed: int) -> CarlesonMeasure:

@@ -46,9 +46,17 @@ def _real_arg(x: object, rule: str, ok) -> float:
     raise ValueError(f"{rule}, got {x!r}")
 
 
-def _int_arg(x: object, rule: str, low: int | None = None) -> int:
+# The largest integer numpy draws, or takes as an array dimension (int64).
+_INT64_MAX = 2**63 - 1
+
+
+def _int_arg(x: object, rule: str, low: int | None = None, high: int | None = None) -> int:
     """``x`` as an int, where it is a Python or numpy integer, not a bool,
-    of at least ``low``; else a ``ValueError`` with ``rule`` and the repr."""
+    of at least ``low``; else a ``ValueError`` with ``rule`` and the repr.
+    An integer above ``high``, past what numpy can take, is refused with
+    ``rule`` and that bound."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool) and (low is None or x >= low):
-        return int(x)
+        if high is None or x <= high:
+            return int(x)
+        raise ValueError(f"{rule} of at most {high}, got {x!r}")
     raise ValueError(f"{rule}, got {x!r}")

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SchemaError, SizeCapError, _float, _int_arg
+from .errors import _INT64_MAX, SchemaError, SizeCapError, _float, _int_arg
 
 __all__ = [
     "AtomRef",
@@ -321,6 +321,7 @@ class FiltrationTree:
             self._leaf_bounds.append(self._leaf_bounds[-1][b])
         self._leaf_bounds.reverse()
         self._leaf_ancestor = [None] * (self._depth + 1)  # built by leaf_ancestors
+        self._leaf_count = [None] * (self._depth + 1)  # built by spread_to_leaves
 
         for n in range(self._depth):
             sums = self.child_sums(self._masses[n + 1], n)
@@ -397,11 +398,23 @@ class FiltrationTree:
         self._check_level(n)
         ancestors = self._leaf_ancestor[n]
         if ancestors is None:
-            b = self._leaf_bounds[n]
-            ancestors = np.repeat(np.arange(len(b) - 1), np.diff(b))
+            ancestors = self.spread_to_leaves(np.arange(len(self._masses[n])), n)
             ancestors.flags.writeable = False
             self._leaf_ancestor[n] = ancestors
         return ancestors
+
+    def spread_to_leaves(self, rows: np.ndarray, n: int) -> np.ndarray:
+        """Each level-``n`` atom's row of ``rows`` (an array, atoms on axis 0:
+        one value, or one vector, per atom) repeated once per leaf of the
+        atom.  Bit for bit ``rows[self.leaf_ancestors(n)]``, without that
+        table: the level's leaf counts are built on the first call for
+        ``n`` and kept.  They stay writeable, since ``repeat`` copies
+        read-only counts on every call, and are never handed out."""
+        self._check_level(n)
+        counts = self._leaf_count[n]
+        if counts is None:
+            counts = self._leaf_count[n] = np.diff(self._leaf_bounds[n])
+        return self._rows(rows, n).repeat(counts, 0)
 
     # Each atom's leaves, and each atom's children, form one contiguous run
     # (atoms are stored in depth-first order), so a sum over them is one
@@ -642,7 +655,7 @@ def build_random(
     remainder so children always sum to their parent.
     """
     depth = _int_arg(depth, "depth must be a nonnegative integer", 0)
-    max_branch = _int_arg(max_branch, "max_branch must be a positive integer", 1)
+    max_branch = _int_arg(max_branch, "max_branch must be a positive integer", 1, _INT64_MAX)
     max_atoms = _int_arg(max_atoms, "max_atoms must be a positive integer", 1)
     if depth + 1 > max_atoms:  # a tree of depth d has at least d + 1 atoms
         raise SizeCapError(f"random tree exceeds the atom cap {max_atoms}")

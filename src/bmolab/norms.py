@@ -165,7 +165,12 @@ def _layer_cake_rows(tails: tuple, p: float) -> list[float]:
         keep = first[sel]
         v = vals[sel][keep].reshape(len(sel), c)
         prev = np.concatenate((np.zeros((len(sel), 1)), v[:, :-1]), axis=1)
-        sums[sel] = np.sum((v**p - prev**p) * weights[sel][keep].reshape(len(sel), c), axis=1)
+        with np.errstate(invalid="ignore"):
+            steps = v**p - prev**p
+        # Where both powers overflow, inf - inf is NaN; the step up to the
+        # larger value is inf, as its power is (and as the direct sum is).
+        steps[np.isnan(steps)] = np.inf
+        sums[sel] = np.sum(steps * weights[sel][keep].reshape(len(sel), c), axis=1)
     return sums.tolist()
 
 

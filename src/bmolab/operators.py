@@ -58,17 +58,19 @@ def l2_lift(f: Martingale) -> Martingale:
     coordinate k; the modulus of the level-n value is S_n(f)."""
     if f.dim != 1:
         raise ValueError("the lift takes a scalar martingale")
-    tree = f.tree
-    depth = tree.depth
-    d = differences(f)
-    cur = np.zeros((1, depth + 1))
-    cur[:, 0] = d.level(0)
-    levels = [cur]
-    for n in range(1, depth + 1):
-        nxt = levels[n - 1][tree.parents(n)].copy()
-        nxt[:, n] = d.level(n)
-        levels.append(nxt)
-    return Martingale(tree, levels)
+    return Martingale(f.tree, _lift_levels(f.tree, differences(f)))
+
+
+def _lift_levels(tree: FiltrationTree, d: AdaptedProcess):
+    """The lift's levels, yielded one at a time, so that the constructor
+    freezes each while at most two of them are alive here."""
+    level = np.zeros((1, tree.depth + 1))
+    level[:, 0] = d.level(0)
+    yield level
+    for n in range(1, tree.depth + 1):
+        level = level[tree.parents(n)]  # a copy: fancy indexing
+        level[:, n] = d.level(n)
+        yield level
 
 
 def square_function(f: Martingale) -> AdaptedProcess:

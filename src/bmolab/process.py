@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import _int_arg
+from .errors import _INT64_MAX, _int_arg
 from .filtration import FiltrationTree, TreeDocument
 
 __all__ = [
@@ -70,8 +70,13 @@ def _modulus(values: np.ndarray) -> np.ndarray:
 
 
 def _leaf_moduli(g: AdaptedProcess) -> np.ndarray:
-    """The modulus of every level of ``g``, one per atom, spread onto the leaves."""
-    return np.stack([_modulus(g.level(n))[g.tree.leaf_ancestors(n)] for n in range(g.depth + 1)])
+    """The modulus of every level of ``g``, one per atom, spread onto the
+    leaves: one row per level, filled a level at a time."""
+    tree = g.tree
+    mods = np.empty((g.depth + 1, tree.num_leaves))
+    for n, level in enumerate(g.levels):
+        mods[n] = tree.spread_to_leaves(_modulus(level), n)
+    return mods
 
 
 class RandomVariable(TreeDocument):
@@ -115,10 +120,16 @@ class AdaptedProcess(TreeDocument):
     FIELD = "levels"
 
     def __init__(self, tree: FiltrationTree, levels):
-        if len(levels) != tree.depth + 1:
-            raise ValueError(f"expected {tree.depth + 1} levels, got {len(levels)}")
+        # A sequence is refused for its length before any level is read;
+        # any other iterable is counted as its levels are read, one at a
+        # time, so a caller can yield levels that are never all alive.
+        count = tree.depth + 1
+        if hasattr(levels, "__len__") and len(levels) != count:
+            raise ValueError(f"expected {count} levels, got {len(levels)}")
         frozen = []
         for n, lvl in enumerate(levels):
+            if n == count:
+                raise ValueError(f"expected {count} levels, got more")
             a = _freeze(lvl)
             if a.ndim not in (1, 2):
                 raise ValueError(f"level {n} must be 1-D or 2-D, got shape {a.shape}")
@@ -130,9 +141,11 @@ class AdaptedProcess(TreeDocument):
                 )
             if frozen and a.shape[1:] != frozen[0].shape[1:]:
                 raise ValueError(f"level {n} has dim {_width(a)}, expected {_width(frozen[0])}")
-            if not np.all(np.isfinite(a)):
+            if not np.isfinite(a).all():
                 raise ValueError(f"level {n} has non-finite values")
             frozen.append(a)
+        if len(frozen) != count:
+            raise ValueError(f"expected {count} levels, got {len(frozen)}")
         self.tree = tree
         self.levels = tuple(frozen)
         self.dim = _width(frozen[0])
@@ -145,7 +158,7 @@ class AdaptedProcess(TreeDocument):
         return self.levels[n]
 
     def leaf_view(self, n: int) -> np.ndarray:
-        return self.levels[n][self.tree.leaf_ancestors(n)]
+        return self.tree.spread_to_leaves(self.levels[n], n)
 
     def final_value(self) -> RandomVariable:
         return RandomVariable(self.tree, self.levels[self.tree.depth])
@@ -176,8 +189,10 @@ class Martingale(AdaptedProcess):
         for n in range(tree.depth):
             child, parent = self.levels[n + 1], self.levels[n]
             weighted = child * _per_row(tree.masses(n + 1), child)
-            gap = np.abs(tree.child_sums(weighted, n) - parent * _per_row(tree.masses(n), parent))
-            err = float(np.max(gap)) if gap.size else 0.0
+            gap = tree.child_sums(weighted, n)  # made the gap in place
+            gap -= parent * _per_row(tree.masses(n), parent)
+            np.abs(gap, out=gap)
+            err = float(gap.max()) if gap.size else 0.0
             if err > MARTINGALE_TOL:
                 # a scale of at most 1 leaves the error as it is, so only
                 # an error past the bound needs the scale
@@ -257,7 +272,7 @@ class PredictableSequence:
 
 def _normal_shape(count: int, dim: int) -> tuple:
     """The shape of ``count`` values of width ``dim``; scalar for dim 1."""
-    dim = _int_arg(dim, "dim must be an integer")
+    dim = _int_arg(dim, "dim must be an integer", high=_INT64_MAX)
     if dim < 1:
         raise ValueError("vector values must have at least one component")
     return (count,) if dim == 1 else (count, dim)

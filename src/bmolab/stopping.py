@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import SchemaError, SizeCapError, _int_arg, _real_arg
 from .filtration import AtomRef, FiltrationTree, _atom_position
-from .process import AdaptedProcess, RandomVariable, _leaf_moduli
+from .process import AdaptedProcess, RandomVariable
 
 __all__ = [
     "StoppingTime",
@@ -159,8 +159,11 @@ def first_passage(g: AdaptedProcess, lam: float) -> StoppingTime:
     """
     lam = _real_arg(lam, "lam must be a number", lambda v: v == v)
     tree = g.tree
-    exceed = _leaf_moduli(g) > lam
-    row = np.where(exceed.any(axis=0), np.argmax(exceed, axis=0), tree.depth + 1)
+    row = np.full(tree.num_leaves, tree.depth + 1)
+    # Compared on the atoms, then spread; levels descending, so each leaf
+    # keeps the first level that exceeds.
+    for n in reversed(range(tree.depth + 1)):
+        row[tree.spread_to_leaves(g.modulus_level(n) > lam, n)] = n
     return StoppingTime(tree, row_stops(tree, row))
 
 

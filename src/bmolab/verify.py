@@ -32,7 +32,7 @@ from .carleson import (
     from_martingale,
     random_measure,
 )
-from .errors import _int_arg
+from .errors import _INT64_MAX, _int_arg
 from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
 from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
@@ -123,7 +123,8 @@ def _require(counts: dict, **lists) -> None:
         if len(values) == 0:
             raise ValueError(f"{name} must not be empty")
     for name, count in counts.items():
-        if _int_arg(count, f"{name} must be an integer") < 1:
+        # _trial_seeds draws each trial's seed as two 32-bit words
+        if _int_arg(count, f"{name} must be an integer", high=_INT64_MAX // 2) < 1:
             raise ValueError(f"{name} must be at least 1")
 
 

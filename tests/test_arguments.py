@@ -120,6 +120,27 @@ def test_an_integer_past_the_float_range_reads_as_inf():
     assert bmo_alpha_norm(F, 0.25, "stopping-bruteforce", big) == bmo_alpha_norm(F, 0.25, "stopping-bruteforce")
 
 
+# entry point: the largest integer numpy takes there (an int64 it draws or
+# sizes an array with; the suites draw two 32-bit words per trial seed)
+NUMPY_RANGE = {
+    "build_random max_branch": 2**63 - 1,
+    "random_martingale dim": 2**63 - 1,
+    "random_adapted_process dim": 2**63 - 1,
+    "check_operators trials": 2**62 - 1,
+    "check_carleson_inequality converse_trials": 2**62 - 1,
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_RANGE)
+def test_an_integer_past_numpys_range_is_refused_with_its_rule(name):
+    call, rule = INTEGER[name][:2]
+    high = NUMPY_RANGE[name]
+    for big in (high + 1, 10**400, np.uint64(2**64 - 1)):
+        message, seconds = _refusal(call, big)
+        assert message == f"{rule} of at most {high}, got {big!r}"
+        assert seconds < 0.1
+
+
 def test_a_nan_slack_is_refused():
     message, _ = _refusal(REAL["carleson_inequality_check slack"][0], math.nan)
     assert message == "slack must be a number, got nan"

@@ -71,6 +71,23 @@ def test_from_martingale_rows(depth2_example):
     assert np.array_equal(mu.densities[2], [1.0, 1.0, 0.0, 0.0])
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(1, 6), (12, 2), (3, 4)]), st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.data())
+def test_weighted_densities_are_the_stored_product_bit_for_bit(shape, seed, dim, data):
+    """``weighted`` is computed from the densities on each use, not stored,
+    and each cell has the bits of density times leaf mass, the product
+    the measure once stored (chains, wide fans and random trees)."""
+    branch, most = shape
+    tree = build_random(seed, data.draw(st.integers(0, most)), branch)
+    masses = tree.leaf_masses.tolist()
+    for mu in (from_martingale(random_martingale(tree, seed, dim)), random_measure(tree, seed)):
+        want = np.array([[d * m for d, m in zip(row, masses)] for row in mu.densities.tolist()])
+        assert mu.weighted.tobytes() == want.tobytes()
+        assert mu.weighted.shape == mu.densities.shape
+        assert "weighted" not in vars(mu)
+
+
 def test_tent_mass(depth2_example):
     tree, f = depth2_example
     mu = from_martingale(f)
@@ -203,6 +220,24 @@ def test_inequality_random_instances_hold():
                 res = carleson_inequality_check(g, mu, p, alpha)
                 assert res.holds
                 assert res.lhs == pytest.approx(res.lhs_layer_cake, rel=1e-10)
+
+
+def test_layer_cake_is_inf_where_two_moduli_overflow_their_power():
+    """|g|^3 overflows at 1e200 and at 2e200: the layer cake's step between
+    them is inf - inf, which counts as inf, with no warning (an error in
+    this test run); a finite draw batched beside it keeps its bits."""
+    tree = build_dyadic(1)
+    huge = AdaptedProcess(tree, [[1e200], [1e200, -2e200]])
+    mu = random_measure(tree, 1)
+    res = carleson_inequality_check(huge, mu, 3.0, 0.25)
+    assert res.lhs == res.lhs_layer_cake == math.inf
+    g = random_adapted_process(tree, 2, 1)
+    mods = np.stack([carleson._leaf_moduli(h) for h in (huge, g)], axis=1)
+    weighted = np.stack([mu.weighted] * 2, axis=1)
+    [[both]] = carleson._inequality_columns(tree, mods, weighted, [3.0], [0.25], 1e-9)
+    alone = carleson_inequality_check(g, mu, 3.0, 0.25).lhs_layer_cake
+    assert both.lhs_layer_cake == [math.inf, alone]
+    assert math.isfinite(alone)
 
 
 def test_inequality_result_fields():

@@ -306,6 +306,23 @@ def test_integer_too_large_for_a_float_exits_2(tmp_path, write):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("argv, rule", [
+    (["gen-tree", "--depth", "2", "--random", "--max-branch"], "max_branch must be a positive integer"),
+    (["gen-martingale", "--tree", "{tree}", "--dim"], "dim must be an integer"),
+    (["check", "operators", "--trials"], "trials must be an integer"),
+], ids=["max-branch", "dim", "trials"])
+def test_an_integer_past_numpys_range_exits_2_naming_its_rule(tmp_path, capsys, argv, rule):
+    tree = tmp_path / "t.json"
+    build_dyadic(1).save(str(tree))
+    high = 2**62 - 1 if rule.startswith("trials") else 2**63 - 1
+    argv = [a.format(tree=tree) for a in argv]
+    for big in (high + 1, 10**400):
+        assert run(*argv, str(big)) == 2
+        out = capsys.readouterr()
+        assert out.err == f"error: {rule} of at most {high}, got {big}\n"
+        assert out.out == ""
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

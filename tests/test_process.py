@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from bmolab import (
     AdaptedProcess,
@@ -130,6 +131,36 @@ def test_adapted_process_shape_checks():
         AdaptedProcess(tree, [[0.0], [1.0, 2.0, 3.0]])
     with pytest.raises(ValueError):
         AdaptedProcess(tree, [[0.0], [[1.0, 0.0], [2.0, 0.0]]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.sampled_from([1, 3]), st.integers(1, 3),
+       st.integers(0, 7))
+def test_a_wrong_length_level_list_raises_the_length_error_first(seed, depth, branch, dim, count):
+    """Levels that would each be refused too (one value too many, NaN, the
+    wrong width) are not read when the list has the wrong length."""
+    assume(count != depth + 1)
+    tree = build_random(seed, depth, branch)
+    shape = [(tree.atom_count(min(n, depth)) + 1,) + ((dim,) if dim > 1 else ()) for n in range(count)]
+    bad = [np.full(s, np.nan) for s in shape]
+    for cls in (AdaptedProcess, Martingale):
+        for levels in (bad, tuple(bad)):
+            with pytest.raises(ValueError, match=f"^expected {depth + 1} levels, got {count}$"):
+                cls(tree, levels)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_levels_from_an_iterator_give_the_bits_of_the_list(dim):
+    tree = build_random(5, 4, 3)
+    f = random_martingale(tree, 3, dim)
+    for cls in (AdaptedProcess, Martingale):
+        got = cls(tree, iter(f.levels))
+        assert [a.tobytes() for a in got.levels] == [a.tobytes() for a in f.levels]
+        assert all(not a.flags.writeable for a in got.levels)
+    with pytest.raises(ValueError, match="^expected 5 levels, got 4$"):
+        AdaptedProcess(tree, iter(f.levels[:-1]))
+    with pytest.raises(ValueError, match="^expected 5 levels, got more$"):
+        AdaptedProcess(tree, iter([*f.levels, f.levels[-1]]))
 
 
 def test_leaf_view_spreads_values():

@@ -27,6 +27,7 @@ from bmolab import (
     random_measure,
 )
 from bmolab.filtration import dump_json, write_text
+from bmolab.process import _leaf_moduli, _modulus
 
 import oracles
 
@@ -670,3 +671,43 @@ def test_level_sums_refuse_wrong_rows_and_levels():
     with pytest.raises(ValueError, match="no children"):
         tree.child_slices(-1)
     assert tree.child_slices(1) == [slice(0, 2), slice(2, 4)]
+
+
+@st.composite
+def spread_trees(draw):
+    """A chain, a tree with a wide root, or a random tree of up to 3**4 leaves."""
+    kind = draw(st.sampled_from(["chain", "wide", "random"]))
+    if kind == "wide":
+        return FiltrationTree(draw(wide_roots()))
+    seed, depth = draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 4))
+    return build_random(seed, depth, 1 if kind == "chain" else 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spread_trees(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_spreading_by_leaf_counts_is_the_ancestor_gather(tree, dim, seed):
+    """Every level's values, scalar or vector, bool or float, repeated over
+    the leaf counts: the bits, shape and type of the leaf-ancestor gather,
+    and what leaf_view and the leaf moduli give."""
+    g = random_adapted_process(tree, seed, dim)
+    for n in range(tree.depth + 1):
+        ancestors = tree.leaf_ancestors(n)
+        for rows in (g.level(n), g.level(n) > 0.0, np.arange(tree.atom_count(n))):
+            got, want = tree.spread_to_leaves(rows, n), rows[ancestors]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert g.leaf_view(n).tobytes() == g.level(n)[ancestors].tobytes()
+    gathered = np.stack([_modulus(g.level(n))[tree.leaf_ancestors(n)] for n in range(tree.depth + 1)])
+    assert _leaf_moduli(g).tobytes() == gathered.tobytes()
+
+
+def test_spreading_refuses_wrong_rows_and_levels():
+    tree = build_dyadic(2)
+    # one atom, so numpy would repeat each of two rows over the four leaves
+    with pytest.raises(ValueError, match="expected 1 rows for level 0, got 2"):
+        tree.spread_to_leaves(np.ones(2), 0)
+    with pytest.raises(ValueError, match="expected 2 rows for level 1, got 4"):
+        tree.spread_to_leaves(np.ones(4), 1)
+    with pytest.raises(ValueError, match="out of range"):
+        tree.spread_to_leaves(np.ones(4), 3)
+    assert tree.spread_to_leaves(np.array([[1.0, 2.0], [3.0, 4.0]]), 1).tolist() == [
+        [1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]
