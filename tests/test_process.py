@@ -137,8 +137,8 @@ def test_adapted_process_shape_checks():
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.sampled_from([1, 3]), st.integers(1, 3),
        st.integers(0, 7))
 def test_a_wrong_length_level_list_raises_the_length_error_first(seed, depth, branch, dim, count):
-    """Levels that would each be refused too (one value too many, NaN, the
-    wrong width) are not read when the list has the wrong length."""
+    """Levels that would each be refused too (one value too many, all NaN)
+    are not read when the list has the wrong length."""
     assume(count != depth + 1)
     tree = build_random(seed, depth, branch)
     shape = [(tree.atom_count(min(n, depth)) + 1,) + ((dim,) if dim > 1 else ()) for n in range(count)]
