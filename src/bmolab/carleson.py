@@ -56,12 +56,12 @@ from .norms import (
     _stopping_blocks,
     _stops_witness,
     _tails,
-    _times_powers,
     _weak_rows,
 )
 from .operators import _running_max
 from .process import AdaptedProcess, Martingale, _freeze, _leaf_moduli, differences
-from .stopping import StoppingTime, _indicator_levels, chunks, prob_finite, resolve_max_enum, stopping_time_table
+from .stopping import (CHUNK_CELLS, StoppingTime, _indicator_levels, chunks, prob_finite,
+                       resolve_max_enum, stopping_time_table)
 
 __all__ = [
     "CarlesonMeasure",
@@ -221,7 +221,7 @@ def carleson_alpha_norms(
             NormResult(values[0], _node_witness(nodes[0]), mode)
             for values, nodes in _node_norms(mu.tree, mu.weighted[:, None], alphas)
         ]
-    blocks = _stopping_blocks(mu.tree, max_enum, lambda t: mu.tent_masses(t).tolist())
+    blocks = _stopping_blocks(mu.tree, max_enum, mu.tent_masses)
     return _argmaxes(blocks, [-(1.0 + 2.0 * alpha) for alpha in alphas], mode)
 
 
@@ -290,10 +290,6 @@ class _Columns(NamedTuple):
     maximal_strong_norm: list
     maximal_tail_term: list
     maximal_weak_norm: list
-
-
-# Leaf cells (draws x levels x leaves) per batch of `_inequality_batches`.
-CHUNK_CELLS = 1 << 16
 
 
 def _check_grid(ps, alphas, slack) -> tuple[list[float], list[float], float]:
@@ -442,7 +438,8 @@ def converse_extraction(
         identity_exact = identity_exact and np.array_equal(lhs, tent)
         chi = np.where(t <= tree.depth, 1.0, 0.0)
         maximal_identity = maximal_identity and np.array_equal(running, chi)
-        ratios = _times_powers(tent.tolist(), prob_finite(tree, t).tolist(), expo)
+        with np.errstate(over="ignore", invalid="ignore"):  # as in `_argmaxes`
+            ratios = tent * np.float_power(prob_finite(tree, t), expo)
         best.offer_all(ratios, lambda j: _stops_witness(tree, t[j]))
         over = np.flatnonzero(ratios > c_p + slack)
         if first_violation is None and over.size:

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import mul
 
 import numpy as np
 
@@ -278,22 +276,6 @@ def _float_power(q: float, e: float) -> float:
         return math.inf
 
 
-def _powers(values: list, e: float) -> list:
-    """value ** e one Python float at a time, as the one-candidate
-    formulas take the powers (``map`` runs the loop without bytecode)."""
-    return list(map(pow, values, repeat(e)))
-
-
-def _times_powers(factors: list, bases: list, e: float) -> np.ndarray:
-    """factor * base ** e per row in Python floats, one power at a time as
-    the one-candidate formulas take them; inf where a power overflows, as
-    in `_float_power`."""
-    try:
-        return np.fromiter(map(mul, factors, map(pow, bases, repeat(e))), float, len(factors))
-    except OverflowError:
-        return np.array([a * _float_power(b, e) for a, b in zip(factors, bases)])
-
-
 def _resum_eights(r, m, r_sums, m_sums, counts: np.ndarray, first: int) -> None:
     """Re-sum by numpy, CHUNK_ROWS rows at a time, the unions among the
     masks ``first, first + 1, ...`` whose atom count is a multiple of 8.
@@ -384,14 +366,14 @@ def _stops_witness(tree: FiltrationTree, row: np.ndarray) -> dict:
 
 def _stopping_blocks(tree: FiltrationTree, max_enum: int | None, numerators):
     """One block per chunk of the stopping-time table, the never-stopping
-    last row left out: ``numerators(chunk)[j] * P(tau_j finite) ** e``, in
-    Python floats as the one-stopping-time formula takes them."""
+    last row left out: ``numerators(chunk)[j] * P(tau_j finite) ** e``,
+    the power one `np.float_power` call per chunk (libm ``pow``, the bits
+    of Python's ``**`` on every CPU, inf where it overflows)."""
     taus = stopping_time_table(tree, max_enum)
     for rows in chunks(len(taus) - 1):
         t = taus[rows]
-        nums = numerators(t)
-        probs = prob_finite(tree, t).tolist()
-        yield (lambda e: _times_powers(nums, probs, e)), (lambda j: _stops_witness(tree, t[j]))
+        nums, probs = numerators(t), prob_finite(tree, t)
+        yield (lambda e: nums * np.float_power(probs, e)), (lambda j: _stops_witness(tree, t[j]))
 
 
 def _check_mode(mode: str, modes: tuple) -> None:
@@ -404,6 +386,9 @@ def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
     exponent: ``(integral) ** (1/p) * (mass) ** e`` per atom, union or
     stopping time (``omega-form``: ``(mean) ** (1/p) * (mass) ** e``).
     Whatever does not depend on the exponent is computed once per block.
+    The brute-force modes take each power as one `np.float_power` call
+    per chunk: libm ``pow``, whose bits do not depend on numpy's CPU
+    dispatch (its ``**`` does), and inf where a power overflows.
     """
     tree = f.tree
     e_int = 1.0 / p
@@ -411,7 +396,7 @@ def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
         final, before = f.level(f.depth), _before_table(f)
         yield from _stopping_blocks(
             tree, max_enum,
-            lambda t: _powers(_stopping_integrals(tree, final, before, t, p).tolist(), e_int),
+            lambda t: np.float_power(_stopping_integrals(tree, final, before, t, p), e_int),
         )
         return
     if mode == "subset-bruteforce":
@@ -430,8 +415,8 @@ def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
             for rows in chunks((1 << k) - 1):
                 first = rows.start + 1
                 r_sum, m_sum = _union_sums(r, m, table, first, rows.stop + 1)
-                r_pow, m_sum = _powers(r_sum.tolist(), e_int), m_sum.tolist()
-                yield (lambda e: _times_powers(r_pow, m_sum, e)), (
+                r_pow = np.float_power(r_sum, e_int)
+                yield (lambda e: r_pow * np.float_power(m_sum, e)), (
                     lambda j: {"kind": "level-set", "level": n,
                                "atoms": _mask_atoms(first + j, k)})
         else:

@@ -49,6 +49,9 @@ DEFAULT_MAX_ENUM = 10**6
 # Rows of a stopping-time table (or union masks) scored at once by the
 # brute-force oracles; bounds their float temporaries.
 CHUNK_ROWS = 1024
+# Cells of a float block that `prob_finite` gathers at once, and leaf cells
+# (draws x levels x leaves) per batch of the inequality's draws.
+CHUNK_CELLS = 1 << 16
 # The subset oracle tabulates the union sums of at most 2 ** UNION_TABLE_BITS
 # masks of a level at once (about 1 MB); wider levels run in pieces.
 UNION_TABLE_BITS = 16
@@ -229,15 +232,24 @@ def chunks(rows: int) -> Iterator[slice]:
 def prob_finite(tree: FiltrationTree, taus: np.ndarray) -> np.ndarray:
     """P(tau finite) per table row.
 
-    Stop-atom masses are added one atom at a time in (level, index) order,
-    the order ``StoppingTime.prob_finite`` sums them in, so both agree
-    bitwise.
+    Each row's stop-atom masses, 0.0 where the row does not stop, are
+    gathered in blocks of about CHUNK_CELLS cells, one block row per atom
+    in (level, index) order, and added to the running total one atom at a
+    time: the order ``StoppingTime.prob_finite`` sums them in, so both
+    agree bitwise (a numpy sum along the atoms adds pairwise from 8 terms
+    on).
     """
+    levels = range(tree.depth + 1)
+    masses = [tree.masses(n) for n in levels]
+    level = np.repeat(levels, list(map(len, masses)))
+    start = np.concatenate([tree.leaf_starts(n) for n in levels])
+    mass = np.concatenate(masses)
     total = np.zeros(len(taus))
-    for n in range(tree.depth + 1):
-        starts = tree.leaf_starts(n)
-        for i, m in enumerate(tree.masses(n).tolist()):
-            total += np.where(taus[:, starts[i]] == n, m, 0.0)
+    width = max(1, CHUNK_CELLS // max(1, len(taus)))
+    for lo in range(0, len(mass), width):
+        cols = slice(lo, lo + width)
+        for stopped in np.multiply(taus[:, start[cols]].T == level[cols, None], mass[cols, None]):
+            total += stopped
     return total
 
 

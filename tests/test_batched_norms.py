@@ -33,6 +33,7 @@ from bmolab import (
     check_characterization,
     check_lemma_stopping_form,
     check_operators,
+    converse_extraction,
     from_martingale,
     martingale_from_final,
     process_bmo_alpha_norm,
@@ -235,6 +236,14 @@ def test_stopping_bruteforce_measure_norm_is_inf_where_the_power_overflows():
         assert brute.value == math.inf
         assert brute.value == carleson_alpha_norm(mu, 0.25, "node-fast").value
         assert carleson_ratio_at(mu, 0.25, brute.witness["stops"]) == math.inf
+
+
+def test_converse_is_quiet_where_a_power_overflows():
+    # No errstate: the test configuration turns any RuntimeWarning into an
+    # error.  The 1e-300 stop atom's power overflows, so its ratio is inf.
+    got = converse_extraction(from_martingale(_tiny_atom_martingale()), 0.25, 1.0, 2.0)
+    assert got["max_ratio"] == math.inf
+    assert got["identity_exact"] is True
 
 
 def test_replays_overflow_without_a_warning():
