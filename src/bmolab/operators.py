@@ -44,13 +44,24 @@ def transform(f: Martingale, v: PredictableSequence) -> Martingale:
     """
     if f.tree != v.tree:
         raise ValueError("martingale and multiplier sequence live on different trees")
+    return Martingale(f.tree, _transform_levels(f, v))
+
+
+def _transform_levels(f: Martingale, v: PredictableSequence):
+    """The transform's levels, yielded one at a time as `_lift_levels`
+    yields the lift's, each made in place from the increment (as in
+    `differences`).  An increment that overflows leaves its level
+    non-finite, which the constructor refuses."""
     tree = f.tree
-    d = differences(f)
-    levels = [_per_row(v.values_on_level(0), d.level(0)) * d.level(0)]
+    level = _per_row(v.values_on_level(0), f.level(0)) * f.level(0)
+    yield level
     for k in range(1, tree.depth + 1):
-        lifted = levels[k - 1][tree.parents(k)]
-        levels.append(lifted + _per_row(v.values_on_level(k), d.level(k)) * d.level(k))
-    return Martingale(tree, levels)
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = f.level(k) - f.level(k - 1)[tree.parents(k)]
+            step *= _per_row(v.values_on_level(k), step)
+            step += level[tree.parents(k)]
+        level = step
+        yield level
 
 
 def l2_lift(f: Martingale) -> Martingale:

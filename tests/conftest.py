@@ -8,14 +8,15 @@ import bmolab
 from bmolab import RandomVariable, build_dyadic, martingale_from_final
 
 
-def run_python(*argv, cwd=None):
+def run_python(*argv, cwd=None, env=None):
     """``python argv...`` as its own process against the package under
     test, so stderr holds any traceback or warning.  As in the test run, a
-    RuntimeWarning is an error there."""
+    RuntimeWarning is an error there.  ``env`` adds environment variables."""
     env = {
         **os.environ,
         "PYTHONPATH": os.path.dirname(os.path.dirname(bmolab.__file__)),
         "PYTHONWARNINGS": "error::RuntimeWarning",
+        **(env or {}),
     }
     return subprocess.run(
         [sys.executable, *argv], cwd=cwd, capture_output=True, text=True, env=env

@@ -141,6 +141,22 @@ def test_an_integer_past_numpys_range_is_refused_with_its_rule(name):
         assert seconds < 0.1
 
 
+def test_an_integer_too_long_to_print_is_refused_by_its_sign_and_digits():
+    # Python's int repr refuses more than 4,300 digits by default
+    message, seconds = _refusal(INTEGER["build_random max_branch"][0], 10**5000)
+    assert message == (
+        f"max_branch must be a positive integer of at most {2**63 - 1}, "
+        "got a positive integer of 5001 digits"
+    )
+    assert seconds < 0.1
+
+
+def test_a_negative_integer_too_long_to_print_is_refused_by_its_sign_and_digits():
+    message, seconds = _refusal(INTEGER["build_random depth"][0], -10**5000)
+    assert message == "depth must be a nonnegative integer, got a negative integer of 5001 digits"
+    assert seconds < 0.1
+
+
 def test_a_nan_slack_is_refused():
     message, _ = _refusal(REAL["carleson_inequality_check slack"][0], math.nan)
     assert message == "slack must be a number, got nan"

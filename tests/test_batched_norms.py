@@ -8,6 +8,7 @@ reference (the package's own one-alpha functions run the batched code,
 so they cannot be the reference).
 """
 
+import hashlib
 import json
 import math
 import re
@@ -46,7 +47,7 @@ from bmolab import stopping, verify
 from bmolab.cli import main
 from bmolab.norms import _float_power
 from bmolab.verify import _rel
-from conftest import run_process
+from conftest import run_process, run_python
 
 import oracles
 
@@ -270,6 +271,82 @@ def test_carleson_norm_cli_survives_an_overflowing_power(tmp_path):
         assert "Traceback" not in out.stderr
         values[mode] = json.loads(out.stdout)["value"]
     assert values["stopping-bruteforce"] == values["node-fast"] == math.inf
+
+
+# == the brute force's power is libm pow on every CPU ========================
+
+# The exponents the brute force raises to: mass powers -1/p - alpha and
+# -(1 + 2 alpha), and the integral powers 1/p.
+POWER_EXPONENTS = (-1.4, -0.75, 0.5, 1.0 / 3.0)
+# numpy's AVX-512 dispatch targets; its array power ``**`` takes their
+# kernel where the CPU has one, and libm pow elsewhere.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+# 20,000 seeded positive floats over the whole float range, subnormals
+# included, each exactly a uniform draw in [0.5, 1) times a power of two.
+BASES = """
+import numpy as np
+rng = np.random.default_rng(18)
+bases = np.ldexp(rng.uniform(0.5, 1.0, 20_000), rng.integers(-1070, 1020, 20_000))
+"""
+
+
+def _bases() -> np.ndarray:
+    scope = {}
+    exec(BASES, scope)
+    return scope["bases"]
+
+
+def _python_powers(bases: np.ndarray, e: float) -> np.ndarray:
+    """``x ** e`` per base in Python floats, inf where Python raises an
+    overflow."""
+    out = []
+    for x in bases.tolist():
+        try:
+            out.append(x**e)
+        except OverflowError:
+            out.append(math.inf)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("e", POWER_EXPONENTS)
+def test_float_power_is_pythons_power_bitwise(e):
+    bases = _bases()
+    want = _python_powers(bases, e)
+    with np.errstate(over="ignore"):
+        assert np.float_power(bases, e).tobytes() == want.tobytes()
+    if e == -1.4:  # 2 ** -1071 to this power overflows
+        assert np.isinf(want).sum() > 1000
+
+
+def _avx512_targets() -> list:
+    """The AVX-512 targets numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x keeps them elsewhere
+        return []
+    return [t for t in AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+
+
+def test_float_power_has_the_same_bits_without_avx512():
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX-512 kernel here, so none can be switched off")
+    code = BASES + f"""
+import hashlib
+from numpy._core._multiarray_umath import __cpu_features__
+print(any(__cpu_features__[t] for t in {targets!r}))
+with np.errstate(over="ignore"):
+    for e in {POWER_EXPONENTS!r}:
+        print(hashlib.sha256(np.float_power(bases, e).tobytes()).hexdigest())
+"""
+    proc = run_python("-c", code, env={"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    assert proc.returncode == 0, proc.stderr
+    switched_on, *digests = proc.stdout.split()
+    assert switched_on == "False"
+    bases = _bases()
+    assert digests == [
+        hashlib.sha256(_python_powers(bases, e).tobytes()).hexdigest() for e in POWER_EXPONENTS
+    ]
 
 
 # == a NaN candidate never hides a level's maximum ===========================

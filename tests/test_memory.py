@@ -9,6 +9,7 @@ import pytest
 
 from bmolab import (
     FiltrationTree,
+    PredictableSequence,
     bmo_alpha_norm,
     build_dyadic,
     carleson_alpha_norm,
@@ -16,6 +17,7 @@ from bmolab import (
     from_martingale,
     l2_lift,
     random_martingale,
+    transform,
 )
 
 
@@ -57,6 +59,21 @@ def test_the_lift_peaks_at_its_output_and_one_levels_check():
     widest = lift.levels[-1].nbytes
     assert added >= output
     assert peak <= output + 2.25 * widest
+
+
+def test_the_transform_peaks_at_its_output_and_one_levels_check():
+    """The transform's levels are made in place and frozen as they are
+    made, so, as for the lift, the peak is the output plus the martingale
+    check's arrays on its widest level: the weighted level, its child sums
+    and the weighted parents, about 2.25 times that level's size."""
+    tree = build_dyadic(14)
+    f = random_martingale(tree, 1)
+    ones = [np.ones(tree.atom_count(k - 1)) for k in range(1, tree.depth + 1)]
+    v = PredictableSequence(tree, [1.0, *ones])
+    tf, added, peak = _traced(lambda: transform(f, v))
+    output = sum(level.nbytes for level in tf.levels)
+    assert added >= output
+    assert peak <= output + 2.5 * tf.levels[-1].nbytes
 
 
 @pytest.mark.parametrize("depth", [12, 14])
