@@ -319,10 +319,11 @@ def test_float_power_is_pythons_power_bitwise(e):
 
 
 def _avx512_targets() -> list:
-    """The AVX-512 targets numpy dispatches to on this CPU."""
+    """The AVX-512 targets numpy dispatches to on this CPU, none where
+    numpy keeps its dispatch tables elsewhere (numpy 1.x)."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:  # numpy 1.x keeps them elsewhere
+    except ImportError:
         return []
     return [t for t in AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
 
@@ -330,7 +331,7 @@ def _avx512_targets() -> list:
 def test_float_power_has_the_same_bits_without_avx512():
     targets = _avx512_targets()
     if not targets:
-        pytest.skip("numpy dispatches to no AVX-512 kernel here, so none can be switched off")
+        pytest.skip("numpy 2 dispatches to no AVX-512 kernel here, so none can be switched off")
     code = BASES + f"""
 import hashlib
 from numpy._core._multiarray_umath import __cpu_features__
