@@ -29,9 +29,7 @@ from .norms import (
     bmo_alpha_norm,
     bmo_alpha_norms,
     bmo_ratio_at,
-    layer_cake,
     lp_norm,
-    power_integral,
     process_bmo_alpha_norm,
     replay_bmo_witness,
     weak_lq_norm,
@@ -99,11 +97,9 @@ __all__ = [
     "from_martingale",
     "indicator_process",
     "l2_lift",
-    "layer_cake",
     "lp_norm",
     "martingale_from_final",
     "maximal",
-    "power_integral",
     "process_bmo_alpha_norm",
     "random_adapted_process",
     "random_martingale",

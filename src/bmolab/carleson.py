@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,12 +167,20 @@ def _node_norms(tree: FiltrationTree, weighted: np.ndarray, alphas: list) -> lis
     over levels, summed over the node's leaves) times its mass ** -(1 + 2
     alpha).  The norm is the first strict maximum over every level's nodes
     in turn; a measure with a NaN score takes `_ArgMax`'s rule.
+
+    The suffix sums are one running (leaves, measures) row, levels
+    descending.  It starts as a copy of the deepest level, not as zeros
+    plus it, so a -0.0 density keeps its sign.
     """
     if not alphas:
         return []
-    suffix = np.cumsum(weighted[::-1], axis=0)[::-1]
     levels = range(tree.depth + 1)
-    tents = np.concatenate([tree.atom_sums(suffix[n].T, n) for n in levels])
+    row = weighted[-1].T.copy()
+    tents = [tree.atom_sums(row, tree.depth)]
+    for n in reversed(levels[:-1]):
+        row += weighted[n].T
+        tents.append(tree.atom_sums(row, n))
+    tents = np.concatenate(tents[::-1])
     masses = [tree.masses(n) for n in levels]
     start = np.cumsum([0, *map(len, masses)])  # each level's first node
     column = np.concatenate(masses)[:, None]
@@ -275,23 +282,6 @@ class CarlesonInequalityResult:
     maximal_weak_norm: float
 
 
-class _Columns(NamedTuple):
-    """One (p, alpha) entry of a batch: a list with one entry per draw in
-    every field but ``constant``; ``carleson_node`` is the (level, index)
-    of the node attaining ``carleson_norm``."""
-
-    lhs: list
-    lhs_layer_cake: list
-    rhs: list
-    holds: list
-    constant: float
-    carleson_norm: list
-    carleson_node: list
-    maximal_strong_norm: list
-    maximal_tail_term: list
-    maximal_weak_norm: list
-
-
 def _check_grid(ps, alphas, slack) -> tuple[list[float], list[float], float]:
     """Read every p, then every alpha, then the slack, each as a float."""
     ps = list(map(_check_p, ps))
@@ -304,13 +294,14 @@ def _check_grid(ps, alphas, slack) -> tuple[list[float], list[float], float]:
     return ps, checked, _real_arg(slack, "slack must be a number", lambda v: v == v)
 
 
-def _inequality_columns(
+def _inequality_grids(
     tree: FiltrationTree, mods: np.ndarray, weighted: np.ndarray, ps, alphas: list, slack: float
-) -> list[list[_Columns]]:
+) -> list[list[list[CarlesonInequalityResult]]]:
     """Both sides of the inequality for a batch of draws on ``tree``: the
     leaf moduli of each process and the weighted densities of each
-    measure, stacked as (levels, draws, leaves).  Entry [i][j] holds the
-    draws' columns at ps[i] and alphas[j] (already checked).
+    measure, stacked as (levels, draws, leaves).  Per draw, its grid:
+    entry [i][j] is the check at ps[i] and alphas[j] (already checked),
+    and the results in one column share their measure-norm result.
 
     Each factor is computed once for the arguments it depends on: the
     maximal function once, the measure norm and the norms of Mg at
@@ -324,43 +315,45 @@ def _inequality_columns(
     per_alpha = []
     for alpha, (values, nodes) in zip(alphas, _node_norms(tree, weighted, alphas)):
         q = 1.0 / (2.0 * alpha)
-        per_alpha.append((values, nodes, _lp_rows(mg, w, q), _weak_rows(mg_tails, q)))
+        norms = [NormResult(v, _node_witness(n), "node-fast") for v, n in zip(values, nodes)]
+        per_alpha.append((alpha, values, norms, _lp_rows(mg, w, q), _weak_rows(mg_tails, q)))
 
     draws = mods.shape[1]
     cells = _tails(*(a.transpose(1, 0, 2).reshape(draws, -1) for a in (mods, weighted)))
-    grid = []
+    grids = [[] for _ in range(draws)]
     for p in ps:
         with np.errstate(over="ignore"):  # a power that overflows is inf
             lhs = _left_side(mods, weighted, p)
             lhs_layer = _layer_cake_rows(cells, p)
         tail_term = [_float_power(x, p - 1.0) for x in _lp_rows(mg, w, p - 1.0)]
         constant = p / (p - 1.0)
-        row = []
-        for values, nodes, strong, weak in per_alpha:
+        rows = [[] for _ in range(draws)]
+        for alpha, values, norms, strong, weak in per_alpha:
             # the Python floats' product, left to right, one draw per element
             with np.errstate(over="ignore", invalid="ignore"):
                 rhs = constant * np.array(values) * np.array(strong) * np.array(tail_term)
-            row.append(_Columns(
-                lhs.tolist(), lhs_layer, rhs.tolist(), (lhs <= rhs + slack).tolist(), constant,
-                values, nodes, strong, tail_term, weak,
-            ))
-        grid.append(row)
-    return grid
+            holds = (lhs <= rhs + slack).tolist()
+            for t, row in enumerate(rows):
+                row.append(CarlesonInequalityResult(
+                    lhs.item(t), lhs_layer[t], rhs.item(t), holds[t], p, alpha, constant,
+                    norms[t], strong[t], tail_term[t], weak[t],
+                ))
+        for grid, row in zip(grids, rows):
+            grid.append(row)
+    return grids
 
 
 def _inequality_batches(tree: FiltrationTree, draws, ps, alphas: list, slack: float):
-    """`_inequality_columns` over the (process, measure) pairs of ``draws``,
+    """`_inequality_grids` over the (process, measure) pairs of ``draws``,
     all on ``tree``, as few batches of at most CHUNK_CELLS leaf cells as
-    allowed: yields, per pair in order, its batch's columns and its
-    position in them.  The arguments are checked by the caller."""
+    allowed: yields each pair's grid in order.  The arguments are checked
+    by the caller."""
     size = max(1, CHUNK_CELLS // ((tree.depth + 1) * tree.num_leaves))
     draws = iter(draws)
     while batch := list(itertools.islice(draws, size)):
         mods = np.stack([_leaf_moduli(g) for g, _ in batch], axis=1)
         weighted = np.stack([mu.weighted for _, mu in batch], axis=1)
-        columns = _inequality_columns(tree, mods, weighted, ps, alphas, slack)
-        for t in range(len(batch)):
-            yield columns, t
+        yield from _inequality_grids(tree, mods, weighted, ps, alphas, slack)
 
 
 def carleson_inequality_grid(
@@ -369,23 +362,14 @@ def carleson_inequality_grid(
     """Evaluate both sides of the inequality for one process and measure at
     every (p, alpha): entry [i][j] is the check at ps[i] and alphas[j].
 
-    This is a batch of one draw (see `_inequality_columns`): each factor
+    This is a batch of one draw (see `_inequality_grids`): each factor
     is computed once for the arguments it depends on, and the results in
     one column share their measure-norm result.
     """
     ps, alphas, slack = _check_grid(ps, alphas, slack)
     if g.tree != mu.tree:
         raise ValueError("process and measure live on different trees")
-    columns, _ = next(_inequality_batches(g.tree, [(g, mu)], ps, alphas, slack))
-    norms = [NormResult(c.carleson_norm[0], _node_witness(c.carleson_node[0]), "node-fast")
-             for c in columns[0]] if columns else []
-    return [[
-        CarlesonInequalityResult(
-            c.lhs[0], c.lhs_layer_cake[0], c.rhs[0], c.holds[0], p, alpha, c.constant,
-            norm, c.maximal_strong_norm[0], c.maximal_tail_term[0], c.maximal_weak_norm[0],
-        )
-        for alpha, norm, c in zip(alphas, norms, row)
-    ] for p, row in zip(ps, columns)]
+    return next(_inequality_batches(g.tree, [(g, mu)], ps, alphas, slack))
 
 
 def carleson_inequality_check(
@@ -428,10 +412,11 @@ def converse_extraction(
 
     tree = mu.tree
     taus = stopping_time_table(tree, max_enum)
+    probs = prob_finite(tree, taus[:-1])  # the last row never stops
     best = _ArgMax()
     first_violation: dict | None = None
     identity_exact = maximal_identity = True
-    for rows in chunks(len(taus) - 1):  # the last row never stops
+    for rows in chunks(len(taus) - 1):
         t = taus[rows]
         lhs, running = _indicator_sides(t, mu, p)
         tent = mu.tent_masses(t)
@@ -439,7 +424,7 @@ def converse_extraction(
         chi = np.where(t <= tree.depth, 1.0, 0.0)
         maximal_identity = maximal_identity and np.array_equal(running, chi)
         with np.errstate(over="ignore", invalid="ignore"):  # as in `_argmaxes`
-            ratios = tent * np.float_power(prob_finite(tree, t), expo)
+            ratios = tent * np.float_power(probs[rows], expo)
         best.offer_all(ratios, lambda j: _stops_witness(tree, t[j]))
         over = np.flatnonzero(ratios > c_p + slack)
         if first_violation is None and over.size:

@@ -53,8 +53,6 @@ __all__ = [
     "NormResult",
     "lp_norm",
     "weak_lq_norm",
-    "layer_cake",
-    "power_integral",
     "bmo_alpha_norm",
     "bmo_alpha_norms",
     "process_bmo_alpha_norm",
@@ -170,35 +168,6 @@ def _layer_cake_rows(tails: tuple, p: float) -> list[float]:
         steps[np.isnan(steps)] = np.inf
         sums[sel] = np.sum(steps * weights[sel][keep].reshape(len(sel), c), axis=1)
     return sums.tolist()
-
-
-def _layer_cake_arrays(mod: np.ndarray, weights: np.ndarray, p: float) -> float:
-    return _layer_cake_rows(_tails(mod[None], weights), p)[0]
-
-
-def _check_finite_p(p: object) -> float:
-    p = _real_arg(p, "p must be positive", lambda v: v > 0)
-    if p == math.inf:
-        raise ValueError(f"p must be finite, got {p}")
-    return p
-
-
-def layer_cake(X: RandomVariable, p: float) -> float:
-    """p * integral over lam of lam^(p-1) * P(|X| > lam), evaluated in
-    closed form between consecutive distinct values of |X|.
-
-    Equals the direct sum of |X|^p against P (`power_integral`) for every
-    finite p > 0.  The inequality suite checks its own left side against
-    the same closed form, row by row (`_layer_cake_rows`).
-    """
-    p = _check_finite_p(p)
-    return _layer_cake_arrays(_modulus(X.values), X.tree.leaf_masses, p)
-
-
-def power_integral(X: RandomVariable, p: float) -> float:
-    """Direct sum form of the same integral: sum of |X|^p * mass."""
-    p = _check_finite_p(p)
-    return float(np.sum(_modulus(X.values) ** p * X.tree.leaf_masses))
 
 
 # == oscillation norm ========================================================
@@ -368,12 +337,15 @@ def _stopping_blocks(tree: FiltrationTree, max_enum: int | None, numerators):
     """One block per chunk of the stopping-time table, the never-stopping
     last row left out: ``numerators(chunk)[j] * P(tau_j finite) ** e``,
     the power one `np.float_power` call per chunk (libm ``pow``, the bits
-    of Python's ``**`` on every CPU, inf where it overflows)."""
+    of Python's ``**`` on every CPU, inf where it overflows).  P(tau
+    finite) is computed once for the table: each row sums only its own
+    atoms, so a chunk's slice has the bits of a call on the chunk."""
     taus = stopping_time_table(tree, max_enum)
+    probs = prob_finite(tree, taus[:-1])
     for rows in chunks(len(taus) - 1):
-        t = taus[rows]
-        nums, probs = numerators(t), prob_finite(tree, t)
-        yield (lambda e: nums * np.float_power(probs, e)), (lambda j: _stops_witness(tree, t[j]))
+        t, p = taus[rows], probs[rows]
+        nums = numerators(t)
+        yield (lambda e: nums * np.float_power(p, e)), (lambda j: _stops_witness(tree, t[j]))
 
 
 def _check_mode(mode: str, modes: tuple) -> None:

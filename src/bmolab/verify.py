@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import inspect
+import itertools
 import sys
 import time
 from contextlib import nullcontext
@@ -337,9 +338,9 @@ def check_lemma_stopping_form(
 
 def _inequality_grid(tree, trial_seeds, ps, alphas, slack=1e-9):
     """The inequality grid on one random adapted process and measure per
-    trial seed, all on ``tree`` and evaluated in batches: yields, per seed
-    in order, its batch's columns (`carleson._inequality_columns`) and
-    its position in them.  Every p, every alpha and the slack are read first."""
+    trial seed, all on ``tree`` and evaluated in batches: yields each
+    seed's grid in order (`carleson._inequality_grids`).  Every p, every
+    alpha and the slack are read first."""
     ps, alphas, slack = _check_grid(ps, alphas, slack)
 
     def draw(trial_seed):
@@ -373,29 +374,27 @@ def check_carleson_inequality(
                          f"trials run on dyadic depth 2 ({count} stopping times)")
     seeds = _trial_seeds(seed, trials)
     batches = _inequality_grid(build_dyadic(depth), seeds, ps, alphas, slack)
-    for trial, (ts, (grid, t)) in enumerate(zip(seeds, batches)):
-        for p, row in zip(ps, grid):
-            for alpha, c in zip(alphas, row):
-                lhs, layer = c.lhs[t], c.lhs_layer_cake[t]
-                layer_residual = _rel(lhs, layer)
-                ok = c.holds[t] and layer_residual <= layer_tol
-                yield {
-                    "kind": "inequality",
-                    "trial": trial,
-                    "seed": ts,
-                    "depth": depth,
-                    "alpha": alpha,
-                    "p": p,
-                    "lhs": lhs,
-                    "rhs": c.rhs[t],
-                    "lhs_layer_cake": layer,
-                    "residual": layer_residual,
-                    "carleson_norm": c.carleson_norm[t],
-                    "maximal_strong_norm": c.maximal_strong_norm[t],
-                    "maximal_weak_norm": c.maximal_weak_norm[t],
-                    "verdict": "pass" if ok else "fail",
-                }
-    grid = [(p, alpha) for p in ps for alpha in alphas]
+    for trial, (ts, grid) in enumerate(zip(seeds, batches)):
+        for r in itertools.chain.from_iterable(grid):
+            layer_residual = _rel(r.lhs, r.lhs_layer_cake)
+            ok = r.holds and layer_residual <= layer_tol
+            yield {
+                "kind": "inequality",
+                "trial": trial,
+                "seed": ts,
+                "depth": depth,
+                "alpha": r.alpha,
+                "p": r.p,
+                "lhs": r.lhs,
+                "rhs": r.rhs,
+                "lhs_layer_cake": r.lhs_layer_cake,
+                "residual": layer_residual,
+                "carleson_norm": r.carleson_norm.value,
+                "maximal_strong_norm": r.maximal_strong_norm,
+                "maximal_weak_norm": r.maximal_weak_norm,
+                "verdict": "pass" if ok else "fail",
+            }
+    grid = list(itertools.product(*_check_grid(ps, alphas, slack)[:2]))
     for j, ts in enumerate(_trial_seeds(seed + 1, converse_trials)):
         sub = _trial_seeds(ts, 2)
         if j % 2 == 0:
@@ -556,11 +555,9 @@ def campaign(alphas, depths, trials: int, seed: int = 0, ps=None, max_branch: in
         batches = _inequality_grid(build_dyadic(depth), seeds, ps, alphas) if inequality else None
         for trial, ts in enumerate(seeds):
             if inequality:
-                grid, t = next(batches)
                 cells = [
-                    (alpha, p, c.lhs[t], c.rhs[t], max(0.0, c.lhs[t] - c.rhs[t]), c.holds[t])
-                    for alpha, column in zip(alphas, zip(*grid))
-                    for p, c in zip(ps, column)
+                    (r.alpha, r.p, r.lhs, r.rhs, max(0.0, r.lhs - r.rhs), r.holds)
+                    for column in zip(*next(batches)) for r in column
                 ]
             else:
                 sub = _trial_seeds(ts, 2)

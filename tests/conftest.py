@@ -23,6 +23,23 @@ def run_python(*argv, cwd=None, env=None):
     )
 
 
+# numpy's AVX-512 dispatch targets; its array power ``**`` takes their
+# kernel where the CPU has one, and libm pow elsewhere.
+AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def avx512_targets() -> list:
+    """The AVX-512 targets numpy dispatches to on this CPU, none where
+    numpy keeps its dispatch tables elsewhere (numpy 1.x).  Listed in
+    ``NPY_DISABLE_CPU_FEATURES``, they make a child process take the
+    dispatch path of a CPU without AVX-512."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:
+        return []
+    return [t for t in AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
+
+
 def run_process(*argv):
     """The command line as its own process (see `run_python`)."""
     return run_python("-m", "bmolab.cli", *argv)

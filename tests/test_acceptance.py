@@ -26,6 +26,7 @@ from bmolab import (
     random_martingale,
     random_measure,
 )
+from conftest import avx512_targets, run_python
 
 
 def _verdict(num: int, ok: bool, text: str) -> None:
@@ -313,6 +314,36 @@ def test_comparison_reports_keep_their_bytes(
         "lemma-stopping-form": "c8a935a82b29be0b",
         "carleson-inequality": "70601887d487fa1e",
         "operators": "bccf0fc2031001de",
+    }
+
+
+def test_comparison_reports_keep_their_bytes_without_avx512():
+    """The same four reports in a child process that takes numpy's
+    dispatch path for a CPU without AVX-512.  There numpy's array power
+    is libm ``pow``, which moves some fast-path values by a few ulps, so
+    these prefixes are not the native ones above."""
+    targets = avx512_targets()
+    if not targets:
+        pytest.skip("numpy 2 dispatches to no AVX-512 kernel here, so none can be switched off")
+    code = f"""
+import hashlib
+from numpy._core._multiarray_umath import __cpu_features__
+import bmolab
+print(any(__cpu_features__[t] for t in {targets!r}))
+for suite in (bmolab.check_characterization, bmolab.check_lemma_stopping_form,
+              bmolab.check_carleson_inequality, bmolab.check_operators):
+    r = suite()
+    print(r.suite, hashlib.sha256(r.to_json(comparison=True).encode()).hexdigest()[:16])
+"""
+    proc = run_python("-c", code, env={"NPY_DISABLE_CPU_FEATURES": " ".join(targets)})
+    assert proc.returncode == 0, proc.stderr
+    switched_on, *lines = proc.stdout.splitlines()
+    assert switched_on == "False"
+    assert dict(line.split() for line in lines) == {
+        "characterization": "70a66d89b37c2776",
+        "lemma-stopping-form": "718b6dc2dca20ace",
+        "carleson-inequality": "14d6c2792a42dbd8",
+        "operators": "64b8a7aa767c93f7",
     }
 
 

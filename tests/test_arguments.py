@@ -22,13 +22,12 @@ from bmolab import (
     carleson_alpha_norm,
     carleson_inequality_check,
     carleson_inequality_grid,
+    carleson_ratio_at,
     check_carleson_inequality,
     check_operators,
     converse_extraction,
     first_passage,
-    layer_cake,
     lp_norm,
-    power_integral,
     random_adapted_process,
     random_martingale,
     random_measure,
@@ -52,9 +51,9 @@ REAL = {
     "carleson_inequality_check p": (lambda x: carleson_inequality_check(G, MU, x, 0.25), "p must exceed 1", 1.5, 3),
     "lp_norm p": (lambda x: lp_norm(X, x), "p must be positive", 2.5, 3),
     "weak_lq_norm q": (lambda x: weak_lq_norm(X, x), "q must be positive", 1.5, 2),
-    "layer_cake p": (lambda x: layer_cake(X, x), "p must be positive", 2.5, 3),
-    "power_integral p": (lambda x: power_integral(X, x), "p must be positive", 2.5, 3),
     "converse_extraction c_p": (lambda x: converse_extraction(MU, 0.25, x, 2.0), "c_p must be a number", 1.5, 2),
+    "converse_extraction p": (lambda x: converse_extraction(MU, 0.25, 1.0, x), "p must exceed 1", 1.5, 2),
+    "carleson_ratio_at alpha": (lambda x: carleson_ratio_at(MU, x, [[1, 0]]), "alpha must lie in [0, 1)", 0.25, 0),
     "first_passage lam": (lambda x: first_passage(F, x), "lam must be a number", 0.5, 1),
     "carleson_inequality_check slack": (
         lambda x: carleson_inequality_check(G, MU, 2.0, 0.25, x), "slack must be a number", 0.5, 1),
@@ -106,7 +105,7 @@ def test_an_integer_past_the_float_range_reads_as_inf():
         call, rule = REAL[name][:2]
         assert _refusal(call, big)[0] == f"{rule}, got inf"
         assert _refusal(call, -big)[0] == f"{rule}, got -inf"
-    for name in ("carleson_inequality_check p", "layer_cake p", "power_integral p"):
+    for name in ("carleson_inequality_check p", "converse_extraction p"):
         assert _refusal(REAL[name][0], big)[0] == "p must be finite, got inf"
     assert lp_norm(X, big) == lp_norm(X, math.inf) == float(np.max(np.abs(X.values)))
     assert weak_lq_norm(X, big) == weak_lq_norm(X, math.inf) == lp_norm(X, math.inf)

@@ -47,7 +47,7 @@ from bmolab import stopping, verify
 from bmolab.cli import main
 from bmolab.norms import _float_power
 from bmolab.verify import _rel
-from conftest import run_process, run_python
+from conftest import avx512_targets, run_process, run_python
 
 import oracles
 
@@ -278,9 +278,6 @@ def test_carleson_norm_cli_survives_an_overflowing_power(tmp_path):
 # The exponents the brute force raises to: mass powers -1/p - alpha and
 # -(1 + 2 alpha), and the integral powers 1/p.
 POWER_EXPONENTS = (-1.4, -0.75, 0.5, 1.0 / 3.0)
-# numpy's AVX-512 dispatch targets; its array power ``**`` takes their
-# kernel where the CPU has one, and libm pow elsewhere.
-AVX512_TARGETS = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 # 20,000 seeded positive floats over the whole float range, subnormals
 # included, each exactly a uniform draw in [0.5, 1) times a power of two.
 BASES = """
@@ -318,18 +315,8 @@ def test_float_power_is_pythons_power_bitwise(e):
         assert np.isinf(want).sum() > 1000
 
 
-def _avx512_targets() -> list:
-    """The AVX-512 targets numpy dispatches to on this CPU, none where
-    numpy keeps its dispatch tables elsewhere (numpy 1.x)."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    except ImportError:
-        return []
-    return [t for t in AVX512_TARGETS if t in __cpu_dispatch__ and __cpu_features__.get(t)]
-
-
 def test_float_power_has_the_same_bits_without_avx512():
-    targets = _avx512_targets()
+    targets = avx512_targets()
     if not targets:
         pytest.skip("numpy 2 dispatches to no AVX-512 kernel here, so none can be switched off")
     code = BASES + f"""

@@ -26,7 +26,7 @@ from bmolab import (
     random_measure,
     stopped_before,
 )
-from bmolab import stopping
+from bmolab import carleson, norms, stopping
 from bmolab.carleson import _indicator_sides
 from bmolab.norms import (
     _ArgMax,
@@ -311,6 +311,33 @@ def test_first_violation_beyond_the_first_chunk(chunk_rows):
     got = converse_extraction(mu, alpha, c_p, p)
     assert got["first_violation"] == want["first_violation"]
     assert not got["norm_bound_satisfied"]
+
+
+def test_each_oracle_computes_p_tau_finite_once_per_table(monkeypatch):
+    """The oracles slice one P(tau finite) column per table, not one per
+    chunk of CHUNK_ROWS rows (each row sums its own atoms, so the bits do
+    not depend on the rows beside it)."""
+    tree = build_random(3, 3, 3)
+    rows = count_stopping_times(tree) - 1  # the never-stopping row is not scored
+    assert rows > stopping.CHUNK_ROWS
+    calls = []
+
+    def counted(tree, taus):
+        calls.append(len(taus))
+        return stopping.prob_finite(tree, taus)
+
+    monkeypatch.setattr(norms, "prob_finite", counted)
+    monkeypatch.setattr(carleson, "prob_finite", counted)
+    f, mu = _martingale(tree, 1), _measure(tree)
+    scans = {
+        "oscillation stopping-bruteforce": lambda: bmo_alpha_norm(f, 0.25, "stopping-bruteforce"),
+        "measure stopping-bruteforce": lambda: carleson_alpha_norm(mu, 0.25, "stopping-bruteforce"),
+        "converse_extraction": lambda: converse_extraction(mu, 0.25, 1.0, 2.0),
+    }
+    for name, call in scans.items():
+        calls.clear()
+        call()
+        assert calls == [rows], name
 
 
 # == every row's score, not only the winner's ================================

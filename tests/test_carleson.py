@@ -43,7 +43,6 @@ from bmolab import (
 )
 from bmolab import carleson, operators, stopping
 from bmolab.carleson import CARLESON_MODES
-from bmolab.norms import _layer_cake_arrays
 from bmolab.process import _modulus
 
 import oracles
@@ -234,9 +233,9 @@ def test_layer_cake_is_inf_where_two_moduli_overflow_their_power():
     g = random_adapted_process(tree, 2, 1)
     mods = np.stack([carleson._leaf_moduli(h) for h in (huge, g)], axis=1)
     weighted = np.stack([mu.weighted] * 2, axis=1)
-    [[both]] = carleson._inequality_columns(tree, mods, weighted, [3.0], [0.25], 1e-9)
+    [[first]], [[second]] = carleson._inequality_grids(tree, mods, weighted, [3.0], [0.25], 1e-9)
     alone = carleson_inequality_check(g, mu, 3.0, 0.25).lhs_layer_cake
-    assert both.lhs_layer_cake == [math.inf, alone]
+    assert (first.lhs_layer_cake, second.lhs_layer_cake) == (math.inf, alone)
     assert math.isfinite(alone)
 
 
@@ -309,7 +308,7 @@ def _inequality_reference(g, mu, p, alpha, slack=1e-9):
     rhs = constant * norm.value * strong * tail
     return {
         "lhs": lhs,
-        "lhs_layer_cake": _layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p),
+        "lhs_layer_cake": oracles._layer_cake_arrays(mods.ravel(), mu.weighted.ravel(), p),
         "rhs": rhs,
         "holds": bool(lhs <= rhs + slack),
         "p": float(p),
@@ -402,41 +401,17 @@ def _same(a, b) -> bool:
     return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
 
 
-def _batch_rows(tree, draws, ps, alphas):
-    """Every draw's grid out of one `_inequality_batches` call, each entry
-    as the fields of a `CarlesonInequalityResult`."""
-    checked = carleson._check_grid(ps, alphas, 1e-9)[1]
-    rows = []
-    for columns, t in carleson._inequality_batches(tree, draws, ps, checked, 1e-9):
-        rows.append([
-            [{
-                "lhs": c.lhs[t],
-                "lhs_layer_cake": c.lhs_layer_cake[t],
-                "rhs": c.rhs[t],
-                "holds": c.holds[t],
-                "p": float(p),
-                "alpha": alpha,
-                "constant": c.constant,
-                "carleson_norm": {
-                    "value": c.carleson_norm[t],
-                    "witness": {"kind": "stopping-time", "stops": [list(c.carleson_node[t])]},
-                    "mode": "node-fast",
-                },
-                "maximal_strong_norm": c.maximal_strong_norm[t],
-                "maximal_tail_term": c.maximal_tail_term[t],
-                "maximal_weak_norm": c.maximal_weak_norm[t],
-            } for alpha, c in zip(checked, row)]
-            for p, row in zip(ps, columns)
-        ])
-    return rows
-
-
 def _assert_batch_matches_the_reference(tree, draws, ps, alphas):
-    rows = _batch_rows(tree, draws, ps, alphas)
-    assert len(rows) == len(draws)
-    for (g, mu), got in zip(draws, rows):
-        want = [[dataclasses.asdict(res) for res in row]
-                for row in oracles.reference_inequality_grid(g, mu, ps, alphas)]
+    """Every draw's grid out of one `_inequality_batches` call is the
+    reference grid, field for field, and the results in one column share
+    one measure-norm result."""
+    checked = carleson._check_grid(ps, alphas, 1e-9)
+    grids = list(carleson._inequality_batches(tree, draws, *checked))
+    assert len(grids) == len(draws)
+    for (g, mu), grid in zip(draws, grids):
+        assert all(res.carleson_norm is top.carleson_norm for row in grid for res, top in zip(row, grid[0]))
+        got, want = ([[dataclasses.asdict(res) for res in row] for row in rows]
+                     for rows in (grid, oracles.reference_inequality_grid(g, mu, ps, alphas)))
         assert _same(got, want)
 
 

@@ -100,3 +100,16 @@ def test_the_fast_scans_build_no_leaf_ancestor_table(monkeypatch):
     assert bmo_alpha_norm(f, 0.25, "atom-fast").value > 0
     assert carleson_alpha_norm(from_martingale(f), 0.25, "node-fast").value > 0
     assert not first_passage(f, 0.5 * float(np.max(np.abs(f.level(12))))).is_never()
+
+
+def test_the_measure_scan_keeps_one_running_row():
+    """`node-fast` computes the weighted densities and then sums their
+    suffixes over levels in one running row, so the peak is that table
+    plus a few leaf rows (the row, the per-node tents and scores), not a
+    second table of suffix sums."""
+    tree = build_dyadic(14)
+    mu = from_martingale(random_martingale(tree, 1))
+    first = carleson_alpha_norm(mu, 0.25, "node-fast")
+    again, _, peak = _traced(lambda: carleson_alpha_norm(mu, 0.25, "node-fast"))
+    assert again == first
+    assert peak <= _table(tree) + 12 * tree.num_leaves * np.dtype(float).itemsize

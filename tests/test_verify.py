@@ -51,6 +51,16 @@ def test_inequality_suite_small():
     assert kinds == {"inequality", "converse"}
 
 
+def test_inequality_cases_record_p_and_alpha_as_the_floats_they_ran_at():
+    """An integer p is read as a float, and every case, inequality and
+    converse alike, records that float, as does `campaign` with ps."""
+    rep = check_carleson_inequality(trials=2, ps=[2, 3.0], alphas=[0.25], converse_trials=2, seed=44)
+    ran = campaign(alphas=[0.25], depths=[1], trials=2, ps=[2])
+    for c in rep.cases + ran.cases:
+        assert type(c["p"]) is float and type(c["alpha"]) is float, c
+    assert {c["p"] for c in rep.cases} == {2.0, 3.0}
+
+
 def test_operators_suite_small():
     rep = check_operators(trials=5, seed=45)
     assert rep.suite == "operators"
