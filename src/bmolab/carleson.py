@@ -48,6 +48,7 @@ from .norms import (
     NormResult,
     _ArgMax,
     _argmaxes,
+    _atom_sups,
     _check_mode,
     _float_power,
     _layer_cake_rows,
@@ -161,46 +162,25 @@ def _check_p(p: object) -> float:
 def _node_norms(tree: FiltrationTree, weighted: np.ndarray, alphas: list) -> list:
     """`node-fast` at every alpha for the measures whose weighted densities
     are stacked as (levels, measures, leaves): per alpha, each measure's
-    norm and the node ``(level, index)`` attaining it.
-
-    A node's score is its tent mass (suffix sums of the weighted densities
-    over levels, summed over the node's leaves) times its mass ** -(1 + 2
-    alpha).  The norm is the first strict maximum over every level's nodes
-    in turn; a measure with a NaN score takes `_ArgMax`'s rule.
-
-    The suffix sums are one running (leaves, measures) row, levels
-    descending.  It starts as a copy of the deepest level, not as zeros
-    plus it, so a -0.0 density keeps its sign.
+    `NormResult`, by `_atom_sups` of the node tents at exponents -(1 + 2
+    alpha).  A node's tent mass is the suffix sum of the weighted densities
+    over levels, summed over its leaves.  The suffix sums are one running
+    (leaves, measures) row, levels descending, started as a copy of the
+    deepest level, not as zeros plus it, so a -0.0 density keeps its sign.
     """
     if not alphas:
         return []
-    levels = range(tree.depth + 1)
+    tents = np.empty((tree.num_atoms, weighted.shape[1]))
     row = weighted[-1].T.copy()
-    tents = [tree.atom_sums(row, tree.depth)]
-    for n in reversed(levels[:-1]):
-        row += weighted[n].T
-        tents.append(tree.atom_sums(row, n))
-    tents = np.concatenate(tents[::-1])
-    masses = [tree.masses(n) for n in levels]
-    start = np.cumsum([0, *map(len, masses)])  # each level's first node
-    column = np.concatenate(masses)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        # (alphas, nodes, draws); each alpha takes its own power of the masses
-        scores = tents * np.stack([column ** -(1.0 + 2.0 * alpha) for alpha in alphas])
-    best = scores.argmax(axis=1)  # the first maximum, or the first NaN
-    top = scores[np.arange(len(alphas))[:, None], best, np.arange(tents.shape[1])]
-    values = top.tolist()
-    for a, t in zip(*np.nonzero(np.isnan(top))):
-        pick = _ArgMax()
-        pick.offer_all(scores[a, :, t], int)
-        values[a][t], best[a, t] = pick.value, pick.witness
-    level = start.searchsorted(best, "right") - 1
-    index = best - start[level]
-    return [(v, list(zip(*li))) for v, li in zip(values, zip(level.tolist(), index.tolist()))]
-
-
-def _node_witness(node: tuple) -> dict:
-    return {"kind": "stopping-time", "stops": [list(node)]}
+    for n in reversed(range(tree.depth + 1)):
+        if n < tree.depth:
+            row += weighted[n].T
+        tents[tree.level_starts[n] : tree.level_starts[n + 1]] = tree.atom_sums(row, n)
+    return [
+        [NormResult(v, {"kind": "stopping-time", "stops": [list(node)]}, "node-fast")
+         for v, node in zip(values, nodes)]
+        for values, nodes in _atom_sups(tree, tents, [-(1.0 + 2.0 * alpha) for alpha in alphas])
+    ]
 
 
 def carleson_alpha_norms(
@@ -224,10 +204,7 @@ def carleson_alpha_norms(
     if not alphas:
         return []
     if mode == "node-fast":
-        return [
-            NormResult(values[0], _node_witness(nodes[0]), mode)
-            for values, nodes in _node_norms(mu.tree, mu.weighted[:, None], alphas)
-        ]
+        return [norms[0] for norms in _node_norms(mu.tree, mu.weighted[:, None], alphas)]
     blocks = _stopping_blocks(mu.tree, max_enum, mu.tent_masses)
     return _argmaxes(blocks, [-(1.0 + 2.0 * alpha) for alpha in alphas], mode)
 
@@ -313,9 +290,9 @@ def _inequality_grids(
     mg = np.max(mods, axis=0)  # Mg: at each leaf, the largest modulus over the levels
     mg_tails = _tails(mg, w)
     per_alpha = []
-    for alpha, (values, nodes) in zip(alphas, _node_norms(tree, weighted, alphas)):
+    for alpha, norms in zip(alphas, _node_norms(tree, weighted, alphas)):
         q = 1.0 / (2.0 * alpha)
-        norms = [NormResult(v, _node_witness(n), "node-fast") for v, n in zip(values, nodes)]
+        values = [r.value for r in norms]
         per_alpha.append((alpha, values, norms, _lp_rows(mg, w, q), _weak_rows(mg_tails, q)))
 
     draws = mods.shape[1]
@@ -385,7 +362,7 @@ def _indicator_sides(taus: np.ndarray, mu: CarlesonMeasure, p: float):
     stopping time's indicator process (0/1 values: their own modulus)."""
     tree = mu.tree
     ind = _indicator_levels(tree, taus)
-    lhs = _left_side((m[:, tree.leaf_ancestors(k)] for k, m in enumerate(ind)), mu.weighted, p)
+    lhs = _left_side((tree.spread_to_leaves(m.T, k).T for k, m in enumerate(ind)), mu.weighted, p)
     return lhs, _running_max(tree, ind)[-1]
 
 

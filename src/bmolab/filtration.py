@@ -179,10 +179,6 @@ def _atom_position(x: object) -> int:
 _MASS_RANGE = "mass must lie in (0, 1], got {!r}"
 
 
-def _in_range(masses: np.ndarray) -> np.ndarray:
-    return (masses > 0.0) & (masses <= 1.0)
-
-
 def _atom_steps(parents, level: int, index: int) -> list[int]:
     """Child positions on the way from the root down to an atom.
 
@@ -257,7 +253,7 @@ def _read_levels(root: object) -> tuple[list[list[float]], list[np.ndarray]]:
 
 
 class FiltrationTree:
-    """Immutable rooted atom tree with per-level flattened views.
+    """Immutable rooted atom tree, stored as one level-major atom table.
 
     Construct from a nested node document ``{"mass": m, "children": [...]}``
     (leaves carry ``"children": []``).  Validation rejects, with a path to
@@ -265,8 +261,11 @@ class FiltrationTree:
     their parent within ``MASS_TOL``, levels that do not sum to 1, leaves
     off the final level, and a root mass different from 1.
 
-    The document is read into per-level ``(masses, parent)`` arrays, the
-    one representation every tree is built, validated and written from.
+    Every tree is built from per-level ``(masses, parent)`` lists into a
+    table that holds each atom once, level after level (atom ``i`` of
+    level ``n`` at entry ``level_starts[n] + i``): its mass, parent, first
+    child, first leaf and leaf count.  Each level's run of each column is
+    kept as a view.
     """
 
     def __init__(self, root: dict):
@@ -279,73 +278,76 @@ class FiltrationTree:
         return tree
 
     def _set_levels(self, masses: list, parents: list) -> None:
-        """Validate the level arrays and build every derived view.
+        """Validate the level lists, each check one pass over the table.
 
         ``masses[n]`` and ``parents[n]`` list the level-``n`` atoms left to
         right with ``parents[0] == [-1]``.  The atoms come from a depth-first
         walk, so the children of consecutive parents are consecutive and
         every ``parents[n]`` is nondecreasing.
         """
-        self._depth = len(masses) - 1
-        self._masses = [np.asarray(m, dtype=float) for m in masses]
-        self._parent = [np.asarray(p, dtype=np.intp) for p in parents]
+        self._depth = depth = len(masses) - 1
+        counts = list(map(len, masses))
+        ends = list(itertools.accumulate(counts))
+        starts, levels = np.array([0, *ends]), list(map(slice, [0, *ends], ends))
+        mass, parent = np.concatenate(masses, dtype=float), np.concatenate(parents, dtype=np.intp)
 
         # The document reader has checked this node by node; the builders'
         # arrays are checked here.
-        if not _in_range(np.concatenate(self._masses)).all():
-            out_of_range = [np.flatnonzero(~_in_range(m)) for m in self._masses]
-            steps, n, i = _first_atom(self._parent, out_of_range)
-            raise SchemaError(_MASS_RANGE.format(float(self._masses[n][i])), _path(steps))
-        if self._masses[0][0] != 1.0:
-            raise SchemaError(
-                f"root mass must be exactly 1, got {float(self._masses[0][0])!r}", "root"
-            )
+        if not (in_range := (mass > 0.0) & (mass <= 1.0)).all():
+            steps, n, i = _first_atom(parents, [np.flatnonzero(~in_range[s]) for s in levels])
+            raise SchemaError(_MASS_RANGE.format(float(mass[starts[n] + i])), _path(steps))
+        if mass[0] != 1.0:
+            raise SchemaError(f"root mass must be exactly 1, got {float(mass[0])!r}", "root")
 
-        # Children of consecutive parents are consecutive (DFS order), so the
-        # children of atom i form the run b[i]:b[i + 1] of the next level,
-        # and so do its leaves; a level's runs are kept as one bounds array b.
-        self._child_bounds = [
-            np.searchsorted(self._parent[n + 1], np.arange(self.atom_count(n) + 1))
-            for n in range(self._depth)
-        ]
-        sizes = [np.diff(b) for b in self._child_bounds]
-        if self._depth and not np.concatenate(sizes).all():
-            steps, n, _ = _first_atom(self._parent, [np.flatnonzero(s == 0) for s in sizes])
-            raise SchemaError(
-                f"leaf at level {n}, but all leaves must sit at level {self._depth}",
-                _path(steps),
-            )
+        # As table entries the parents are nondecreasing, so the children of
+        # each of the first ``inner`` atoms, those above the last level, form
+        # one run of the table from first[i].
+        inner, leaves = len(mass) - counts[-1], counts[-1]
+        sizes = np.bincount(np.repeat(starts[:-2], counts[1:]) + parent[1:], minlength=inner)
+        if not sizes.all():
+            steps, n, _ = _first_atom(parents, [np.flatnonzero(sizes[s] == 0) for s in levels[:-1]])
+            raise SchemaError(f"leaf at level {n}, but all leaves must sit at level {depth}",
+                              _path(steps))
+        first = np.cumsum(sizes) - sizes + 1
+        sums = np.add.reduceat(mass, first)
+        if (bad := np.flatnonzero(np.abs(sums - mass[:inner]) > MASS_TOL)).size:
+            i = int(bad[0])
+            n = int(starts.searchsorted(i, "right")) - 1
+            steps = _atom_steps(parents, n, i - int(starts[n]))
+            raise SchemaError(f"children masses sum to {float(sums[i])!r} but the atom mass "
+                              f"is {float(mass[i])!r}", _path(steps))
+        # reduceat adds a run's first entry to the pairwise sum of the rest,
+        # so with a 0.0 ahead of each level every total has np.sum's bits
+        pads = starts[:-1] + np.arange(depth + 1)
+        slots = np.ones(len(mass) + depth + 1, dtype=bool)
+        slots[pads] = False
+        padded = np.zeros(len(slots))
+        padded[slots] = mass
+        totals = np.add.reduceat(padded, pads)
+        if (bad := np.flatnonzero(np.abs(totals - 1.0) > MASS_TOL)).size:
+            n, total = int(bad[0]), float(totals[bad[0]])
+            raise SchemaError(f"atoms at level {n} have total mass {total!r}, expected 1", "root")
+        del sizes, sums, slots, padded  # a big tree is often built while its document is held
 
-        self._leaf_bounds = [np.arange(self.num_leaves + 1)]
-        for b in reversed(self._child_bounds):
-            self._leaf_bounds.append(self._leaf_bounds[-1][b])
-        self._leaf_bounds.reverse()
-        self._leaf_ancestor = [None] * (self._depth + 1)  # built by leaf_ancestors
-        self._leaf_count = [None] * (self._depth + 1)  # built by spread_to_leaves
-
-        for n in range(self._depth):
-            sums = self.child_sums(self._masses[n + 1], n)
-            bad = np.nonzero(np.abs(sums - self._masses[n]) > MASS_TOL)[0]
-            if bad.size:
-                i = int(bad[0])
-                raise SchemaError(
-                    f"children masses sum to {float(sums[i])!r} but the atom mass "
-                    f"is {float(self._masses[n][i])!r}",
-                    _path(_atom_steps(self._parent, n, i)),
-                )
-        for n in range(self._depth + 1):
-            total = float(np.sum(self._masses[n]))
-            if abs(total - 1.0) > MASS_TOL:
-                raise SchemaError(f"atoms at level {n} have total mass {total!r}, expected 1", "root")
-
-        for arrays in (
-            self._masses,
-            self._parent,
-            self._child_bounds,
-            self._leaf_bounds,
-        ):
-            for a in arrays:
-                a.flags.writeable = False
+        # Each atom's first leaf, by pointer doubling along first children:
+        # after k rounds an atom points 2 ** k levels down, or at a leaf.
+        leaf = np.concatenate((first, np.arange(inner, len(mass))))
+        while leaf[0] < inner:
+            leaf[:inner] = leaf[leaf[:inner]]
+        leaf -= inner
+        count = np.concatenate((leaf[1:], [leaves])) - leaf
+        count[count <= 0] += leaves  # a level's last atom: the next entry starts at 0
+        child = first - np.repeat(starts[1:-1], counts[:-1])  # within its level
+        for column in (starts, mass, parent, leaf, child):
+            column.flags.writeable = False
+        self._starts, self._mass, self._leaf = starts, mass, leaf
+        # The counts stay writeable, since ``repeat`` copies read-only counts
+        # on every call, and are never handed out.
+        self._masses, self._parent, self._leaf_starts, self._leaf_counts = (
+            [column[s] for s in levels] for column in (mass, parent, leaf, count)
+        )
+        self._child_starts = [child[s] for s in levels[:-1]]
+        self._leaf_ancestor = [None] * (depth + 1)  # built by leaf_ancestors
 
     # -- structure queries -------------------------------------------------
 
@@ -359,7 +361,22 @@ class FiltrationTree:
 
     @property
     def num_atoms(self) -> int:
-        return sum(len(m) for m in self._masses)
+        return int(self._starts[-1])
+
+    @property
+    def level_starts(self) -> np.ndarray:
+        """Each level's first entry in the atom table, then the atom count."""
+        return self._starts
+
+    @property
+    def atom_masses(self) -> np.ndarray:
+        """Every atom's mass, level after level: the table's order."""
+        return self._mass
+
+    @property
+    def atom_leaf_starts(self) -> np.ndarray:
+        """Every atom's first leaf, level after level: the table's order."""
+        return self._leaf
 
     def atom_count(self, n: int) -> int:
         self._check_level(n)
@@ -382,13 +399,15 @@ class FiltrationTree:
 
     def leaf_slice(self, ref: AtomRef) -> slice:
         """Contiguous range of leaf indices covered by the atom."""
-        self._check_ref(ref)
-        b = self._leaf_bounds[ref.level]
-        return slice(int(b[ref.index]), int(b[ref.index + 1]))
+        self._check_level(ref.level)
+        if not 0 <= ref.index < len(self._masses[ref.level]):
+            raise ValueError(f"atom index {ref.index} out of range at level {ref.level}")
+        start = int(self._leaf_starts[ref.level][ref.index])
+        return slice(start, start + int(self._leaf_counts[ref.level][ref.index]))
 
     def leaf_starts(self, n: int) -> np.ndarray:
         self._check_level(n)
-        return self._leaf_bounds[n][:-1]
+        return self._leaf_starts[n]
 
     def leaf_ancestors(self, n: int) -> np.ndarray:
         """For each leaf, the index of the level-``n`` atom containing it.
@@ -407,14 +426,9 @@ class FiltrationTree:
         """Each level-``n`` atom's row of ``rows`` (an array, atoms on axis 0:
         one value, or one vector, per atom) repeated once per leaf of the
         atom.  Bit for bit ``rows[self.leaf_ancestors(n)]``, without that
-        table: the level's leaf counts are built on the first call for
-        ``n`` and kept.  They stay writeable, since ``repeat`` copies
-        read-only counts on every call, and are never handed out."""
+        table."""
         self._check_level(n)
-        counts = self._leaf_count[n]
-        if counts is None:
-            counts = self._leaf_count[n] = np.diff(self._leaf_bounds[n])
-        return self._rows(rows, n).repeat(counts, 0)
+        return self._rows(rows, n).repeat(self._leaf_counts[n], 0)
 
     # Each atom's leaves, and each atom's children, form one contiguous run
     # (atoms are stored in depth-first order), so a sum over them is one
@@ -424,19 +438,19 @@ class FiltrationTree:
         """Per level-``n`` atom, the sum of ``leaf_rows`` (one row per leaf,
         leaves on axis 0) over the atom's leaves."""
         self._check_level(n)
-        return np.add.reduceat(self._rows(leaf_rows, self._depth), self._leaf_bounds[n][:-1], axis=0)
+        return np.add.reduceat(self._rows(leaf_rows, self._depth), self._leaf_starts[n], axis=0)
 
     def child_sums(self, rows: np.ndarray, n: int) -> np.ndarray:
         """Per level-``n`` atom, the sum of ``rows`` (one row per level-``n + 1``
         atom, atoms on axis 0) over the atom's children."""
         self._check_parent_level(n)
-        return np.add.reduceat(self._rows(rows, n + 1), self._child_bounds[n][:-1], axis=0)
+        return np.add.reduceat(self._rows(rows, n + 1), self._child_starts[n], axis=0)
 
     def child_slices(self, n: int) -> list[slice]:
         """Per level-``n`` atom, the slice of level ``n + 1`` holding its children."""
         self._check_parent_level(n)
-        b = self._child_bounds[n].tolist()
-        return list(map(slice, b[:-1], b[1:]))
+        b = self._child_starts[n].tolist()
+        return list(map(slice, b, b[1:] + [len(self._masses[n + 1])]))
 
     def _rows(self, rows: np.ndarray, n: int) -> np.ndarray:
         count = len(self._masses[n])
@@ -452,17 +466,12 @@ class FiltrationTree:
         if not 0 <= n <= self._depth:
             raise ValueError(f"level {n} out of range [0, {self._depth}]")
 
-    def _check_ref(self, ref: AtomRef) -> None:
-        self._check_level(ref.level)
-        if not 0 <= ref.index < len(self._masses[ref.level]):
-            raise ValueError(f"atom index {ref.index} out of range at level {ref.level}")
-
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
         nodes = [{"mass": m, "children": []} for m in self.leaf_masses.tolist()]
         for n in range(self._depth - 1, -1, -1):
-            masses, b = self._masses[n].tolist(), self._child_bounds[n].tolist()
+            masses, b = self._masses[n].tolist(), self._child_starts[n].tolist() + [len(nodes)]
             nodes = [{"mass": m, "children": nodes[i:j]} for m, i, j in zip(masses, b, b[1:])]
         return {"schema": "tree/v1", "depth": self._depth, "root": nodes[0]}
 
@@ -496,7 +505,7 @@ class FiltrationTree:
                 # two pieces of every atom in its earlier siblings' subtrees.
                 parent = self._parent[n]
                 before = np.cumsum(sizes[n]) - sizes[n]
-                first = self._child_bounds[n - 1][parent]
+                first = self._child_starts[n - 1][parent]
                 opens = opens[parent] + 1 + 2 * (before - before[first])
                 last = np.append(parent[1:] != parent[:-1], True)
             keys = indent + " " * (4 * n + 4)
@@ -550,14 +559,13 @@ class FiltrationTree:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiltrationTree):
             return NotImplemented
-        return self is other or self._depth == other._depth and all(
-            a.shape == b.shape and bool(np.all(a == b))
-            for a, b in zip(self._masses, other._masses)
-        ) and all(bool(np.all(a == b)) for a, b in zip(self._parent, other._parent))
+        # level sizes and first leaves fix each atom's leaf run, so its parent
+        keys = ("_starts", "_mass", "_leaf")
+        return self is other or all(np.array_equal(vars(self)[k], vars(other)[k]) for k in keys)
 
     def __hash__(self) -> int:
         # only what __eq__ compares: equal trees have the same level sizes
-        return hash((self._depth, tuple(map(len, self._masses))))
+        return hash(self._starts.tobytes())
 
     def __repr__(self) -> str:
         return f"FiltrationTree(depth={self._depth}, leaves={self.num_leaves})"

@@ -232,6 +232,23 @@ def _argmaxes(blocks, exps: list, mode: str) -> list[NormResult]:
     return [NormResult(best.value, best.witness, mode) for best in bests]
 
 
+def _atom_sups(tree: FiltrationTree, numerators: np.ndarray, exps: list) -> list:
+    """The single-atom scan of both fast norms: atom ``i`` of the tree's
+    table scores ``numerators[i] * mass ** e``, each column a scan of its
+    own.  Per exponent, each column's supremum and the ``(level, index)``
+    attaining it, by `_ArgMax`'s rule: the first strict maximum in table
+    order (level, then index), a NaN winning only as the first candidate."""
+    with np.errstate(over="ignore", invalid="ignore"):  # as in `_argmaxes`
+        # (exps, atoms, columns); each exponent takes its own power of the masses
+        scores = numerators * np.stack([tree.atom_masses[:, None] ** e for e in exps])
+    np.copyto(scores[:, 1:], -np.inf, where=np.isnan(scores[:, 1:]))
+    best = scores.argmax(axis=1)  # the first maximum, or a first candidate's NaN
+    values = scores[np.arange(len(exps))[:, None], best, np.arange(scores.shape[2])].tolist()
+    level = tree.level_starts.searchsorted(best, "right") - 1
+    index = best - tree.level_starts[level]
+    return [(v, list(zip(*li))) for v, li in zip(values, zip(level.tolist(), index.tolist()))]
+
+
 def _mask_atoms(mask: int, k: int) -> list[int]:
     return [i for i in range(k) if mask >> i & 1]
 
@@ -354,13 +371,12 @@ def _check_mode(mode: str, modes: tuple) -> None:
 
 
 def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
-    """The candidate blocks of one scan of ``f``, scored at a mass
-    exponent: ``(integral) ** (1/p) * (mass) ** e`` per atom, union or
-    stopping time (``omega-form``: ``(mean) ** (1/p) * (mass) ** e``).
-    Whatever does not depend on the exponent is computed once per block.
-    The brute-force modes take each power as one `np.float_power` call
-    per chunk: libm ``pow``, whose bits do not depend on numpy's CPU
-    dispatch (its ``**`` does), and inf where a power overflows.
+    """The candidate blocks of one brute-force scan of ``f``, scored at a
+    mass exponent: ``(integral) ** (1/p) * (mass) ** e`` per union or
+    stopping time.  Whatever does not depend on the exponent is computed
+    once per block.  Each power is one `np.float_power` call per chunk:
+    libm ``pow``, whose bits do not depend on numpy's CPU dispatch (its
+    ``**`` does), and inf where a power overflows.
     """
     tree = f.tree
     e_int = 1.0 / p
@@ -371,32 +387,22 @@ def _bmo_blocks(f: AdaptedProcess, p: float, mode: str, max_enum: int):
             lambda t: np.float_power(_stopping_integrals(tree, final, before, t, p), e_int),
         )
         return
-    if mode == "subset-bruteforce":
-        total = sum(2 ** tree.atom_count(n) - 1 for n in range(tree.depth + 1))
-        if total > max_enum:
-            raise SizeCapError(
-                f"subset brute force would scan {total} unions, over the cap {max_enum}; "
-                f"use atom-fast or raise BMO_LAB_MAX_ENUM"
-            )
+    total = sum(2 ** tree.atom_count(n) - 1 for n in range(tree.depth + 1))
+    if total > max_enum:
+        raise SizeCapError(
+            f"subset brute force would scan {total} unions, over the cap {max_enum}; "
+            f"use atom-fast or raise BMO_LAB_MAX_ENUM"
+        )
     for n in range(tree.depth + 1):
-        r = _residual_integrals(f, n, p)
-        m = tree.masses(n)
-        if mode == "subset-bruteforce":
-            k = tree.atom_count(n)
-            table = _union_table(r, m, min(k, stopping.UNION_TABLE_BITS))
-            for rows in chunks((1 << k) - 1):
-                first = rows.start + 1
-                r_sum, m_sum = _union_sums(r, m, table, first, rows.stop + 1)
-                r_pow = np.float_power(r_sum, e_int)
-                yield (lambda e: r_pow * np.float_power(m_sum, e)), (
-                    lambda j: {"kind": "level-set", "level": n,
-                               "atoms": _mask_atoms(first + j, k)})
-        else:
-            # omega-form scales the atom mean instead of the atom integral
-            # (a product of two floats is the same float in either order)
-            scale = r**e_int if mode == "atom-fast" else (r / m) ** e_int
-            yield (lambda e: scale * m**e), (
-                lambda i: {"kind": "level-set", "level": n, "atoms": [i]})
+        r, m = _residual_integrals(f, n, p), tree.masses(n)
+        k = len(m)
+        table = _union_table(r, m, min(k, stopping.UNION_TABLE_BITS))
+        for rows in chunks((1 << k) - 1):
+            first = rows.start + 1
+            r_sum, m_sum = _union_sums(r, m, table, first, rows.stop + 1)
+            r_pow = np.float_power(r_sum, e_int)
+            yield (lambda e: r_pow * np.float_power(m_sum, e)), (
+                lambda j: {"kind": "level-set", "level": n, "atoms": _mask_atoms(first + j, k)})
 
 
 def _bmo_sups(
@@ -410,7 +416,15 @@ def _bmo_sups(
     if not alphas:
         return []
     exps = [-alpha if mode == "omega-form" else -1.0 / p - alpha for alpha in alphas]
-    results = _argmaxes(_bmo_blocks(f, p, mode, max_enum), exps, mode)
+    if mode in ("subset-bruteforce", "stopping-bruteforce"):
+        results = _argmaxes(_bmo_blocks(f, p, mode, max_enum), exps, mode)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in `_argmaxes`
+            r = np.concatenate([_residual_integrals(f, n, p) for n in range(f.depth + 1)])
+            # omega-form scales the atom mean instead of the atom integral
+            scale = (r if mode == "atom-fast" else r / f.tree.atom_masses) ** (1.0 / p)
+        results = [NormResult(v, {"kind": "level-set", "level": n, "atoms": [i]}, mode)
+                   for (v,), ((n, i),) in _atom_sups(f.tree, scale[:, None], exps)]
     if p != 2.0:
         for res in results:
             res.witness["p"] = p

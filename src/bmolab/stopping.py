@@ -239,11 +239,8 @@ def prob_finite(tree: FiltrationTree, taus: np.ndarray) -> np.ndarray:
     agree bitwise (a numpy sum along the atoms adds pairwise from 8 terms
     on).
     """
-    levels = range(tree.depth + 1)
-    masses = [tree.masses(n) for n in levels]
-    level = np.repeat(levels, list(map(len, masses)))
-    start = np.concatenate([tree.leaf_starts(n) for n in levels])
-    mass = np.concatenate(masses)
+    level = np.repeat(np.arange(tree.depth + 1), np.diff(tree.level_starts))
+    start, mass = tree.atom_leaf_starts, tree.atom_masses
     total = np.zeros(len(taus))
     width = max(1, CHUNK_CELLS // max(1, len(taus)))
     for lo in range(0, len(mass), width):
@@ -306,5 +303,7 @@ def stopped_before(f: AdaptedProcess, tau: StoppingTime) -> RandomVariable:
     is infinite it is the final value, so subtracting from the final value
     vanishes off {tau finite}.
     """
+    if f.tree != tau.tree:
+        raise ValueError("process and stopping time live on different trees")
     leaves = np.arange(f.tree.num_leaves)
     return RandomVariable(f.tree, _before_table(f)[tau.tau_values(), leaves])

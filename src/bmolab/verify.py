@@ -35,7 +35,7 @@ from .carleson import (
 )
 from .errors import _INT64_MAX, _int_arg
 from .filtration import FiltrationTree, build_dyadic, build_random, dump_json, write_text
-from .norms import BMO_MODES, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
+from .norms import BMO_MODES, _check_alpha, bmo_alpha_norm, bmo_alpha_norms, replay_bmo_witness
 from .operators import l2_lift, maximal, running_maximal, square_function, transform
 from .process import (
     PredictableSequence,
@@ -175,7 +175,7 @@ def _characterization(f, alphas):
     Each side is one scan of its object for all alphas."""
     bmos = bmo_alpha_norms(f, alphas, "atom-fast")
     cars = carleson_alpha_norms(from_martingale(f), alphas, "node-fast")
-    for alpha, bmo, car in zip(alphas, bmos, cars):
+    for alpha, bmo, car in zip(map(_check_alpha, alphas), bmos, cars):  # alphas as read
         lhs = float(np.sqrt(car.value))
         yield alpha, bmo, car, lhs, _rel(lhs, bmo.value)
 
@@ -289,7 +289,7 @@ def check_lemma_stopping_form(
             carleson_alpha_norms(mu, measure_alphas, "node-fast"),
             carleson_alpha_norms(mu, measure_alphas, "stopping-bruteforce"),
         ))
-        for alpha, subset, stopping, atom, omega in zip(alphas, *bmo_norms):
+        for alpha, subset, stopping, atom, omega in zip(map(_check_alpha, alphas), *bmo_norms):
             residual = _rel(stopping.value, subset.value)
             fast_residual = _rel(atom.value, subset.value)
             omega_residual = _rel(omega.value, atom.value)
@@ -492,7 +492,7 @@ def check_operators(
 
         # One atom scan per process for all alphas; for the square function
         # and the running maximum it is the process norm's own scan.
-        columns = zip(alphas, *(
+        columns = zip(map(_check_alpha, alphas), *(
             [r.value for r in bmo_alpha_norms(g, alphas, "atom-fast")]
             for g in (f, tf, tf_uni, lift, sf, runmax)
         ))

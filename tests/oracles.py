@@ -15,7 +15,9 @@ scans, the reference first passage and the reference inequality grid at
 the end are the package's code before it scanned all alphas at once,
 before first passage read its stops off its tau row, and before the
 inequality ran many draws as one batch, kept verbatim on the package's
-tree and stopping primitives.
+tree and stopping primitives.  The reference tree checks are the
+package's per-level checks before it kept one atom table, kept verbatim
+on its node-path helpers.
 """
 
 import itertools
@@ -708,3 +710,49 @@ def reference_inequality_grid(g, mu, ps, alphas, slack=1e-9):
             )
         grid.append(row)
     return grid
+
+
+# == reference tree checks: the package's per-level checks ===================
+#
+# The checks ``FiltrationTree`` made of a builder's level arrays before it
+# kept one atom table, one level at a time, kept verbatim on the package's
+# node-path helpers: a refusal must name the same node with the same text.
+
+from bmolab.errors import SchemaError  # noqa: E402
+from bmolab.filtration import MASS_TOL, _MASS_RANGE, _atom_steps, _first_atom, _path  # noqa: E402
+
+
+def level_refusal(masses, parents):
+    """The `SchemaError` the per-level checks raise for these level lists,
+    or None where they accept them."""
+    depth = len(masses) - 1
+    masses = [np.asarray(m, dtype=float) for m in masses]
+    parents = [np.asarray(p, dtype=np.intp) for p in parents]
+    in_range = [(m > 0.0) & (m <= 1.0) for m in masses]
+    if not np.concatenate(in_range).all():
+        steps, n, i = _first_atom(parents, [np.flatnonzero(~r) for r in in_range])
+        return SchemaError(_MASS_RANGE.format(float(masses[n][i])), _path(steps))
+    if masses[0][0] != 1.0:
+        return SchemaError(f"root mass must be exactly 1, got {float(masses[0][0])!r}", "root")
+    bounds = [np.searchsorted(parents[n + 1], np.arange(len(masses[n]) + 1)) for n in range(depth)]
+    sizes = [np.diff(b) for b in bounds]
+    if depth and not np.concatenate(sizes).all():
+        steps, n, _ = _first_atom(parents, [np.flatnonzero(s == 0) for s in sizes])
+        return SchemaError(
+            f"leaf at level {n}, but all leaves must sit at level {depth}", _path(steps)
+        )
+    for n in range(depth):
+        sums = np.add.reduceat(masses[n + 1], bounds[n][:-1], axis=0)
+        bad = np.nonzero(np.abs(sums - masses[n]) > MASS_TOL)[0]
+        if bad.size:
+            i = int(bad[0])
+            return SchemaError(
+                f"children masses sum to {float(sums[i])!r} but the atom mass "
+                f"is {float(masses[n][i])!r}",
+                _path(_atom_steps(parents, n, i)),
+            )
+    for n in range(depth + 1):
+        total = float(np.sum(masses[n]))
+        if abs(total - 1.0) > MASS_TOL:
+            return SchemaError(f"atoms at level {n} have total mass {total!r}, expected 1", "root")
+    return None

@@ -45,7 +45,7 @@ from bmolab import (
 )
 from bmolab import stopping, verify
 from bmolab.cli import main
-from bmolab.norms import _float_power
+from bmolab.norms import _argmaxes, _atom_sups, _float_power
 from bmolab.verify import _rel
 from conftest import avx512_targets, run_process, run_python
 
@@ -404,6 +404,34 @@ def test_fast_scans_print_no_warning_on_the_command_line(tmp_path):
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["value"] == value
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    exps=st.lists(st.sampled_from([-0.5, -1.0, -1.9, 0.0]), min_size=1, max_size=3),
+    data=st.data(),
+)
+def test_the_single_atom_scan_is_the_per_level_argmax(seed, exps, data):
+    """`_atom_sups` over the whole table picks, per column and exponent,
+    the value bits and atom that `_ArgMax` picks offered one level at a
+    time: ties, infinities and NaNs, first candidate or later, included."""
+    tree = build_random(seed, 3, 4)
+    columns = data.draw(st.integers(1, 3))
+    cell = st.one_of(st.sampled_from([0.0, 1.0, math.inf, math.nan]), st.floats(0.0, 8.0))
+    numerators = np.array(
+        data.draw(st.lists(cell, min_size=tree.num_atoms * columns, max_size=tree.num_atoms * columns))
+    ).reshape(tree.num_atoms, columns)
+    got = _atom_sups(tree, numerators, exps)
+    starts = tree.level_starts
+    for j in range(columns):
+        blocks = [
+            ((lambda e, n=n: numerators[starts[n] : starts[n + 1], j] * tree.masses(n) ** e),
+             (lambda i, n=n: (n, i)))
+            for n in range(tree.depth + 1)
+        ]
+        for (values, atoms), want in zip(got, _argmaxes(blocks, exps, "atom-fast")):
+            assert (repr(values[j]), atoms[j]) == (repr(want.value), want.witness)
 
 
 # == empty argument lists are refused before any work ========================

@@ -23,9 +23,13 @@ from bmolab import (
 )
 
 # The functions that score the fast scans' candidates: the per-atom
-# integrals of `atom-fast` and `omega-form`, and the node tents of
-# `node-fast`.
-FAST_SCORING = {norms._residual_integrals.__code__, carleson._node_norms.__code__}
+# integrals of `atom-fast` and `omega-form`, the node tents of
+# `node-fast`, and the single-atom scan all three share.
+FAST_SCORING = {
+    norms._residual_integrals.__code__,
+    carleson._node_norms.__code__,
+    norms._atom_sups.__code__,
+}
 
 TREES = {"dyadic-2": build_dyadic(2), "random-5": build_random(5, 3, 3)}
 
@@ -67,6 +71,8 @@ def test_the_fast_scans_call_their_scoring():
     assert norms._residual_integrals.__code__ in _called(lambda: bmo_alpha_norm(f, 0.25))
     mu = from_martingale(f)
     assert carleson._node_norms.__code__ in _called(lambda: carleson_alpha_norm(mu, 0.25))
+    for call in (lambda: bmo_alpha_norm(f, 0.25, "omega-form"), lambda: carleson_alpha_norm(mu, 0.25)):
+        assert norms._atom_sups.__code__ in _called(call)
 
 
 # The largest relative gap measured between the two sides of the per-atom

@@ -13,6 +13,7 @@ from bmolab import (
     bmo_alpha_norm,
     build_dyadic,
     carleson_alpha_norm,
+    converse_extraction,
     first_passage,
     from_martingale,
     l2_lift,
@@ -100,6 +101,8 @@ def test_the_fast_scans_build_no_leaf_ancestor_table(monkeypatch):
     assert bmo_alpha_norm(f, 0.25, "atom-fast").value > 0
     assert carleson_alpha_norm(from_martingale(f), 0.25, "node-fast").value > 0
     assert not first_passage(f, 0.5 * float(np.max(np.abs(f.level(12))))).is_never()
+    small = from_martingale(random_martingale(build_dyadic(3), 1, 2))
+    assert converse_extraction(small, 0.25, 1.0, 2.0)["identity_exact"]
 
 
 def test_the_measure_scan_keeps_one_running_row():

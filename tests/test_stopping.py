@@ -275,6 +275,15 @@ def test_stopped_before_mixed_levels(depth2_example):
     assert np.array_equal(stopped_before(f, tau).values, [0.0, 0.0, -1.0, -1.0])
 
 
+@pytest.mark.parametrize("seed", [6, 2])  # 4 leaves like the process's tree, then 5
+def test_stopped_before_refuses_a_time_on_another_tree(depth2_example, seed):
+    _, f = depth2_example
+    other = build_random(seed, 2, 3)
+    assert other != f.tree and other.num_leaves in (4, 5)
+    with pytest.raises(ValueError, match="^process and stopping time live on different trees$"):
+        stopped_before(f, StoppingTime(other, [(1, 0)]))
+
+
 # == serialization ===========================================================
 
 

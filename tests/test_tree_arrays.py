@@ -5,6 +5,7 @@ against the standard library's ``json.dumps``, byte for byte."""
 import ast
 import hashlib
 import importlib
+import itertools
 import json
 import random
 import tracemalloc
@@ -26,7 +27,7 @@ from bmolab import (
     random_martingale,
     random_measure,
 )
-from bmolab.filtration import dump_json, write_text
+from bmolab.filtration import MASS_TOL, _atom_steps, _read_levels, dump_json, write_text
 from bmolab.process import _leaf_moduli, _modulus
 
 import oracles
@@ -557,7 +558,7 @@ def test_only_the_tree_reads_its_private_attributes():
     private = {
         name for name in dir(build_dyadic(2)) if name.startswith("_") and not name.endswith("__")
     }
-    assert {"_parent", "_child_bounds", "_leaf_bounds", "_check_level"} <= private
+    assert {"_parent", "_child_starts", "_leaf_starts", "_check_level"} <= private
     reads = [
         f"{path.relative_to(package)}:{node.lineno}:{node.attr}"
         for path in sorted(package.rglob("*.py"))
@@ -566,6 +567,76 @@ def test_only_the_tree_reads_its_private_attributes():
         if isinstance(node, ast.Attribute) and node.attr in private
     ]
     assert reads == []
+
+
+# The tree's per-level accessors.  Only filtration.py lays their levels
+# end to end: the atom table is the one level-major order.
+LEVEL_ACCESSORS = {"masses", "parents", "leaf_starts", "atom_count", "leaf_ancestors"}
+LEVEL_JOINS = {"concatenate", "hstack", "cumsum", "accumulate"}
+
+
+def _level_major_builds(module: ast.Module):
+    """The line of each call in ``module`` that joins or accumulates what
+    a per-level accessor returned, directly or through a name a function
+    bound to it (``ms = [tree.masses(n) ...]``, then ``np.concatenate(ms)``
+    or ``np.cumsum([0, *map(len, ms)])``)."""
+
+    def reads_levels(expr, names):
+        return any(
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in LEVEL_ACCESSORS
+            or isinstance(node, ast.Name) and node.id in names
+            for node in ast.walk(expr)
+        )
+
+    for func in ast.walk(module):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        names, grew = set(), True
+        while grew:
+            bound = {
+                name.id
+                for node in ast.walk(func)
+                if isinstance(node, ast.Assign) and reads_levels(node.value, names)
+                for target in node.targets
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            }
+            grew, names = not bound <= names, names | bound
+        for node in ast.walk(func):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if name in LEVEL_JOINS and any(reads_levels(a, names) for a in node.args):
+                    yield node.lineno
+
+
+def test_only_the_tree_builds_the_level_major_order():
+    """No module outside filtration.py concatenates per-level accessors or
+    accumulates atom counts: the tree's ``level_starts``, ``atom_masses``
+    and ``atom_leaf_starts`` hold that order."""
+    package = Path(bmolab.__file__).parent
+    sites = [
+        f"{path.relative_to(package)}:{line}"
+        for path in sorted(package.rglob("*.py"))
+        if path.name != "filtration.py"
+        for line in _level_major_builds(ast.parse(path.read_text()))
+    ]
+    assert sites == []
+
+
+def test_the_level_major_guard_sees_both_forms():
+    """The guard above is not blind: it finds a concatenation of accessors
+    and a running sum of counts, through a bound name or directly."""
+    code = """
+def scan(tree):
+    masses = [tree.masses(n) for n in range(tree.depth + 1)]
+    start = np.cumsum([0, *map(len, masses)])
+    return np.concatenate([tree.leaf_starts(n) for n in range(tree.depth + 1)]), start
+
+def fine(tree, f):
+    return np.concatenate([f(n) for n in range(tree.depth + 1)])
+"""
+    assert list(_level_major_builds(ast.parse(code))) == [4, 5]
 
 
 def test_no_function_imports():
@@ -711,3 +782,119 @@ def test_spreading_refuses_wrong_rows_and_levels():
         tree.spread_to_leaves(np.ones(4), 3)
     assert tree.spread_to_leaves(np.array([[1.0, 2.0], [3.0, 4.0]]), 1).tolist() == [
         [1.0, 2.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]]
+
+
+@st.composite
+def table_trees(draw):
+    """A chain of 600 to 700 levels, a tree whose root has 8 to 12
+    children, or a random tree of up to 4**5 leaves."""
+    kind = draw(st.sampled_from(["chain", "fan", "random"]))
+    if kind == "fan":
+        return FiltrationTree(draw(wide_roots()))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "chain":
+        return build_random(seed, draw(st.integers(600, 700)), 1)
+    return build_random(seed, draw(st.integers(0, 5)), draw(st.integers(2, 4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(table_trees())
+def test_every_level_is_a_view_of_the_atom_table(tree):
+    """Level n's run of the table, ``level_starts[n]`` to
+    ``level_starts[n + 1]``, is ``masses(n)`` and ``leaf_starts(n)``, in
+    the same memory; the table is read-only."""
+    starts = tree.level_starts
+    assert starts.tolist() == [0, *itertools.accumulate(map(tree.atom_count, range(tree.depth + 1)))]
+    assert starts[-1] == tree.num_atoms
+    for table, level in ((tree.atom_masses, tree.masses), (tree.atom_leaf_starts, tree.leaf_starts)):
+        assert not table.flags.writeable
+        for n in range(tree.depth + 1):
+            run = table[starts[n] : starts[n + 1]]
+            assert run.tobytes() == level(n).tobytes() and run.dtype == level(n).dtype
+            assert np.shares_memory(run, level(n))
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_FAULTS))
+def test_the_table_checks_refuse_what_the_level_checks_refused(case):
+    ref = oracles.levels(NUMERIC_FAULTS[case])
+    masses = [[m for m, _ in level] for level in ref]
+    parents = [[p for _, p in level] for level in ref]
+    want = oracles.level_refusal(masses, parents)
+    with pytest.raises(SchemaError) as got:
+        FiltrationTree._from_levels(masses, parents)
+    assert (str(got.value), got.value.path) == (str(want), want.path)
+
+
+TREE_FAULTS = {
+    "range": "mass must lie in (0, 1]",
+    "early-leaf": "leaf at level",
+    "child-sum": None,  # a small change may pass, or fail the level total instead
+    "level-total": None,
+}
+
+
+@settings(max_examples=120, deadline=None)
+@given(table_trees(), st.sampled_from(sorted(TREE_FAULTS)), st.randoms(use_true_random=False))
+def test_a_refused_builder_input_is_named_as_the_level_checks_named_it(tree, fault, rnd):
+    """Out-of-range masses, a leaf above the last level, masses off their
+    parent's sum or their level's total: the table's one-pass checks raise
+    the text and node path of the per-level checks, or accept as they did."""
+    masses = [tree.masses(n).tolist() for n in range(tree.depth + 1)]
+    parents = [[-1]] + [tree.parents(n).tolist() for n in range(1, tree.depth + 1)]
+    n = rnd.randrange(tree.depth + 1)
+    i = rnd.randrange(len(masses[n]))
+    if fault == "range":
+        masses[n][i] = rnd.choice([0.0, -0.25, 1.5, float("nan"), float("inf")])
+    elif fault == "early-leaf":
+        assume(tree.depth > 0)
+        n = rnd.randrange(tree.depth)
+        i = rnd.randrange(len(masses[n]))
+        root = tree.to_dict()["root"]
+        node = root
+        for step in _atom_steps(parents, n, i):
+            node = node["children"][step]
+        node["children"] = []
+        masses, parents = _read_levels(root)
+        assume(len(masses) == tree.depth + 1)  # else a shorter tree, no early leaf
+    elif fault == "child-sum":
+        masses[n][i] *= 1.0 + rnd.choice([-1e-6, -2e-12, 1.5e-12, 3e-12, 1e-9])
+    else:
+        scale = 1.0 + rnd.uniform(0.0, 3e-12)
+        masses[n] = [m * scale for m in masses[n]]
+    want = oracles.level_refusal(masses, parents)
+    if TREE_FAULTS[fault]:
+        assert str(want).split(": ", 1)[1].startswith(TREE_FAULTS[fault])
+    if want is None:
+        FiltrationTree._from_levels(masses, parents)
+        return
+    with pytest.raises(SchemaError) as got:
+        FiltrationTree._from_levels(masses, parents)
+    assert (str(got.value), got.value.path) == (str(want), want.path)
+
+
+def test_a_level_total_is_reported_with_np_sums_bits():
+    """Twelve root children, each with one leaf a little heavier than it:
+    every child sum is within MASS_TOL, but the leaf level's total is
+    not.  The refusal states ``np.sum`` of the level, which here differs
+    from a left-first sum of the same masses in its last bits."""
+    weights = np.random.default_rng(5).random(12)
+    weights /= np.sum(weights)
+    weights[-1] = 1.0 - np.sum(weights[:-1])
+    leaves = weights + 0.5 * MASS_TOL
+    assert np.sum(leaves) != np.add.reduceat(leaves, [0])[0]
+    masses, parents = [[1.0], weights.tolist(), leaves.tolist()], [[-1], [0] * 12, list(range(12))]
+    want = oracles.level_refusal(masses, parents)
+    with pytest.raises(SchemaError) as got:
+        FiltrationTree._from_levels(masses, parents)
+    assert (str(got.value), got.value.path) == (str(want), want.path)
+    assert str(got.value).endswith(f"atoms at level 2 have total mass {float(np.sum(leaves))!r}, expected 1")
+
+
+def test_trees_with_the_same_masses_and_other_parents_differ():
+    """Within MASS_TOL the middle leaf fits under either atom of level 1,
+    so two valid trees share every level's masses but not their parents."""
+    masses = [[1.0], [0.5, 0.5], [0.5, 1e-13, 0.5 - 1e-13]]
+    one = FiltrationTree._from_levels(masses, [[-1], [0, 0], [0, 0, 1]])
+    two = FiltrationTree._from_levels(masses, [[-1], [0, 0], [0, 1, 1]])
+    assert one.atom_masses.tobytes() == two.atom_masses.tobytes()
+    assert one != two and one == FiltrationTree._from_levels(masses, [[-1], [0, 0], [0, 0, 1]])

@@ -61,6 +61,20 @@ def test_inequality_cases_record_p_and_alpha_as_the_floats_they_ran_at():
     assert {c["p"] for c in rep.cases} == {2.0, 3.0}
 
 
+def test_every_suite_records_alpha_as_the_float_it_ran_at():
+    """An integer alpha is read as a float, and every suite's cases, and so
+    its JSON, record that float, as the inequality's cases do."""
+    reports = [
+        check_characterization(trials=1, alphas=[0]),
+        check_lemma_stopping_form(trials=1, alphas=[0]),
+        check_operators(trials=1, alphas=[0]),
+        campaign(alphas=[0], depths=[1], trials=1),
+    ]
+    for rep in reports:
+        assert all(type(c["alpha"]) is float for c in rep.cases), rep.suite
+        assert '"alpha": 0.0' in rep.to_json() and '"alpha": 0,' not in rep.to_json()
+
+
 def test_operators_suite_small():
     rep = check_operators(trials=5, seed=45)
     assert rep.suite == "operators"
