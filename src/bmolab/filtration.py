@@ -316,18 +316,14 @@ class FiltrationTree:
             steps = _atom_steps(parents, n, i - int(starts[n]))
             raise SchemaError(f"children masses sum to {float(sums[i])!r} but the atom mass "
                               f"is {float(mass[i])!r}", _path(steps))
+        del in_range, sizes, sums  # a big tree is often built while its document is held
         # reduceat adds a run's first entry to the pairwise sum of the rest,
         # so with a 0.0 ahead of each level every total has np.sum's bits
-        pads = starts[:-1] + np.arange(depth + 1)
-        slots = np.ones(len(mass) + depth + 1, dtype=bool)
-        slots[pads] = False
-        padded = np.zeros(len(slots))
-        padded[slots] = mass
-        totals = np.add.reduceat(padded, pads)
+        pads = starts[:-1] + np.arange(depth + 1)  # where each level's 0.0 lands
+        totals = np.add.reduceat(np.insert(mass, starts[:-1], 0.0), pads)
         if (bad := np.flatnonzero(np.abs(totals - 1.0) > MASS_TOL)).size:
             n, total = int(bad[0]), float(totals[bad[0]])
             raise SchemaError(f"atoms at level {n} have total mass {total!r}, expected 1", "root")
-        del sizes, sums, slots, padded  # a big tree is often built while its document is held
 
         # Each atom's first leaf, by pointer doubling along first children:
         # after k rounds an atom points 2 ** k levels down, or at a leaf.
@@ -335,9 +331,10 @@ class FiltrationTree:
         while leaf[0] < inner:
             leaf[:inner] = leaf[leaf[:inner]]
         leaf -= inner
-        count = np.concatenate((leaf[1:], [leaves])) - leaf
+        child = np.subtract(first, np.repeat(starts[1:-1], counts[:-1]), out=first)  # in its level
+        count = np.append(leaf[1:], leaves)
+        count -= leaf
         count[count <= 0] += leaves  # a level's last atom: the next entry starts at 0
-        child = first - np.repeat(starts[1:-1], counts[:-1])  # within its level
         for column in (starts, mass, parent, leaf, child):
             column.flags.writeable = False
         self._starts, self._mass, self._leaf = starts, mass, leaf

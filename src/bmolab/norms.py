@@ -420,9 +420,10 @@ def _bmo_sups(
         results = _argmaxes(_bmo_blocks(f, p, mode, max_enum), exps, mode)
     else:
         with np.errstate(over="ignore", invalid="ignore"):  # as in `_argmaxes`
-            r = np.concatenate([_residual_integrals(f, n, p) for n in range(f.depth + 1)])
-            # omega-form scales the atom mean instead of the atom integral
-            scale = (r if mode == "atom-fast" else r / f.tree.atom_masses) ** (1.0 / p)
+            scale = np.concatenate([_residual_integrals(f, n, p) for n in range(f.depth + 1)])
+            if mode == "omega-form":  # scales the atom mean instead of the atom integral
+                scale /= f.tree.atom_masses
+            scale **= 1.0 / p
         results = [NormResult(v, {"kind": "level-set", "level": n, "atoms": [i]}, mode)
                    for (v,), ((n, i),) in _atom_sups(f.tree, scale[:, None], exps)]
     if p != 2.0:
